@@ -16,6 +16,12 @@ Three pinned scenarios anchor the behavioural regression suite:
 * ``torus4_bubble``   — 4x4 torus under bubble flow control (localized
   avoidance), pinning the wraparound datapath and the bubble condition.
 
+Two model-checker fabrics (``model_ring3_spin``, ``model_mesh2x2_spin``)
+and seven registry designs under load (``dfly_*``, ``mesh4_westfirst_2vc``,
+``mesh4_escapevc_2vc``, ``mesh4_staticbubble_2vc``,
+``mesh4_favors_nmin_spin_1vc``) are registered further down; the design
+scenarios pin the routing overrides that only the object datapath runs.
+
 ``python -m repro.verify.golden [--out DIR]`` regenerates the fixture
 files; tests/integration/test_golden_traces.py replays the scenarios and
 fails with a first-divergence diff (:func:`repro.verify.trace
@@ -249,6 +255,75 @@ _register(
             "model_design": "mesh2x2"},
     builder=_build_model_design("mesh2x2"),
 )
+
+
+def _build_design(name: str) -> Callable[[], Tuple[Network, object]]:
+    """Builder for a registry design (:mod:`repro.harness.configs`) under
+    synthetic traffic — the Table-III designs outside the fast engine's
+    SoA envelope, which always run the object datapath."""
+
+    def build() -> Tuple[Network, object]:
+        from repro.harness.configs import build_network
+
+        params = SCENARIOS[name].params
+        network = build_network(
+            params["design"], seed=params["seed"],
+            mesh_side=params["mesh_side"],
+            dragonfly=tuple(params["dragonfly"]), tdd=params["tdd"])
+        pattern = make_pattern(params["pattern"],
+                               network.topology.num_nodes,
+                               params["mesh_side"])
+        traffic = SyntheticTraffic(network, pattern, params["rate"],
+                                   seed=params["seed"],
+                                   stop_at=params["traffic_cycles"])
+        return network, traffic
+
+    return build
+
+
+def _register_design(name: str, design: str, what: str, pattern: str,
+                     rate: float, seed: int, tdd: int = 16,
+                     cycles: int = 300, traffic_cycles: int = 220) -> None:
+    _register(
+        name,
+        f"{design} under {pattern} traffic at {rate} flits/node/cycle: "
+        f"pins {what} on the object datapath",
+        cycles=cycles,
+        params={"design": design, "pattern": pattern, "rate": rate,
+                "seed": seed, "tdd": tdd, "traffic_cycles": traffic_cycles,
+                "mesh_side": 4, "dragonfly": [2, 4, 2]},
+        builder=_build_design(name),
+    )
+
+
+_register_design(
+    "dfly_ugal_spin_3vc", "dfly:ugal-spin-3vc",
+    "UGAL's source decision with unrestricted VC use under SPIN",
+    pattern="uniform", rate=0.45, seed=21)
+_register_design(
+    "dfly_ugal_dally_3vc", "dfly:ugal-dally-3vc",
+    "UGAL with the Dally VC-class discipline",
+    pattern="uniform", rate=0.45, seed=22)
+_register_design(
+    "dfly_minimal_spin_1vc", "dfly:minimal-spin-1vc",
+    "1-VC minimal dragonfly routing with SPIN recoveries",
+    pattern="uniform", rate=0.15, seed=23)
+_register_design(
+    "mesh4_westfirst_2vc", "mesh:westfirst-2vc",
+    "the west-first turn model's partial adaptivity",
+    pattern="uniform", rate=0.60, seed=24)
+_register_design(
+    "mesh4_escapevc_2vc", "mesh:escapevc-2vc",
+    "Duato escape-VC selection and its escape fallback",
+    pattern="uniform", rate=0.60, seed=25)
+_register_design(
+    "mesh4_staticbubble_2vc", "mesh:staticbubble-2vc",
+    "Static Bubble's reserved VC and timeout recoveries",
+    pattern="uniform", rate=0.50, seed=26)
+_register_design(
+    "mesh4_favors_nmin_spin_1vc", "mesh:favors-nmin-spin-1vc",
+    "FAvORS non-minimal source detours with SPIN recoveries",
+    pattern="uniform", rate=0.45, seed=27)
 
 
 def regenerate(out_dir, names=None) -> Dict[str, str]:

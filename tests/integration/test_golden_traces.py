@@ -79,6 +79,32 @@ def test_scenarios_exercise_their_machinery():
     assert delivered > 100
 
 
+def _event_total(payload, event):
+    return sum(delta for record in payload["records"]
+               for name, delta in record[8:] if name == event)
+
+
+@pytest.mark.parametrize("name, event", [
+    ("dfly_ugal_spin_3vc", "probes_sent"),
+    ("dfly_ugal_dally_3vc", None),
+    ("dfly_minimal_spin_1vc", "spins"),
+    ("mesh4_westfirst_2vc", None),
+    ("mesh4_escapevc_2vc", None),
+    ("mesh4_staticbubble_2vc", "static_bubble_recoveries"),
+    ("mesh4_favors_nmin_spin_1vc", "spins"),
+])
+def test_design_scenarios_are_loaded(name, event):
+    """The designs that always run the object datapath are pinned under
+    enough load that packets queue behind blocked ones (so adaptive
+    ``select`` has something to decide) and the design's own recovery
+    machinery fires."""
+    payload = load_fixture(_fixture_path(name))
+    assert max(record[6] for record in payload["records"]) >= 10  # backlog
+    assert sum(record[3] for record in payload["records"]) > 200  # delivered
+    if event is not None:
+        assert _event_total(payload, event) >= 1
+
+
 def test_regenerate_is_reproducible(tmp_path):
     """Regeneration into a scratch dir writes byte-identical fixtures."""
     digests = regenerate(tmp_path)
