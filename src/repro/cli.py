@@ -22,7 +22,12 @@ from typing import List, Optional
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError, ReproError
 from repro.faults import parse_fault_spec
-from repro.harness.configs import ALL_DESIGNS, get_design, resolve_design_name
+from repro.harness.configs import (
+    ALL_DESIGNS,
+    build_network,
+    get_design,
+    resolve_design_name,
+)
 from repro.harness.runner import run_design
 from repro.harness.tables import format_table
 from repro.sim import ENGINE_ENV_VAR, available_engines
@@ -134,6 +139,29 @@ def _add_run_args(parser: argparse.ArgumentParser,
                         "skips provably-no-op work, see docs/API.md)")
 
 
+def _engine_path(engine: Optional[str], network,
+                 faults: bool = False) -> tuple:
+    """Which datapath an engine request runs on a network (``faults``: a
+    fault injector will be bound to it; a bound one is seen anyway).
+
+    Returns ``(engine_path, fallback_reason)`` and, when ``fast`` was asked
+    for and bought nothing, says so once on stderr — outside the results,
+    which are identical on either path.
+    """
+    from repro.sim.engine_api import resolve_engine_name
+    from repro.sim.fastcore import fallback_reason
+
+    if resolve_engine_name(engine or None) != "fast":
+        return "reference-schedule", None
+    reason = fallback_reason(network, faults)
+    if reason is None:
+        return "soa", None
+    print(f"note: engine 'fast' ran the reference schedule here "
+          f"({reason}); results are identical, only the speed-up is lost",
+          file=sys.stderr)
+    return "reference-schedule", reason
+
+
 def cmd_designs(args) -> int:
     rows = [
         [name, d.topology, d.vcs_per_vnet, d.theory, d.scheme, d.adaptive]
@@ -160,6 +188,7 @@ def cmd_run(args) -> int:
         tdd=args.tdd, faults=args.faults, fault_seed=args.fault_seed,
         verify=args.verify, telemetry=args.telemetry,
         engine=args.engine or "", profiler=profiler)
+    engine_path, reason = _engine_path(args.engine, network)
     rows = [
         ["offered load (flits/node/cycle)", args.rate],
         ["mean latency (cycles)", round(point.mean_latency, 2)],
@@ -198,7 +227,9 @@ def cmd_run(args) -> int:
 
         engine_name = resolve_engine_name(args.engine or None)
         print()
-        print(render_report(profiler.report(engine_name, point.cycles)))
+        print(render_report(profiler.report(
+            engine_name, point.cycles, engine_path=engine_path,
+            fallback_reason=reason)))
     return 0
 
 
@@ -304,6 +335,13 @@ def cmd_sweep(args) -> int:
     from repro.harness.supervision import RetryPolicy
 
     specs, meta, campaign_dir, output, title = _sweep_campaign_inputs(args)
+    if specs and specs[0].effective_engine() == "fast":
+        # Every point of a sweep shares the design, so one throw-away
+        # network tells which datapath the workers will run.
+        first = specs[0]
+        _engine_path(first.engine, build_network(
+            first.design, seed=first.seed, mesh_side=first.mesh_side,
+            dragonfly=first.dragonfly, tdd=first.tdd), bool(first.faults))
     engine = CampaignEngine(
         specs, directory=campaign_dir,
         config=CampaignConfig(
@@ -767,10 +805,12 @@ def cmd_profile(args) -> int:
             telemetry=args.telemetry, engine=name)
         profiler = PhaseProfiler()
         start = time.perf_counter()
-        _, point = spec.run(profiler=profiler)
+        network, point = spec.run(profiler=profiler)
         wall = time.perf_counter() - start
+        engine_path, reason = _engine_path(name, network)
         report = profiler.report(resolve_engine_name(name), point.cycles,
-                                 wall_seconds=wall)
+                                 wall_seconds=wall, engine_path=engine_path,
+                                 fallback_reason=reason)
         reports[resolve_engine_name(name)] = report
         fingerprints[name] = (point.delivered, point.cycles,
                               round(point.mean_latency, 9),

@@ -21,6 +21,7 @@ from typing import Dict, List, Tuple
 from repro.config import SpinParams
 from repro.core.controller import SpinController
 from repro.core.executor import SpinExecutor
+from repro.core.fsm import SpinState
 from repro.core.priority import RotatingPriority
 from repro.errors import ProtocolError
 
@@ -88,7 +89,12 @@ class SpinFramework:
                 for inport, sm in batch:
                     controller.on_sm(sm, inport, cycle)
         # 3. Detection counters and initiator timeouts tick.
+        #    (An OFF controller at an empty router has nothing to point at:
+        #    its tick would return at once.)
+        off = SpinState.OFF
         for controller in self.controllers:
+            if controller.state is off and not controller.router.active_vcs:
+                continue
             controller.tick(cycle)
         # 4. Resolve output-link contention among SMs emitted this cycle.
         self._resolve_outbox(cycle)

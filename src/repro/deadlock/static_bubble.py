@@ -41,6 +41,9 @@ class StaticBubbleRouting(MinimalAdaptiveRouting):
         self._require_vcs(2)
         if not hasattr(self.topology, "directions_toward"):
             raise ConfigurationError("StaticBubble baseline needs a mesh")
+        #: The two VC classes: normal operation and the reserved layer.
+        self._normal_vcs = self._all_vcs[:-1]
+        self._reserved_vc = self._all_vcs[-1:]
 
     def _xy_port(self, router, packet: Packet) -> int:
         from repro.topology.mesh import EAST, WEST
@@ -56,13 +59,12 @@ class StaticBubbleRouting(MinimalAdaptiveRouting):
         return super().candidate_outports(router, packet)
 
     def vc_choices(self, packet: Packet, router, outport: int) -> Sequence[int]:
-        reserved = self.network.config.vcs_per_vnet - 1
         if packet.route_state.get(_ESCAPE):
-            return (reserved,)
-        return range(reserved)
+            return self._reserved_vc
+        return self._normal_vcs
 
     def injection_vc_choices(self, packet: Packet) -> Sequence[int]:
-        return range(self.network.config.vcs_per_vnet - 1)
+        return self._normal_vcs
 
     def wait_targets(self, router, packet: Packet, now: int):
         """Includes the escape layer: a timeout can always rescue a packet.
@@ -74,11 +76,9 @@ class StaticBubbleRouting(MinimalAdaptiveRouting):
         targets = super().wait_targets(router, packet, now)
         if targets and not packet.route_state.get(_ESCAPE):
             escape_port = self._xy_port(router, packet)
-            neighbor, dst_port = router.out_neighbors[escape_port]
-            reserved = self.network.config.vcs_per_vnet - 1
             targets.append(
                 (escape_port,
-                 [neighbor.vnet_slice(dst_port, packet.vnet)[reserved]]))
+                 [router.downstream_vcs(escape_port, packet.vnet)[-1]]))
         return targets
 
 

@@ -125,16 +125,20 @@ class Network:
 
     def phase_inject(self, cycle: int) -> None:
         for nic in self.nics:
-            if nic.backlog():
-                nic.try_inject(cycle)
+            for queue in nic.queues:
+                if queue:
+                    nic.try_inject(cycle)
+                    break
 
     def phase_allocate(self, cycle: int) -> None:
         routers = self.routers
-        count = len(routers)
         offset = self._allocation_offset
-        for i in range(count):
-            routers[(i + offset) % count].allocate(cycle)
-        self._allocation_offset = (offset + 1) % count
+        # Rotating start; a router that holds no packet has nothing to
+        # allocate (a grant earlier in this walk may still wake it).
+        for router in routers[offset:] + routers[:offset]:
+            if router.active_vcs:
+                router.allocate(cycle)
+        self._allocation_offset = (offset + 1) % len(routers)
 
     def phase_collect(self, cycle: int) -> None:
         self.now = cycle + 1

@@ -64,9 +64,16 @@ class Router:
         self.port_busy: Dict[int, int] = {}
         #: Round-robin arbiter pointers per output port.
         self._rr: Dict[int, int] = {}
-        #: Number of occupied VCs (fast skip for quiet routers).
+        #: Number of occupied VCs: lets ``Network.phase_allocate`` skip quiet
+        #: routers and bounds the ``allocate`` scan on busy ones.
         self.active_vcs = 0
         self.network = None  # set by Network
+        #: Every input VC in ``all_inports()`` order (built by the first
+        #: ``allocate``; the ports are fixed once the fabric is built).
+        self._scan: Optional[Tuple[VirtualChannel, ...]] = None
+        #: Output port -> per-vnet VC tuples of the next hop's input port
+        #: (each filled the first time a packet looks through the port).
+        self._down_rows: Dict[int, Tuple[Tuple[VirtualChannel, ...], ...]] = {}
 
     # ------------------------------------------------------------------
     # Construction (called by Network)
@@ -75,12 +82,14 @@ class Router:
         """Create the input VCs behind a network port."""
         self.inports[port] = self._make_vcs(port)
         self.port_busy[port] = -1
+        self._scan = None
 
     def add_local_port(self, local_index: int) -> None:
         """Create injection/ejection ports for one attached NIC."""
         inject = INJECT_PORT_BASE + local_index
         self.local_inports[inject] = self._make_vcs(inject)
         self.port_busy[inject] = -1
+        self._scan = None
         self.eject_busy[EJECT_PORT_BASE + local_index] = -1
 
     def _make_vcs(self, port: int) -> List[VirtualChannel]:
@@ -109,47 +118,20 @@ class Router:
         base = vnet * self.config.vcs_per_vnet
         return self.vcs_at(port)[base:base + self.config.vcs_per_vnet]
 
+    def downstream_vcs(self, outport: int,
+                       vnet: int) -> Tuple[VirtualChannel, ...]:
+        """The VCs of one virtual network at the next hop's input port."""
+        rows = self._down_rows.get(outport)
+        if rows is None:
+            neighbor, dst_port = self.out_neighbors[outport]
+            rows = self._down_rows[outport] = tuple(
+                tuple(neighbor.vnet_slice(dst_port, vnet))
+                for vnet in range(self.config.num_vnets))
+        return rows[vnet]
+
     def network_ports(self) -> List[int]:
         """Network output-port indices, ascending."""
         return sorted(self.out_links)
-
-    def idle_downstream_vc(self, outport: int, vnet: int,
-                           local_indices: Iterable[int],
-                           now: int) -> Optional[VirtualChannel]:
-        """First idle VC among the given class choices at the next hop."""
-        neighbor, dst_port = self.out_neighbors[outport]
-        vcs = neighbor.vnet_slice(dst_port, vnet)
-        for idx in local_indices:
-            if vcs[idx].is_idle(now):
-                return vcs[idx]
-        return None
-
-    def downstream_has_idle(self, outport: int, vnet: int,
-                            local_indices: Iterable[int], now: int) -> bool:
-        """Whether any of the given downstream VC classes is idle."""
-        return self.idle_downstream_vc(outport, vnet, local_indices, now) is not None
-
-    def downstream_min_active_time(self, outport: int, vnet: int,
-                                   local_indices: Iterable[int],
-                                   now: int) -> int:
-        """Minimum "active for" time among downstream VC choices.
-
-        This is the congestion proxy FAvORS reads from credits (paper Sec. V):
-        0 if any VC is idle, otherwise the smallest occupancy age.
-        """
-        neighbor, dst_port = self.out_neighbors[outport]
-        vcs = neighbor.vnet_slice(dst_port, vnet)
-        best = None
-        for idx in local_indices:
-            vc = vcs[idx]
-            if vc.is_idle(now):
-                return 0
-            age = vc.active_time(now)
-            if best is None or age < best:
-                best = age
-        if best is None:
-            raise RoutingError(f"no VC choices given for outport {outport}")
-        return best
 
     # ------------------------------------------------------------------
     # Allocation
@@ -160,26 +142,39 @@ class Router:
         Returns:
             Number of packets granted this cycle.
         """
-        if self.active_vcs == 0:
+        remaining = self.active_vcs
+        if remaining == 0:
             return 0
+        scan = self._scan
+        if scan is None:
+            scan = self._scan = tuple(
+                vc for _, vcs in self.all_inports() for vc in vcs)
         routing = self.network.routing
+        decide = routing.decide
+        port_busy = self.port_busy
         requests: Dict[int, List[VirtualChannel]] = {}
-        for inport, vcs in self.all_inports():
-            port_free = now > self.port_busy[inport]
-            for vc in vcs:
-                packet = vc.packet
-                if packet is None or vc.frozen or now < vc.ready_at:
-                    continue
-                outport = routing.decide(self, inport, packet, now)
-                if outport is None:
-                    continue
-                if port_free:
+        # ``active_vcs`` counts the occupied VCs, so the walk ends at the
+        # last packet instead of at the last (empty) slot.
+        for vc in scan:
+            packet = vc.packet
+            if packet is None:
+                continue
+            if not vc.frozen and now >= vc.ready_at:
+                inport = vc.inport
+                outport = decide(self, inport, packet, now)
+                if outport is not None and now > port_busy[inport]:
                     requests.setdefault(outport, []).append(vc)
+            remaining -= 1
+            if remaining == 0:
+                break
+        if not requests:
+            return 0
 
         grants = 0
         granted_inports = set()
         for outport in sorted(requests):
-            if is_ejection_port(outport):
+            ejection = outport >= EJECT_PORT_BASE
+            if ejection:
                 if now <= self.eject_busy[outport]:
                     continue
             else:
@@ -193,7 +188,7 @@ class Router:
             for vc in requests[outport]:
                 if vc.inport in granted_inports:
                     continue
-                if is_ejection_port(outport):
+                if ejection:
                     viable.append((vc, None))
                 else:
                     dvc = routing.pick_downstream_vc(
@@ -204,7 +199,7 @@ class Router:
                 continue
             winner_vc, winner_dvc = self._arbitrate(outport, viable)
             granted_inports.add(winner_vc.inport)
-            if is_ejection_port(outport):
+            if ejection:
                 self._grant_ejection(winner_vc, outport, now)
             else:
                 self._grant_network(winner_vc, winner_dvc, outport, now)
@@ -213,6 +208,10 @@ class Router:
 
     def _arbitrate(self, outport: int, viable) -> Tuple[VirtualChannel, object]:
         """Round-robin choice among viable (vc, downstream vc) requests."""
+        if len(viable) == 1:
+            vc, dvc = viable[0]
+            self._rr[outport] = vc.inport * 64 + vc.index + 1
+            return vc, dvc
         pointer = self._rr.get(outport, 0)
         # Order requests by a stable key and pick the first at/after pointer.
         viable.sort(key=lambda pair: (pair[0].inport, pair[0].index))
@@ -235,13 +234,12 @@ class Router:
         network = self.network
         routing = network.routing
 
-        was_min = network.topology.min_hops(self.id, packet.routing_target)
+        hops = network.topology.hops_to(packet.routing_target)
         dvc.reserve(packet, now, link.latency, self.config.router_latency)
         link.occupy(now, packet.length)
         self.port_busy[vc.inport] = now + packet.length - 1
         packet.hops += 1
-        now_min = network.topology.min_hops(neighbor.id, packet.routing_target)
-        if now_min >= was_min:
+        if hops[neighbor.id] >= hops[self.id]:
             packet.misroutes += 1
         packet.current_request = None
         routing.on_hop(packet, self, outport)

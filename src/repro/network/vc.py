@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, RoutingError
 from repro.network.packet import Packet
 
 
@@ -139,3 +139,34 @@ class VirtualChannel:
             "frozen" if self.frozen else "active")
         return (f"VC(r{self.router} p{self.inport}.{self.index} "
                 f"vnet{self.vnet} {state})")
+
+
+def first_idle(vcs, now: int) -> Optional[VirtualChannel]:
+    """First VC of a row that an upstream packet may allocate at ``now``."""
+    for vc in vcs:
+        if vc.packet is None and now >= vc.free_at:
+            return vc
+    return None
+
+
+def min_active_time(vcs, now: int) -> int:
+    """Smallest "active for" time over a VC row; 0 as soon as one is idle.
+
+    The congestion proxy FAvORS reads from credits (paper Sec. V).
+
+    Raises:
+        RoutingError: If the row is empty.
+    """
+    best = None
+    for vc in vcs:
+        if vc.packet is None:
+            if now >= vc.free_at:
+                return 0
+            age = 0  # still draining its previous occupant
+        else:
+            age = now - vc.active_since
+        if best is None or age < best:
+            best = age
+    if best is None:
+        raise RoutingError("no VC choices to wait on")
+    return best

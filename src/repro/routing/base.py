@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, RoutingError
 from repro.network.packet import Packet
+from repro.network.vc import first_idle, min_active_time
 from repro.sim.rng import DeterministicRng
 
 
@@ -43,6 +44,9 @@ class RoutingAlgorithm(ABC):
         self.network = None
         self.topology = None
         self._productive_cache = {}
+        #: Every VC index of a vnet — what an unrestricted algorithm permits
+        #: (one shared object, so handing it out costs nothing per call).
+        self._all_vcs: Sequence[int] = ()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -52,6 +56,7 @@ class RoutingAlgorithm(ABC):
         self.network = network
         self.topology = network.topology
         self._productive_cache = {}
+        self._all_vcs = range(network.config.vcs_per_vnet)
         self._setup()
 
     def _setup(self) -> None:
@@ -141,10 +146,10 @@ class RoutingAlgorithm(ABC):
         """
         if len(candidates) == 1:
             return candidates[0]
+        permitted_vcs = self.permitted_vcs
         free = [
             port for port in candidates
-            if router.downstream_has_idle(
-                port, packet.vnet, self.vc_choices(packet, router, port), now)
+            if first_idle(permitted_vcs(packet, router, port), now) is not None
         ]
         if free:
             return free[0] if len(free) == 1 else self.rng.choice(free)
@@ -157,34 +162,40 @@ class RoutingAlgorithm(ABC):
                     candidates: Sequence[int], now: int) -> int:
         """Port to wait on when no candidate has an idle VC.
 
-        The default picks the least-active downstream VC (FAvORS, Sec. V).
+        The default picks the least-active downstream VC (FAvORS, Sec. V),
+        the lower port on a tie.
         """
+        permitted_vcs = self.permitted_vcs
         return min(
-            candidates,
-            key=lambda port: (
-                router.downstream_min_active_time(
-                    port, packet.vnet, self.vc_choices(packet, router, port),
-                    now),
-                port,
-            ),
-        )
+            (min_active_time(permitted_vcs(packet, router, port), now), port)
+            for port in candidates
+        )[1]
 
     # ------------------------------------------------------------------
     # VC disciplines
     # ------------------------------------------------------------------
     def vc_choices(self, packet: Packet, router, outport: int) -> Sequence[int]:
         """Permitted downstream VC indices (within the packet's vnet)."""
-        return range(self.network.config.vcs_per_vnet)
+        return self._all_vcs
 
     def injection_vc_choices(self, packet: Packet) -> Sequence[int]:
         """Permitted VC indices at the injection port."""
-        return range(self.network.config.vcs_per_vnet)
+        return self._all_vcs
+
+    def permitted_vcs(self, packet: Packet, router, outport: int):
+        """The downstream VCs :meth:`vc_choices` permits, as objects, in
+        its order — the row ``select``, ``wait_choice`` and
+        ``pick_downstream_vc`` look at."""
+        vcs = router.downstream_vcs(outport, packet.vnet)
+        choices = self.vc_choices(packet, router, outport)
+        if choices is self._all_vcs:
+            return vcs
+        return [vcs[i] for i in choices]
 
     def pick_downstream_vc(self, router, packet: Packet, outport: int,
                            now: int):
         """Concrete idle downstream VC for a grant, or None."""
-        return router.idle_downstream_vc(
-            outport, packet.vnet, self.vc_choices(packet, router, outport), now)
+        return first_idle(self.permitted_vcs(packet, router, outport), now)
 
     # ------------------------------------------------------------------
     # Hooks
@@ -212,14 +223,13 @@ class RoutingAlgorithm(ABC):
         key = (router.id, target)
         cached = self._productive_cache.get(key)
         if cached is None:
-            topology = self.topology
-            here = topology.min_hops(router.id, target)
-            cached = tuple(
+            hops = self.topology.hops_to(target)
+            here = hops[router.id]
+            cached = self._productive_cache[key] = tuple([
                 port
                 for port, (neighbor, _) in sorted(router.out_neighbors.items())
-                if topology.min_hops(neighbor.id, target) < here
-            )
-            self._productive_cache[key] = cached
+                if hops[neighbor.id] < here
+            ])
         return cached
 
     def wait_targets(self, router, packet: Packet,
@@ -237,8 +247,6 @@ class RoutingAlgorithm(ABC):
         for port in self.candidate_outports(router, packet):
             if dead_links and not self.network.link_is_up(router.id, port):
                 continue  # a dead port can never grant progress
-            neighbor, dst_port = router.out_neighbors[port]
-            vcs = neighbor.vnet_slice(dst_port, packet.vnet)
-            choices = [vcs[i] for i in self.vc_choices(packet, router, port)]
-            targets.append((port, choices))
+            targets.append(
+                (port, list(self.permitted_vcs(packet, router, port))))
         return targets

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.network.packet import Packet
+from repro.network.vc import first_idle
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.turn_model import WestFirstRouting
 
@@ -35,6 +36,9 @@ class EscapeVcRouting(RoutingAlgorithm):
     def _setup(self) -> None:
         self._require_vcs(2)
         self.escape_routing.bind(self.network)
+        #: The two VC classes: the escape VC and the adaptive rest.
+        self._escape_vc = (0,)
+        self._adaptive_vcs = self._all_vcs[1:]
 
     def candidate_outports(self, router, packet: Packet) -> Sequence[int]:
         return self.productive_ports(router, packet.routing_target)
@@ -45,10 +49,11 @@ class EscapeVcRouting(RoutingAlgorithm):
 
     def select(self, router, packet: Packet, candidates: Sequence[int],
                now: int) -> int:
-        adaptive = range(1, self.network.config.vcs_per_vnet)
-        free = [
+        vnet = packet.vnet
+        free = [  # ports with an idle adaptive VC (every VC but the first)
             port for port in candidates
-            if router.downstream_has_idle(port, packet.vnet, adaptive, now)
+            if first_idle(router.downstream_vcs(port, vnet)[1:], now)
+            is not None
         ]
         if free:
             packet.route_state["escape"] = False
@@ -59,21 +64,19 @@ class EscapeVcRouting(RoutingAlgorithm):
 
     def vc_choices(self, packet: Packet, router, outport: int) -> Sequence[int]:
         if packet.route_state.get("escape"):
-            return (0,)
-        return range(1, self.network.config.vcs_per_vnet)
+            return self._escape_vc
+        return self._adaptive_vcs
 
     def wait_targets(self, router, packet: Packet, now: int):
         """Escape-aware targets: blocked packets can always use VC 0."""
         if packet.reached_phase_target(router.id):
             return []
-        targets = []
-        adaptive = range(1, self.network.config.vcs_per_vnet)
-        for port in self.candidate_outports(router, packet):
-            neighbor, dst_port = router.out_neighbors[port]
-            vcs = neighbor.vnet_slice(dst_port, packet.vnet)
-            targets.append((port, [vcs[i] for i in adaptive]))
+        vnet = packet.vnet
+        targets = [
+            (port, list(router.downstream_vcs(port, vnet)[1:]))
+            for port in self.candidate_outports(router, packet)
+        ]
         escape_port = self._escape_port(router, packet)
-        neighbor, dst_port = router.out_neighbors[escape_port]
-        targets.append((escape_port,
-                        [neighbor.vnet_slice(dst_port, packet.vnet)[0]]))
+        targets.append(
+            (escape_port, [router.downstream_vcs(escape_port, vnet)[0]]))
         return targets

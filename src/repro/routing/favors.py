@@ -18,6 +18,7 @@ deadlock-free (via SPIN) algorithm with two variants:
 from __future__ import annotations
 
 from repro.network.packet import Packet
+from repro.network.vc import first_idle, min_active_time
 from repro.routing.adaptive import MinimalAdaptiveRouting
 
 
@@ -61,9 +62,8 @@ class FavorsNonMinimal(MinimalAdaptiveRouting):
         source = self.network.routers[packet.src_router]
         min_ports = self.productive_ports(source, packet.dst_router)
         vnet = packet.vnet
-        choices = range(self.network.config.vcs_per_vnet)
-        if any(source.downstream_has_idle(port, vnet, choices, now)
-               for port in min_ports):
+        min_rows = [source.downstream_vcs(port, vnet) for port in min_ports]
+        if any(first_idle(vcs, now) is not None for vcs in min_rows):
             return  # a free minimal first hop: the network is lightly loaded
         intermediate = self._random_intermediate(packet)
         if intermediate is None:
@@ -72,14 +72,10 @@ class FavorsNonMinimal(MinimalAdaptiveRouting):
         h_min = topology.min_hops(packet.src_router, packet.dst_router)
         h_non = (topology.min_hops(packet.src_router, intermediate)
                  + topology.min_hops(intermediate, packet.dst_router))
-        t_min = min(
-            source.downstream_min_active_time(port, vnet, choices, now)
-            for port in min_ports
-        )
-        non_ports = self.productive_ports(source, intermediate)
+        t_min = min(min_active_time(vcs, now) for vcs in min_rows)
         t_non = min(
-            source.downstream_min_active_time(port, vnet, choices, now)
-            for port in non_ports
+            min_active_time(source.downstream_vcs(port, vnet), now)
+            for port in self.productive_ports(source, intermediate)
         )
         if h_min + t_min > h_non + t_non:
             packet.intermediate_router = intermediate

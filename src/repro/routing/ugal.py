@@ -16,6 +16,7 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.network.packet import Packet
+from repro.network.vc import min_active_time
 from repro.routing.adaptive import MinimalAdaptiveRouting
 from repro.routing.base import RoutingAlgorithm
 from repro.topology.dragonfly import DragonflyTopology
@@ -65,6 +66,8 @@ class UgalRouting(RoutingAlgorithm):
             # Classes 0..2: before, between and after the two global hops of
             # a Valiant path.
             self._require_vcs(3)
+        #: VC class -> the one VC index the discipline permits.
+        self._class_vc = tuple((vc,) for vc in self._all_vcs)
 
     # ------------------------------------------------------------------
     # Source decision
@@ -116,21 +119,12 @@ class UgalRouting(RoutingAlgorithm):
         """
         if not ports:
             return 0
-        vcs_per_vnet = self.network.config.vcs_per_vnet
-        best = None
-        for port in ports:
-            neighbor, dst_port = router.out_neighbors[port]
-            vcs = neighbor.vnet_slice(dst_port, packet.vnet)
-            occupied = sum(1 for vc in vcs if not vc.is_idle(now))
-            if best is None or occupied < best:
-                best = occupied
-        if best == vcs_per_vnet:
+        rows = [router.downstream_vcs(port, packet.vnet) for port in ports]
+        best = min(
+            sum([not vc.is_idle(now) for vc in vcs]) for vcs in rows)
+        if best == len(self._all_vcs):
             # Every VC busy: refine by how long the youngest has been busy.
-            best += min(
-                router.downstream_min_active_time(
-                    port, packet.vnet, range(vcs_per_vnet), now)
-                for port in ports
-            )
+            best += min(min_active_time(vcs, now) for vcs in rows)
         return best
 
     # ------------------------------------------------------------------
@@ -141,14 +135,14 @@ class UgalRouting(RoutingAlgorithm):
 
     def vc_choices(self, packet: Packet, router, outport: int) -> Sequence[int]:
         if not self.vc_discipline:
-            return range(self.network.config.vcs_per_vnet)
-        vc = min(packet.vc_class, self.network.config.vcs_per_vnet - 1)
-        return (vc,)
+            return self._all_vcs
+        class_vc = self._class_vc
+        return class_vc[min(packet.vc_class, len(class_vc) - 1)]
 
     def injection_vc_choices(self, packet: Packet) -> Sequence[int]:
         if not self.vc_discipline:
-            return range(self.network.config.vcs_per_vnet)
-        return (0,)
+            return self._all_vcs
+        return self._class_vc[0]
 
     def on_hop(self, packet: Packet, router, outport: int) -> None:
         topology: DragonflyTopology = self.topology

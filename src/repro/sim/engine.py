@@ -60,6 +60,11 @@ class Simulator:
 
     #: Engine registry name (see repro.sim.engine_api).
     name = "reference"
+    #: Which datapath the schedule runs: always the per-object one here.
+    #: The ``fast`` engine reports ``"soa"`` when its compiled core applies
+    #: and gives the reason in ``fallback_reason`` when it does not.
+    engine_path = "reference-schedule"
+    fallback_reason = None
 
     def __init__(self) -> None:
         self.cycle = 0

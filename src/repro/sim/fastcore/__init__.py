@@ -5,6 +5,6 @@ engine shares every authoritative object with the reference engine and only
 skips work it can prove the reference loop would not do.
 """
 
-from repro.sim.fastcore.simulator import FastSimulator
+from repro.sim.fastcore.simulator import FastSimulator, fallback_reason
 
-__all__ = ["FastSimulator"]
+__all__ = ["FastSimulator", "fallback_reason"]

@@ -51,7 +51,7 @@ links exist.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.core.fsm import SpinState
 from repro.network.vc import VirtualChannel
@@ -94,6 +94,63 @@ def _ctrl_due(controller, cycle: int) -> int:
     return deadline + 2 if deadline is not None else _NEVER
 
 
+def _stock_routing(routing) -> bool:
+    """Only stock MinAdaptive/XY: base-class decide/select/VC policies.
+
+    Exact-type plus method-identity checks: subclasses (Static Bubble,
+    escape-VC, west-first...) override selection, VC disciplines or the
+    per-hop/inject hooks in ways the skip/inline analysis does not
+    model, and a future override on the whitelisted classes themselves
+    must fail closed.  ``on_hop``/``on_inject`` must be the base no-ops
+    because the SoA grant/inject paths elide those calls entirely.
+    """
+    from repro.routing.adaptive import MinimalAdaptiveRouting
+    from repro.routing.base import RoutingAlgorithm
+    from repro.routing.dor import DimensionOrderRouting
+
+    cls = type(routing)
+    if cls not in (MinimalAdaptiveRouting, DimensionOrderRouting):
+        return False
+    base = RoutingAlgorithm
+    shared = ("decide", "select", "wait_choice", "vc_choices",
+              "permitted_vcs", "pick_downstream_vc", "injection_vc_choices",
+              "on_hop", "on_inject")
+    for method in shared:
+        if getattr(cls, method) is not getattr(base, method):
+            return False
+        if method in routing.__dict__:
+            return False  # instance-level monkeypatch
+    return "candidate_outports" not in routing.__dict__
+
+
+def fallback_reason(net, faults: bool = False) -> Optional[str]:
+    """Why a ``fast`` request runs the reference schedule on this network.
+
+    ``None`` when the network is inside the envelope the SoA core was
+    proven against; otherwise one ``<what>: <detail>`` line naming the
+    first thing outside it (runtime faults, dead links, the routing class,
+    a control plane).  The simulated results are identical either way;
+    only the speed-up is lost.  ``faults`` says a fault injector *will* be
+    bound to the network (a bound one is seen without it).
+    """
+    from repro.core.centralized import CentralizedSpinPlane
+    from repro.core.framework import SpinFramework
+    from repro.core.proactive import ProactiveSpinPlane
+
+    if faults or net.fault_injector is not None:
+        return "faults: a runtime fault injector is attached"
+    if net.dead_link_count:
+        return f"dead-links: {net.dead_link_count} links are down"
+    if not _stock_routing(net.routing):
+        return (f"routing: {type(net.routing).__name__} overrides the "
+                f"base-class decision, VC or per-hop policy")
+    known = (SpinFramework, ProactiveSpinPlane, CentralizedSpinPlane)
+    for plane in net.control_planes:
+        if not isinstance(plane, known):
+            return f"plane: {type(plane).__name__} is not a SPIN control plane"
+    return None
+
+
 class FastSimulator(Simulator):
     """Drop-in engine: reference state, event-driven skips, SoA hot loops."""
 
@@ -107,33 +164,42 @@ class FastSimulator(Simulator):
         self._fast_ok = False
         self._ff_ok = False
         self._core: SoaCore = None
+        #: Which datapath the compiled schedule runs (set by ``_compile``).
+        self.engine_path: Optional[str] = None
+        #: Why it is the reference schedule, when it is.
+        self.fallback_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
     def _compile(self) -> None:
-        """Decide whether the fast paths apply and build the SoA core."""
+        """Decide whether the fast paths apply and build the SoA core.
+
+        Records the verdict in :attr:`engine_path` (``"soa"`` or
+        ``"reference-schedule"``) and, for the latter, why in
+        :attr:`fallback_reason`.
+        """
         from repro.network.network import Network
 
         self._fast_ok = False
         self._ff_ok = False
+        self.engine_path = "reference-schedule"
         nets = [c for c in self._components if isinstance(c, Network)]
         if len(nets) != 1:
+            self.fallback_reason = (
+                f"components: {len(nets)} networks registered, the SoA core "
+                f"drives exactly one")
             self._detach_sink()
             return
         net = nets[0]
         self._net = net
-        if net.fault_injector is not None or net.dead_link_count:
-            self._detach_sink()
-            return
-        if not self._routing_whitelisted(net.routing):
-            self._detach_sink()
-            return
-        if not self._planes_whitelisted(net):
+        self.fallback_reason = fallback_reason(net)
+        if self.fallback_reason is not None:
             self._detach_sink()
             return
 
         self._fast_ok = True
+        self.engine_path = "soa"
         self._fw = net.spin
         self._core = SoaCore(net)
         net.engine_sink = self
@@ -155,44 +221,6 @@ class FastSimulator(Simulator):
     def _detach_sink(self) -> None:
         if self._net is not None and getattr(self._net, "engine_sink", None) is self:
             self._net.engine_sink = None
-
-    @staticmethod
-    def _routing_whitelisted(routing) -> bool:
-        """Only stock MinAdaptive/XY: base-class decide/select/VC policies.
-
-        Exact-type plus method-identity checks: subclasses (Static Bubble,
-        escape-VC, west-first...) override selection, VC disciplines or the
-        per-hop/inject hooks in ways the skip/inline analysis does not
-        model, and a future override on the whitelisted classes themselves
-        must fail closed.  ``on_hop``/``on_inject`` must be the base no-ops
-        because the SoA grant/inject paths elide those calls entirely.
-        """
-        from repro.routing.adaptive import MinimalAdaptiveRouting
-        from repro.routing.base import RoutingAlgorithm
-        from repro.routing.dor import DimensionOrderRouting
-
-        cls = type(routing)
-        if cls not in (MinimalAdaptiveRouting, DimensionOrderRouting):
-            return False
-        base = RoutingAlgorithm
-        shared = ("decide", "select", "wait_choice", "vc_choices",
-                  "pick_downstream_vc", "injection_vc_choices",
-                  "on_hop", "on_inject")
-        for method in shared:
-            if getattr(cls, method) is not getattr(base, method):
-                return False
-            if method in routing.__dict__:
-                return False  # instance-level monkeypatch
-        return "candidate_outports" not in routing.__dict__
-
-    @staticmethod
-    def _planes_whitelisted(net) -> bool:
-        from repro.core.centralized import CentralizedSpinPlane
-        from repro.core.framework import SpinFramework
-        from repro.core.proactive import ProactiveSpinPlane
-
-        known = (SpinFramework, ProactiveSpinPlane, CentralizedSpinPlane)
-        return all(isinstance(plane, known) for plane in net.control_planes)
 
     def _build_schedule(self):
         self._compile()

@@ -157,9 +157,9 @@ class SoaCore:
         self.cand_rows: List[List[Optional[tuple]]] = [
             [None] * count for _ in range(count)]
 
-        # Hop-distance rows per routing target, filled lazily.
+        # Hop-distance rows per routing target (``Topology.hops_to``),
+        # fetched lazily.
         self._hops: Dict[int, List[int]] = {}
-        self._min_hops = net.topology.min_hops
 
         #: Ejection port per terminal node.
         self.eject_of = [EJECT_PORT_BASE + nic.local_index
@@ -203,9 +203,7 @@ class SoaCore:
     def _hop_row(self, target: int) -> List[int]:
         row = self._hops.get(target)
         if row is None:
-            min_hops = self._min_hops
-            row = [min_hops(rid, target) for rid in range(self.router_count)]
-            self._hops[target] = row
+            row = self._hops[target] = self.net.topology.hops_to(target)
         return row
 
     # ------------------------------------------------------------------

@@ -79,8 +79,15 @@ class PhaseProfiler:
         self.counters[name] = self.counters.get(name, 0) + amount
 
     def report(self, engine: str, cycles: int,
-               wall_seconds: Optional[float] = None) -> Dict[str, object]:
-        """One ``repro.profile/v1`` record for this accumulation."""
+               wall_seconds: Optional[float] = None,
+               engine_path: Optional[str] = None,
+               fallback_reason: Optional[str] = None) -> Dict[str, object]:
+        """One ``repro.profile/v1`` record for this accumulation.
+
+        ``engine_path`` says which datapath actually ran (``"soa"`` or
+        ``"reference-schedule"``; ``None`` when the caller does not know)
+        and ``fallback_reason`` why a ``fast`` request fell back.
+        """
         total = sum(self.phase_seconds.values())
         phases = {}
         for name in sorted(self.phase_seconds):
@@ -93,6 +100,8 @@ class PhaseProfiler:
         return {
             "schema": PROFILE_SCHEMA,
             "engine": engine,
+            "engine_path": engine_path,
+            "fallback_reason": fallback_reason,
             "cycles": cycles,
             "phase_seconds_total": round(total, 6),
             "wall_seconds": (round(wall_seconds, 6)
@@ -111,10 +120,20 @@ def profiler_from_env(env: Optional[Dict[str, str]] = None
     return PhaseProfiler()
 
 
+def _path_text(report: Dict[str, object]) -> str:
+    """`` path=<engine_path> (<fallback_reason>)`` for the text renderings."""
+    path = report.get("engine_path")
+    if path is None:
+        return ""
+    reason = report.get("fallback_reason")
+    return f" path={path} ({reason})" if reason else f" path={path}"
+
+
 def render_report(report: Dict[str, object]) -> str:
     """Human-readable phase table for one profile report."""
     lines: List[str] = []
-    lines.append(f"engine={report['engine']}  cycles={report['cycles']}  "
+    lines.append(f"engine={report['engine']}{_path_text(report)}  "
+                 f"cycles={report['cycles']}  "
                  f"phase-time={report['phase_seconds_total']:.4f}s")
     lines.append(f"{'phase':<12} {'seconds':>10} {'share':>7} {'calls':>10}")
     lines.append("-" * 42)
@@ -135,7 +154,7 @@ def summary_line(report: Dict[str, object]) -> str:
     """One-line phase summary (the ``REPRO_PROFILE=1`` stderr format)."""
     parts = [f"{name}={row['share'] * 100:.0f}%"
              for name, row in report.get("phases", {}).items()]
-    return (f"[profile] engine={report['engine']} "
+    return (f"[profile] engine={report['engine']}{_path_text(report)} "
             f"cycles={report['cycles']} "
             f"phase-time={report['phase_seconds_total']:.3f}s "
             + " ".join(parts))

@@ -275,8 +275,10 @@ def simulate_point(network, traffic, sim_config: SimulationConfig,
     if env_profiler is not None:
         from repro.sim.profile import emit_env_summary
 
-        emit_env_summary(env_profiler.report(simulator.name,
-                                             simulator.cycle))
+        emit_env_summary(env_profiler.report(
+            simulator.name, simulator.cycle,
+            engine_path=simulator.engine_path,
+            fallback_reason=simulator.fallback_reason))
     return SweepPoint(
         injection_rate=injection_rate,
         wedged=wedged,

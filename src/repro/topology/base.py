@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import networkx as nx
 
@@ -49,6 +49,8 @@ class Topology(ABC):
     def __init__(self) -> None:
         self._neighbor_cache: Dict[int, Dict[int, Tuple[int, int, int]]] = {}
         self._distance_cache: List[List[int]] = []
+        #: ``hops_to`` rows of topologies with a closed-form ``min_hops``.
+        self._hop_rows: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------
     # Abstract interface
@@ -115,6 +117,27 @@ class Topology(ABC):
         if not self._distance_cache:
             self._distance_cache = self._all_pairs_hops()
         return self._distance_cache[src_router][dst_router]
+
+    def hops_to(self, dst_router: int) -> Sequence[int]:
+        """``min_hops(r, dst_router)`` for every router ``r``, as one row.
+
+        Channels are bidirectional (:meth:`validate` enforces it), so hop
+        distance is symmetric and the cached distance table's row for
+        ``dst_router`` is this column; nothing new is stored.  Topologies
+        that compute ``min_hops`` in closed form have no table, and their
+        rows are built one destination at a time.
+        """
+        if type(self).min_hops is Topology.min_hops:
+            if not self._distance_cache:
+                self._distance_cache = self._all_pairs_hops()
+            return self._distance_cache[dst_router]
+        row = self._hop_rows.get(dst_router)
+        if row is None:
+            min_hops = self.min_hops
+            row = self._hop_rows[dst_router] = [
+                min_hops(router, dst_router)
+                for router in range(self.num_routers)]
+        return row
 
     def _all_pairs_hops(self) -> List[List[int]]:
         graph = self.to_networkx()

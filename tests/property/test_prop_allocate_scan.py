@@ -1,0 +1,345 @@
+"""The occupancy-bounded allocation walk equals an exhaustive scan.
+
+``Router.allocate`` walks a router's input VCs in ``all_inports()`` order
+and stops once it has seen ``active_vcs`` packets, and
+``Network.phase_allocate`` does not call a router that holds none.  The
+reference kept *here* — and nowhere in the product — visits every router
+and every VC slot, the way the datapath did before the walk was bounded.
+
+Two identically built networks, one on each, get the same traffic and the
+same perturbations (frozen VCs, heads that are not ready yet, busy input
+ports, packets planted through the vc-less ``note_vc_reserved(router)``
+convention, a SPIN recovery that moves packets through ``SpinExecutor``).
+After every cycle they must agree on the ``decide`` call sequence (the
+request set), the per-router grant counts, every ``_rr`` pointer, the
+whole datapath state and the routing RNG state.
+"""
+
+import functools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import SpinParams
+from repro.harness.configs import build_network
+from repro.network.packet import Packet
+from repro.network.router import is_ejection_port
+from repro.sim.engine import Simulator
+from repro.traffic.generator import SyntheticTraffic
+from repro.traffic.patterns import make_pattern
+
+from tests.conftest import craft_square_deadlock, make_mesh_network
+
+DESIGNS = (
+    "mesh:westfirst-2vc", "mesh:escapevc-2vc", "mesh:staticbubble-2vc",
+    "mesh:favors-nmin-spin-1vc", "mesh:minadaptive-spin-2vc",
+    "dfly:ugal-spin-3vc", "dfly:ugal-dally-3vc", "dfly:minimal-spin-1vc",
+)
+
+
+# ----------------------------------------------------------------------
+# The exhaustive reference
+# ----------------------------------------------------------------------
+def exhaustive_allocate(router, now, grants_log):
+    """One allocation cycle that looks at every VC slot of the router."""
+    routing = router.network.routing
+    requests = {}
+    for inport, vcs in router.all_inports():
+        port_free = now > router.port_busy[inport]
+        for vc in vcs:
+            packet = vc.packet
+            if packet is None or vc.frozen or now < vc.ready_at:
+                continue
+            outport = routing.decide(router, inport, packet, now)
+            if outport is None:
+                continue
+            if port_free:
+                requests.setdefault(outport, []).append(vc)
+
+    grants = 0
+    granted_inports = set()
+    for outport in sorted(requests):
+        if is_ejection_port(outport):
+            if now <= router.eject_busy[outport]:
+                continue
+        elif not router.out_links[outport].is_free(now):
+            continue
+        viable = []
+        for vc in requests[outport]:
+            if vc.inport in granted_inports:
+                continue
+            if is_ejection_port(outport):
+                viable.append((vc, None))
+            else:
+                dvc = routing.pick_downstream_vc(router, vc.packet, outport,
+                                                 now)
+                if dvc is not None:
+                    viable.append((vc, dvc))
+        if not viable:
+            continue
+        # Round robin: the first (inport, index) at or after the pointer.
+        viable.sort(key=lambda pair: (pair[0].inport, pair[0].index))
+        keys = [vc.inport * 64 + vc.index for vc, _ in viable]
+        pointer = router._rr.get(outport, 0)
+        chosen = next((i for i, key in enumerate(keys) if key >= pointer), 0)
+        winner, dvc = viable[chosen]
+        router._rr[outport] = keys[chosen] + 1
+        granted_inports.add(winner.inport)
+        if is_ejection_port(outport):
+            router._grant_ejection(winner, outport, now)
+        else:
+            router._grant_network(winner, dvc, outport, now)
+        grants += 1
+    if grants:
+        grants_log[router.id] = grants
+
+
+def exhaustive_phase_allocate(network, grants_log, cycle):
+    """Call every router, occupied or not, from the rotating start."""
+    routers = network.routers
+    count = len(routers)
+    offset = network._allocation_offset
+    for i in range(count):
+        exhaustive_allocate(routers[(i + offset) % count], cycle, grants_log)
+    network._allocation_offset = (offset + 1) % count
+
+
+# ----------------------------------------------------------------------
+# Side-by-side harness
+# ----------------------------------------------------------------------
+def packet_key(packet):
+    """Identity of a packet that does not depend on the global uid."""
+    return (packet.src_node, packet.dst_node, packet.create_cycle,
+            packet.length, packet.vnet)
+
+
+class Side:
+    """One network with its loop, its decide log and its grant log."""
+
+    def __init__(self, network, traffics, exhaustive):
+        self.network = network
+        self.decides = []
+        self.grants = {}
+        self.thaw = []  # (cycle, vc) frozen by a perturbation
+        routing = network.routing
+        decide = routing.decide
+
+        def logged_decide(router, inport, packet, now):
+            outport = decide(router, inport, packet, now)
+            self.decides.append(
+                (router.id, inport, packet_key(packet), outport))
+            return outport
+
+        routing.decide = logged_decide
+        if exhaustive:
+            network.phase_allocate = functools.partial(
+                exhaustive_phase_allocate, network, self.grants)
+        else:
+            for router in network.routers:
+                router.allocate = self._logged_allocate(router)
+        self.simulator = Simulator()
+        for traffic in traffics:
+            self.simulator.register(traffic)
+        self.simulator.register(network)
+
+    def _logged_allocate(self, router):
+        allocate = router.allocate
+
+        def logged(now):
+            grants = allocate(now)
+            if grants:
+                self.grants[router.id] = grants
+            return grants
+
+        return logged
+
+    def step(self):
+        self.decides.clear()
+        self.grants.clear()
+        now = self.simulator.cycle
+        for due, vc in self.thaw:
+            if due == now and vc.frozen:
+                vc.clear_freeze()
+        self.simulator.step()
+
+    def snapshot(self):
+        network = self.network
+        vcs = {}
+        for router in network.routers:
+            held = 0
+            for inport, row in router.all_inports():
+                for vc in row:
+                    packet = vc.packet
+                    if packet is not None:
+                        held += 1
+                        vcs[(router.id, inport, vc.index)] = (
+                            packet_key(packet), vc.ready_at, vc.frozen,
+                            packet.current_request, packet.hops,
+                            packet.misroutes, packet.phase)
+            # The premise of the bounded walk.
+            assert router.active_vcs == held
+        stats = network.stats
+        return {
+            "decides": list(self.decides),
+            "grants": dict(self.grants),
+            "vcs": vcs,
+            "rr": [dict(router._rr) for router in network.routers],
+            "port_busy": [dict(router.port_busy)
+                          for router in network.routers],
+            "eject_busy": [dict(router.eject_busy)
+                           for router in network.routers],
+            "links": {key: link.busy_until
+                      for key, link in network.links.items()},
+            "queues": [[packet_key(p) for p in queue]
+                       for nic in network.nics for queue in nic.queues],
+            "stats": (stats.packets_created, stats.packets_injected,
+                      stats.packets_delivered, dict(stats.events)),
+            "offset": network._allocation_offset,
+            "rng": network.routing.rng._random.getstate(),
+        }
+
+
+def build_side(exhaustive, design, seed, rate, num_vnets, stop_at):
+    network = build_network(design, seed=seed, mesh_side=4,
+                            dragonfly=(2, 4, 2), num_vnets=num_vnets, tdd=8)
+    pattern = make_pattern("uniform", network.topology.num_nodes, 4)
+    traffics = [
+        SyntheticTraffic(network, pattern, rate / num_vnets,
+                         seed=seed + vnet, vnet=vnet, stop_at=stop_at)
+        for vnet in range(num_vnets)
+    ]
+    return Side(network, traffics, exhaustive)
+
+
+def perturb(side, kind, a, b):
+    """Apply one perturbation; the target is picked from the state, which
+    is the same on both sides as long as they agree."""
+    network = side.network
+    now = side.simulator.cycle
+    routers = network.routers
+    router = routers[a % len(routers)]
+    if kind == "busy_port":
+        ports = sorted(router.port_busy)
+        port = ports[b % len(ports)]
+        router.port_busy[port] = max(router.port_busy[port], now + 1 + b % 4)
+    elif kind == "freeze":
+        if network.spin is not None:
+            return  # leave freezing to the SPIN control plane there
+        held = [vc for _, row in router.all_inports() for vc in row
+                if vc.packet is not None and not vc.frozen]
+        if held:
+            vc = held[b % len(held)]
+            vc.freeze(outport=0, source=router.id, spin_cycle=now + 5,
+                      path_index=0)
+            side.thaw.append((now + 1 + b % 6, vc))
+    else:  # "plant" / "plant_late": the vc-less reserve convention
+        idle = [vc for port in sorted(router.inports)
+                for vc in router.inports[port] if vc.is_idle(now)]
+        if not idle:
+            return
+        vc = idle[b % len(idle)]
+        dst_router = (router.id + 1 + b % (len(routers) - 1)) % len(routers)
+        topology = network.topology
+        packet = Packet(
+            src_node=topology.nodes_of_router(router.id)[0],
+            dst_node=topology.nodes_of_router(dst_router)[0],
+            src_router=router.id, dst_router=dst_router,
+            length=1 + b % 5, vnet=vc.vnet, create_cycle=now)
+        packet.inject_cycle = now
+        vc.reserve(packet, now=now, link_latency=0, router_latency=0)
+        vc.ready_at = now + 3 if kind == "plant_late" else now
+        network.note_vc_reserved(router)
+        network.stats.record_creation(packet, now)
+
+
+def run_side_by_side(bounded, exhaustive, cycles, perturbations=()):
+    by_cycle = {}
+    for cycle, kind, a, b in perturbations:
+        by_cycle.setdefault(cycle, []).append((kind, a, b))
+    for cycle in range(cycles):
+        for kind, a, b in by_cycle.get(cycle, ()):
+            perturb(bounded, kind, a, b)
+            perturb(exhaustive, kind, a, b)
+        bounded.step()
+        exhaustive.step()
+        got, want = bounded.snapshot(), exhaustive.snapshot()
+        for field in want:
+            assert got[field] == want[field], (
+                f"{field} differs after cycle {cycle}")
+
+
+PERTURBATIONS = st.lists(
+    st.tuples(st.integers(0, 59),
+              st.sampled_from(["busy_port", "freeze", "plant", "plant_late"]),
+              st.integers(0, 1000), st.integers(0, 1000)),
+    max_size=12)
+
+
+# ----------------------------------------------------------------------
+# Properties
+# ----------------------------------------------------------------------
+@given(design=st.sampled_from(DESIGNS), seed=st.integers(0, 10_000),
+       rate=st.floats(0.05, 0.7), num_vnets=st.sampled_from([1, 2]),
+       perturbations=PERTURBATIONS)
+@settings(max_examples=30, deadline=None)
+def test_bounded_walk_equals_exhaustive_scan(design, seed, rate, num_vnets,
+                                             perturbations):
+    sides = [build_side(exhaustive, design, seed, rate, num_vnets, stop_at=45)
+             for exhaustive in (False, True)]
+    run_side_by_side(*sides, cycles=60, perturbations=perturbations)
+    assert sides[0].network.stats.packets_injected > 0
+
+
+def test_every_perturbation_kind_lands():
+    """The perturbations are not vacuous: on a loaded fabric each kind
+    finds a target, and the two sides still agree."""
+    perturbations = [
+        (cycle, kind, 3 * cycle + offset, 7 * cycle)
+        for cycle in range(10, 40, 3)
+        for offset, kind in enumerate(
+            ["busy_port", "freeze", "plant", "plant_late"])
+    ]
+    sides = [build_side(exhaustive, "mesh:westfirst-2vc", seed=3, rate=0.5,
+                        num_vnets=1, stop_at=45)
+             for exhaustive in (False, True)]
+    run_side_by_side(*sides, cycles=60, perturbations=perturbations)
+    bounded = sides[0]
+    assert len(bounded.thaw) >= 3  # VCs were frozen, then thawed
+    assert not any(vc.frozen for _, vc in bounded.thaw)
+    stats = bounded.network.stats
+    planted = stats.packets_created - sum(
+        nic.packets_created for nic in bounded.network.nics)
+    assert planted >= 10
+
+
+#: Long enough for the rotating priority to let one initiator's move round
+#: trip complete on the planted square (the spin lands near cycle 250).
+SPIN_CYCLES = 280
+
+
+def _spin_side(exhaustive, seed, rate):
+    network = make_mesh_network(side=4, vcs=1, spin=SpinParams(tdd=8),
+                                seed=seed)
+    craft_square_deadlock(network)
+    pattern = make_pattern("uniform", network.topology.num_nodes, 4)
+    traffic = SyntheticTraffic(network, pattern, rate, seed=seed,
+                               stop_at=80)
+    return Side(network, [traffic], exhaustive)
+
+
+@given(seed=st.integers(0, 10_000), rate=st.floats(0.0, 0.08))
+@settings(max_examples=10, deadline=None)
+def test_equal_through_a_spin_recovery(seed, rate):
+    """A planted square deadlock is recovered by a synchronized spin: the
+    executor moves packets without going through ``allocate``."""
+    sides = [_spin_side(exhaustive, seed, rate)
+             for exhaustive in (False, True)]
+    run_side_by_side(*sides, cycles=SPIN_CYCLES)
+
+
+def test_the_spin_scenario_really_spins():
+    sides = [_spin_side(exhaustive, seed=5, rate=0.0)
+             for exhaustive in (False, True)]
+    run_side_by_side(*sides, cycles=SPIN_CYCLES)
+    assert sides[0].network.stats.events.get("spins", 0) >= 1
+    assert sides[0].network.stats.packets_delivered == 4

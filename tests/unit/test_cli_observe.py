@@ -87,6 +87,39 @@ class TestProfileCommand:
         fast = payload["reports"]["fast"]
         assert fast["counters"]["router_cycles_skipped"] > 0
 
+    def test_output_says_which_path_ran(self, tmp_path, capsys):
+        """A design outside the SoA envelope: the fast request buys
+        nothing, stderr says so once and the artifact carries the path and
+        the reason — while the points stay identical."""
+        output = tmp_path / "profile.json"
+        code = main(["profile", "--design", "mesh:escapevc-2vc",
+                     "--mesh-side", "4", "--rate", "0.1",
+                     "--warmup", "50", "--measure", "150",
+                     "--drain", "100", "--abort-cycles", "300",
+                     "--output", str(output)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("ran the reference schedule") == 1
+        assert "EscapeVcRouting" in captured.err
+        assert "path=reference-schedule (routing:" in captured.out
+        reports = json.loads(output.read_text())["reports"]
+        assert reports["reference"]["engine_path"] == "reference-schedule"
+        assert reports["reference"]["fallback_reason"] is None
+        assert reports["fast"]["engine_path"] == "reference-schedule"
+        assert reports["fast"]["fallback_reason"].startswith("routing:")
+
+    def test_covered_design_reports_the_soa_path(self, tmp_path, capsys):
+        output = tmp_path / "profile.json"
+        assert main(["profile", "--design", "spin_mesh", "--mesh-side", "4",
+                     "--rate", "0.05", "--warmup", "50", "--measure", "100",
+                     "--drain", "100", "--abort-cycles", "200",
+                     "--engines", "fast", "--output", str(output)]) == 0
+        captured = capsys.readouterr()
+        assert "ran the reference schedule" not in captured.err
+        fast = json.loads(output.read_text())["reports"]["fast"]
+        assert fast["engine_path"] == "soa"
+        assert fast["fallback_reason"] is None
+
     def test_single_engine_via_engines_flag(self, capsys):
         code = main(["profile", "--design", "spin_mesh",
                      "--mesh-side", "4", "--rate", "0.05",
@@ -120,6 +153,47 @@ class TestRunProfileFlag:
         from repro.sim.engine_api import resolve_engine_name
 
         assert f"engine={resolve_engine_name()}" in out
+
+
+class TestFastRequestThatBoughtNothing:
+    ARGS = ["--mesh-side", "4", "--warmup", "50", "--measure", "100",
+            "--drain", "100", "--abort-cycles", "200", "--engine", "fast"]
+
+    def test_run_notes_the_fallback_on_stderr(self, capsys):
+        assert main(["run", "--design", "mesh:westfirst-2vc", "--rate",
+                     "0.05"] + self.ARGS) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("ran the reference schedule") == 1
+        assert "WestFirstRouting" in captured.err
+        assert "reference schedule" not in captured.out
+
+    def test_run_with_faults_names_the_injector(self, capsys):
+        assert main(["run", "--design", "spin_mesh", "--rate", "0.05",
+                     "--faults", "link_down@60:r5-r6"] + self.ARGS) == 0
+        assert "(faults:" in capsys.readouterr().err
+
+    def test_run_on_a_covered_design_is_silent(self, capsys):
+        assert main(["run", "--design", "spin_mesh", "--rate", "0.05"]
+                    + self.ARGS) == 0
+        assert "reference schedule" not in capsys.readouterr().err
+
+    def test_sweep_notes_it_once_and_keeps_the_artifact(self, tmp_path,
+                                                        capsys):
+        outputs = []
+        for engine in ("fast", "reference"):
+            output = tmp_path / f"{engine}.json"
+            args = ["sweep", "--design", "mesh:staticbubble-2vc", "--rates",
+                    "0.03,0.06", "--output", str(output)] + self.ARGS[:-1]
+            assert main(args + [engine]) == 0
+            captured = capsys.readouterr()
+            assert captured.err.count("ran the reference schedule") == (
+                1 if engine == "fast" else 0)
+            payload = json.loads(output.read_text())
+            payload["meta"].pop("engine", None)
+            outputs.append(payload)
+        # Nothing about the path leaks into the results.
+        assert outputs[0] == outputs[1]
+        assert "engine_path" not in json.dumps(outputs[0])
 
 
 class TestCampaignReport:

@@ -103,6 +103,17 @@ class TestNetworkAssembly:
         assert len(router.vnet_slice(port, 1)) == 2
         assert all(vc.vnet == 1 for vc in router.vnet_slice(port, 1))
 
+    def test_downstream_rows_are_the_neighbours_vnet_slices(self):
+        network = Network(MeshTopology(3, 3),
+                          NetworkConfig(vcs_per_vnet=2, num_vnets=3),
+                          MinimalAdaptiveRouting(0))
+        router = network.routers[4]
+        for outport, (neighbor, dst_port) in router.out_neighbors.items():
+            for vnet in range(3):
+                row = router.downstream_vcs(outport, vnet)
+                assert list(row) == neighbor.vnet_slice(dst_port, vnet)
+                assert router.downstream_vcs(outport, vnet) is row
+
     def test_multiple_nics_per_router_on_dragonfly(self):
         network = Network(DragonflyTopology(2, 4, 2),
                           NetworkConfig(vcs_per_vnet=1),

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, RoutingError
 from repro.network.link import Link
 from repro.network.packet import Packet
-from repro.network.vc import VirtualChannel
+from repro.network.vc import VirtualChannel, first_idle, min_active_time
 
 
 def make_packet(length=1, dst_router=3):
@@ -107,6 +107,41 @@ class TestVirtualChannel:
         assert vc.active_time(100) == 0
         vc.reserve(make_packet(), now=40, link_latency=1, router_latency=1)
         assert vc.active_time(100) == 60
+
+
+class TestVcRows:
+    """``first_idle`` / ``min_active_time`` over a row of VCs."""
+
+    @staticmethod
+    def row():
+        idle = VirtualChannel(1, 0, 0, 0)
+        draining = VirtualChannel(1, 0, 1, 0)
+        draining.reserve(make_packet(length=5), now=0, link_latency=1,
+                         router_latency=1)
+        draining.release(20)  # free again at 25
+        held = VirtualChannel(1, 0, 2, 0)
+        held.reserve(make_packet(), now=12, link_latency=1, router_latency=1)
+        return idle, draining, held
+
+    def test_first_idle_skips_draining_and_held(self):
+        idle, draining, held = self.row()
+        assert first_idle((held, draining, idle), 22) is idle
+        assert first_idle((held, draining), 22) is None
+        assert first_idle((held, draining), 25) is draining
+        assert first_idle((), 0) is None
+
+    def test_min_active_time_is_zero_with_an_idle_vc(self):
+        idle, draining, held = self.row()
+        assert min_active_time((held, idle), 30) == 0
+
+    def test_min_active_time_counts_a_draining_vc_as_age_zero(self):
+        _, draining, held = self.row()
+        assert min_active_time((held,), 22) == 10
+        assert min_active_time((held, draining), 22) == 0
+
+    def test_min_active_time_of_nothing_raises(self):
+        with pytest.raises(RoutingError):
+            min_active_time((), 0)
 
 
 class TestLink:

@@ -65,12 +65,29 @@ class TestUgalVcDiscipline:
         assert list(routing.vc_choices(packet, network.routers[0], 0)) == [1]
         assert list(routing.injection_vc_choices(packet)) == [0]
 
+    def test_permitted_rows_follow_class(self):
+        """The VC-object rows the datapath reads are ``vc_choices`` applied
+        to the next hop's VCs."""
+        network = dragonfly_network(UgalRouting(0, vc_discipline=True))
+        routing = network.routing
+        router = network.routers[0]
+        packet = packet_between(network, 0, 40)
+        for port in router.out_neighbors:
+            downstream = router.downstream_vcs(port, 0)
+            for vc_class in (0, 1, 2, 5):  # 5 clamps to the last class
+                packet.vc_class = vc_class
+                row = routing.permitted_vcs(packet, router, port)
+                assert list(row) == [downstream[min(vc_class, 2)]]
+
     def test_spin_variant_uses_any_vc(self):
         network = dragonfly_network(UgalRouting(0, vc_discipline=False))
         routing = network.routing
         packet = packet_between(network, 0, 40)
         packet.vc_class = 2
         assert list(routing.vc_choices(packet, network.routers[0], 0)) == [0, 1, 2]
+        # Unrestricted: the router's own downstream row, not a copy.
+        assert (routing.permitted_vcs(packet, network.routers[0], 0)
+                is network.routers[0].downstream_vcs(0, 0))
 
 
 class TestUgalSourceDecision:

@@ -159,10 +159,13 @@ class TestFailClosedFallback:
             """Overrides nothing — still outside the exact-type whitelist."""
 
         simulator, network = _fast_sim(routing=TweakedRouting(3))
+        assert simulator.engine_path is None  # nothing compiled yet
         simulator.run(50)
         assert not simulator._fast_ok
         assert simulator._core is None
         assert getattr(network, "engine_sink", None) is None
+        assert simulator.engine_path == "reference-schedule"
+        assert simulator.fallback_reason.startswith("routing: TweakedRouting")
 
     def test_instance_monkeypatch_falls_back(self):
         routing = MinimalAdaptiveRouting(3)
@@ -170,6 +173,30 @@ class TestFailClosedFallback:
         simulator, _ = _fast_sim(routing=routing)
         simulator.run(50)
         assert not simulator._fast_ok
+
+    def test_unknown_control_plane_falls_back(self):
+        class IdlePlane:
+            def bind(self, network):
+                pass
+
+            def phase_control(self, cycle):
+                pass
+
+        network = Network(MeshTopology(4, 4), NetworkConfig(vcs_per_vnet=2),
+                          MinimalAdaptiveRouting(3),
+                          control_planes=(IdlePlane(),), seed=3)
+        simulator = create_engine("fast")
+        simulator.register(network)
+        simulator.run(5)
+        assert simulator.engine_path == "reference-schedule"
+        assert simulator.fallback_reason.startswith("plane: IdlePlane")
+
+    def test_dead_link_falls_back(self):
+        simulator, network = _fast_sim()
+        network.set_link_state(5, 1, up=False)
+        simulator.run(5)
+        assert simulator.engine_path == "reference-schedule"
+        assert simulator.fallback_reason.startswith("dead-links: 1")
 
     def test_fallback_is_bit_identical_to_reference(self):
         sim_config = SimulationConfig(
@@ -198,3 +225,5 @@ def test_whitelisted_routings_compile(routing_factory):
     simulator.run(50)
     assert simulator._fast_ok
     assert simulator._core is not None
+    assert simulator.engine_path == "soa"
+    assert simulator.fallback_reason is None

@@ -106,6 +106,14 @@ class TestDistances:
             for dst in range(small.num_routers):
                 assert small.min_hops(src, dst) == bfs[src][dst], (src, dst)
 
+    def test_hops_to_is_the_distance_column(self, small):
+        for dst in range(small.num_routers):
+            assert list(small.hops_to(dst)) == [
+                small.min_hops(src, dst) for src in range(small.num_routers)]
+        # Served from the one cached distance table, not a second copy.
+        assert small.hops_to(3) is small._distance_cache[3]
+        assert not small._hop_rows
+
     def test_canonical_path_bounds_graph_distance(self, small):
         # The local-global-local path always exists, so the true distance
         # never exceeds it; shared-gateway shortcuts may beat it.

@@ -81,3 +81,20 @@ class TestRing:
         ring = RingTopology(6, bidirectional=False)
         assert ring.min_hops(0, 5) == 5
         assert ring.min_hops(5, 0) == 1
+
+
+class TestHopsTo:
+    """``hops_to(dst)`` is the ``min_hops(., dst)`` column as one row."""
+
+    @pytest.mark.parametrize("topology", [
+        TorusTopology(4, 3),
+        RingTopology(6),
+        # Forward-only distances: not symmetric, so the row must be the
+        # column toward the destination, not the row from it.
+        RingTopology(5, bidirectional=False),
+    ], ids=["torus", "ring", "unidirectional-ring"])
+    def test_matches_min_hops(self, topology):
+        for dst in range(topology.num_routers):
+            assert list(topology.hops_to(dst)) == [
+                topology.min_hops(src, dst)
+                for src in range(topology.num_routers)]
