@@ -9,6 +9,7 @@ evaluation plus the no-recovery variants used by Fig. 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.config import NetworkConfig, SpinParams
@@ -23,6 +24,7 @@ from repro.routing.escape import EscapeVcRouting
 from repro.routing.favors import FavorsMinimal, FavorsNonMinimal
 from repro.routing.turn_model import WestFirstRouting
 from repro.routing.ugal import MinimalDragonflyRouting, UgalRouting
+from repro.topology.base import Topology
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.mesh import MeshTopology
 
@@ -170,11 +172,31 @@ def get_design(name: str) -> DesignConfig:
     return ALL_DESIGNS[resolve_design_name(name)]
 
 
+@lru_cache(maxsize=8)
+def shared_topology(cls, *args) -> Topology:
+    """The process-wide ``cls(*args)`` topology.
+
+    A topology is immutable and carries everything compiled from it (its
+    validation, hop and productive-port rows, fabric plans), so every point
+    of a curve or campaign on one fabric shares one instance instead of
+    re-deriving all of that.  The memo is a fixed small LRU: the paper's
+    evaluation uses two fabric shapes, and an evicted topology is simply
+    compiled again.
+    """
+    return cls(*args)
+
+
 def build_network(design, seed: int = 1, mesh_side: int = MESH_SIDE,
                   dragonfly: Tuple[int, int, int] = DRAGONFLY_SMALL,
                   num_vnets: int = 1, tdd: Optional[int] = None,
                   spin_params: Optional[SpinParams] = None) -> Network:
     """Instantiate a network for a design point.
+
+    The network's objects (routers, VCs, links, NICs, control planes, RNGs,
+    statistics) are fresh; its :class:`~repro.topology.base.Topology` is the
+    shared, immutable :func:`shared_topology` instance of that shape.
+    Construct a topology and a :class:`~repro.network.network.Network`
+    directly to get a private one.
 
     Args:
         design: A :class:`DesignConfig` or registry name.
@@ -188,10 +210,9 @@ def build_network(design, seed: int = 1, mesh_side: int = MESH_SIDE,
     if isinstance(design, str):
         design = get_design(design)
     if design.topology == "mesh":
-        topology = MeshTopology(mesh_side, mesh_side)
+        topology = shared_topology(MeshTopology, mesh_side, mesh_side)
     elif design.topology == "dragonfly":
-        p, a, h = dragonfly
-        topology = DragonflyTopology(p, a, h)
+        topology = shared_topology(DragonflyTopology, *dragonfly)
     else:
         raise ConfigurationError(f"unknown topology {design.topology!r}")
     config = NetworkConfig(vcs_per_vnet=design.vcs_per_vnet,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -156,10 +157,14 @@ class ExperimentSpec:
         """Simulate this point; returns ``(network, SweepPoint)``.
 
         ``profiler`` optionally attaches a
-        :class:`repro.sim.profile.PhaseProfiler` to the engine; profiling
+        :class:`repro.sim.profile.PhaseProfiler` to the engine and records
+        the seconds :meth:`build` took as its ``build`` stage; profiling
         never changes the simulated point (docs/OBSERVE.md).
         """
+        started = time.perf_counter()
         network, traffic, injector = self.build()
+        if profiler is not None:
+            profiler.record_setup("build", time.perf_counter() - started)
         point = simulate_point(network, traffic, self.sim,
                                injection_rate=self.injection_rate,
                                injector=injector,

@@ -16,6 +16,7 @@ from repro.errors import ConfigurationError
 from repro.network.link import Link
 from repro.network.nic import NetworkInterface
 from repro.network.packet import Packet
+from repro.network.plan import FabricPlan
 from repro.network.router import EJECT_PORT_BASE, Router
 from repro.sim.rng import DeterministicRng
 from repro.stats.collectors import NetworkStats
@@ -48,13 +49,29 @@ class Network:
         self.stats = NetworkStats()
         self.now = 0
 
+        #: The fabric's static layout, compiled once per topology instance
+        #: and VC shape and shared by every network built on it; the
+        #: objects below are this network's own, made by walking it.
+        self.plan = plan = FabricPlan.of(topology, config)
         self.routers: List[Router] = [
-            Router(router_id, config) for router_id in range(topology.num_routers)
+            Router(router_id, config, plan, self)
+            for router_id in range(topology.num_routers)
         ]
+        routers = self.routers
         self.links: Dict[Tuple[int, int], Link] = {}
-        self._build_fabric()
-        self.nics: List[NetworkInterface] = []
-        self._build_nics()
+        for spec in topology.links():
+            link = Link(spec.src, spec.src_port, spec.dst, spec.dst_port,
+                        spec.latency)
+            self.links[(spec.src, spec.src_port)] = link
+            src = routers[spec.src]
+            src.out_links[spec.src_port] = link
+            src.out_neighbors[spec.src_port] = (routers[spec.dst],
+                                                spec.dst_port)
+        self.nics: List[NetworkInterface] = [
+            NetworkInterface(node, router_id, local_index, config.num_vnets,
+                             self)
+            for node, (router_id, local_index) in enumerate(plan.nic_places)
+        ]
 
         #: Cycle of the most recent flit movement (wedge detection).
         self.last_movement = 0
@@ -80,40 +97,6 @@ class Network:
         for plane in self.control_planes:
             plane.bind(self)
         routing.bind(self)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _build_fabric(self) -> None:
-        self.topology.validate()
-        for link_spec in self.topology.links():
-            link = Link(link_spec.src, link_spec.src_port,
-                        link_spec.dst, link_spec.dst_port, link_spec.latency)
-            self.links[(link_spec.src, link_spec.src_port)] = link
-            src = self.routers[link_spec.src]
-            dst = self.routers[link_spec.dst]
-            src.out_links[link_spec.src_port] = link
-            src.out_neighbors[link_spec.src_port] = (dst, link_spec.dst_port)
-            if link_spec.dst_port not in dst.inports:
-                dst.add_network_port(link_spec.dst_port)
-        for router in self.routers:
-            router.network = self
-
-    def _build_nics(self) -> None:
-        local_counts = [0] * len(self.routers)
-        self._nic_index: Dict[Tuple[int, int], NetworkInterface] = {}
-        for node in range(self.topology.num_nodes):
-            router_id = self.topology.router_of_node(node)
-            local_index = local_counts[router_id]
-            local_counts[router_id] += 1
-            self.routers[router_id].add_local_port(local_index)
-            nic = NetworkInterface(node, router_id, local_index,
-                                   self.config.num_vnets)
-            nic.network = self
-            self.nics.append(nic)
-            self._nic_index[(router_id, local_index)] = nic
-        if not self.nics:
-            raise ConfigurationError("topology attaches no terminal nodes")
 
     # ------------------------------------------------------------------
     # Phase hooks (see repro.sim.engine)
@@ -150,21 +133,18 @@ class Network:
                 now: int) -> None:
         """A packet reached its destination router's ejection port."""
         local_index = eject_port - EJECT_PORT_BASE
-        nic = self._nic_at(router_id, local_index)
-        self.stats.record_delivery(packet, now)
-        nic.receive(packet, now)
-
-    def _nic_at(self, router_id: int, local_index: int) -> NetworkInterface:
         try:
-            return self._nic_index[(router_id, local_index)]
-        except KeyError:
+            node = self.topology.nodes_of_router(router_id)[local_index]
+        except IndexError:
             raise ConfigurationError(
                 f"no NIC with local index {local_index} at router {router_id}"
             ) from None
+        self.stats.record_delivery(packet, now)
+        self.nics[node].receive(packet, now)
 
     def eject_port_for(self, node: int) -> int:
         """Ejection-port index of a terminal node at its router."""
-        return EJECT_PORT_BASE + self.nics[node].local_index
+        return self.plan.eject_of[node]
 
     def note_vc_reserved(self, router: Router, vc=None) -> None:
         router.active_vcs += 1

@@ -20,7 +20,7 @@ class NetworkInterface:
     """Injection/ejection endpoint for one terminal node."""
 
     def __init__(self, node: int, router_id: int, local_index: int,
-                 num_vnets: int) -> None:
+                 num_vnets: int, network=None) -> None:
         self.node = node
         self.router_id = router_id
         self.local_index = local_index
@@ -28,7 +28,7 @@ class NetworkInterface:
         self.queues: List[Deque[Packet]] = [deque() for _ in range(num_vnets)]
         #: Round-robin pointer across vnet queues.
         self._next_vnet = 0
-        self.network = None  # set by Network
+        self.network = network
         #: Packets created at this NIC (for stats).
         self.packets_created = 0
         #: Packets delivered to this NIC.

@@ -1,0 +1,182 @@
+"""The fabric plan: every static table of a network, compiled once.
+
+A simulated point needs fresh *state* — routers, virtual channels, links,
+NICs, controllers, statistics, RNGs — but everything about its *shape* is a
+pure function of the topology and of how many virtual channels sit behind a
+port.  :class:`FabricPlan` is that shape: the validated topology, each
+router's input ports in scan order, where every terminal attaches, and the
+struct-of-arrays core's global VC id space with its upstream, NIC and
+downstream id rows.  One plan exists per ``(topology instance, num_vnets,
+vcs_per_vnet)`` for the life of the topology; :class:`~repro.network.
+network.Network` instantiates its objects by walking it and
+:class:`~repro.sim.fastcore.soa.SoaCore` indexes it directly.
+
+The plan is immutable: a frozen dataclass of tuples (and read-only
+mappings), shared by every point of a process that runs the same fabric, so
+nothing a point does may depend on — or leave a trace in — it.  The
+topology's own lazily filled rows (``hops_to``, ``productive_ports``) are
+shared the same way and are pure functions of the topology, so the order in
+which points fill them cannot matter.
+
+VC id space: router-major; within a router the network input ports in
+first-link order, then the injection ports in local-index order (the order
+of ``Router.all_inports()``, which fixes the allocation scan and through it
+the RNG draw order); within a port, VC index order (vnet-major).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Tuple
+
+from repro.config import NetworkConfig
+from repro.errors import ConfigurationError
+from repro.network.router import EJECT_PORT_BASE, INJECT_PORT_BASE
+from repro.topology.base import Topology
+
+#: Per-vnet rows of VC ids behind one port.
+VidRows = Tuple[Tuple[int, ...], ...]
+
+
+@dataclass(frozen=True, eq=False)
+class FabricPlan:
+    """Static layout of one topology under one VC configuration.
+
+    Attributes:
+        topology: The validated topology (itself immutable).
+        num_vnets: Virtual networks per port.
+        vcs_per_vnet: VCs per virtual network.
+        vc_slots: ``(index, vnet)`` of each VC behind a port (vnet-major).
+        net_ports: Per router, its network input ports in scan order.
+        local_counts: Per router, how many terminals attach to it.
+        nic_places: Per terminal node, its ``(router, local index)``.
+        r_lo: First VC id of each router; ``r_lo[num_routers]`` is the
+            total.
+        vc_inport: Input port of each VC id.
+        vc_arbkey: Round-robin arbitration key of each VC id
+            (``inport * 64 + index``).
+        up_rid: Per VC id, the router upstream of its port (-1 behind an
+            injection port).
+        nic_of: Per VC id, the node injecting into its port (-1 behind a
+            network port).
+        down: Per router, ``outport -> (next router, its input port, that
+            port's VC ids per vnet)``.
+        eject_of: Ejection port of each terminal node at its router.
+        inj_port: Injection port of each terminal node at its router.
+        inj_rid: Router of each terminal node.
+        inj_vids: Per terminal node, its injection port's VC ids per vnet.
+    """
+
+    topology: Topology
+    num_vnets: int
+    vcs_per_vnet: int
+    vc_slots: Tuple[Tuple[int, int], ...]
+    net_ports: Tuple[Tuple[int, ...], ...]
+    local_counts: Tuple[int, ...]
+    nic_places: Tuple[Tuple[int, int], ...]
+    r_lo: Tuple[int, ...]
+    vc_inport: Tuple[int, ...]
+    vc_arbkey: Tuple[int, ...]
+    up_rid: Tuple[int, ...]
+    nic_of: Tuple[int, ...]
+    down: Tuple[Mapping[int, Tuple[int, int, VidRows]], ...]
+    eject_of: Tuple[int, ...]
+    inj_port: Tuple[int, ...]
+    inj_rid: Tuple[int, ...]
+    inj_vids: Tuple[VidRows, ...]
+
+    @classmethod
+    def of(cls, topology: Topology, config: NetworkConfig) -> "FabricPlan":
+        """The plan of ``topology`` under ``config``, compiled on first use.
+
+        Only ``num_vnets`` and ``vcs_per_vnet`` shape the layout; latencies
+        and buffer depths are read from the config by the objects built on
+        the plan.
+        """
+        key = (config.num_vnets, config.vcs_per_vnet)
+        plan = topology.plans.get(key)
+        if plan is None:
+            plan = topology.plans[key] = cls._compile(topology, *key)
+        return plan
+
+    @classmethod
+    def _compile(cls, topology: Topology, num_vnets: int,
+                 vcs_per_vnet: int) -> "FabricPlan":
+        topology.validate()
+        count = topology.num_routers
+        if topology.num_nodes < 1:
+            raise ConfigurationError("topology attaches no terminal nodes")
+        port_vcs = num_vnets * vcs_per_vnet
+
+        # Network input ports in the order the links first reach them, and
+        # the router on the far side of each.
+        net_ports: List[List[int]] = [[] for _ in range(count)]
+        upstream: Dict[Tuple[int, int], int] = {}
+        for link in topology.links():
+            upstream[(link.dst, link.dst_port)] = link.src
+            net_ports[link.dst].append(link.dst_port)
+
+        nic_places: List[Tuple[int, int]] = [(-1, -1)] * topology.num_nodes
+        for rid in range(count):
+            for local, node in enumerate(topology.nodes_of_router(rid)):
+                nic_places[node] = (rid, local)
+
+        r_lo = [0] * (count + 1)
+        vc_inport: List[int] = []
+        up_rid: List[int] = []
+        nic_of: List[int] = []
+        port_lo: Dict[Tuple[int, int], int] = {}
+        for rid in range(count):
+            r_lo[rid] = len(vc_inport)
+            for port in net_ports[rid]:
+                port_lo[(rid, port)] = len(vc_inport)
+                vc_inport += [port] * port_vcs
+                up_rid += [upstream[(rid, port)]] * port_vcs
+                nic_of += [-1] * port_vcs
+            for local, node in enumerate(topology.nodes_of_router(rid)):
+                port = INJECT_PORT_BASE + local
+                port_lo[(rid, port)] = len(vc_inport)
+                vc_inport += [port] * port_vcs
+                up_rid += [-1] * port_vcs
+                nic_of += [node] * port_vcs
+        r_lo[count] = len(vc_inport)
+
+        def vid_rows(rid: int, port: int) -> VidRows:
+            lo = port_lo[(rid, port)]
+            return tuple(
+                tuple(range(lo + vnet * vcs_per_vnet,
+                            lo + (vnet + 1) * vcs_per_vnet))
+                for vnet in range(num_vnets))
+
+        down = tuple(
+            MappingProxyType({
+                outport: (neighbor, inport, vid_rows(neighbor, inport))
+                for outport, (neighbor, inport, _) in
+                topology.neighbors(rid).items()})
+            for rid in range(count))
+        return cls(
+            topology=topology, num_vnets=num_vnets, vcs_per_vnet=vcs_per_vnet,
+            vc_slots=tuple((index, index // vcs_per_vnet)
+                           for index in range(port_vcs)),
+            net_ports=tuple(map(tuple, net_ports)),
+            local_counts=tuple(len(topology.nodes_of_router(rid))
+                               for rid in range(count)),
+            nic_places=tuple(nic_places),
+            r_lo=tuple(r_lo),
+            vc_inport=tuple(vc_inport),
+            # Every port holds ``port_vcs`` ids, so ``vid % port_vcs`` is the
+            # VC's index behind its port.
+            vc_arbkey=tuple(port * 64 + vid % port_vcs
+                            for vid, port in enumerate(vc_inport)),
+            up_rid=tuple(up_rid),
+            nic_of=tuple(nic_of),
+            down=down,
+            eject_of=tuple(EJECT_PORT_BASE + local
+                           for _, local in nic_places),
+            inj_port=tuple(INJECT_PORT_BASE + local
+                           for _, local in nic_places),
+            inj_rid=tuple(rid for rid, _ in nic_places),
+            inj_vids=tuple(vid_rows(rid, INJECT_PORT_BASE + local)
+                           for rid, local in nic_places),
+        )

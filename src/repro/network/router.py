@@ -47,57 +47,53 @@ def is_injection_port(port: int) -> bool:
 class Router:
     """One network router."""
 
-    def __init__(self, router_id: int, config: NetworkConfig) -> None:
+    def __init__(self, router_id: int, config: NetworkConfig, plan,
+                 network=None) -> None:
+        """Instantiate the router's ports and VCs from the fabric plan
+        (:class:`repro.network.plan.FabricPlan`); links are wired by the
+        owning :class:`~repro.network.network.Network`."""
         self.id = router_id
         self.config = config
+        self.network = network
+        slots = plan.vc_slots
+        scan: List[VirtualChannel] = []
+
+        def make_ports(ports) -> Dict[int, List[VirtualChannel]]:
+            made = {}
+            for port in ports:
+                made[port] = [VirtualChannel(router_id, port, index, vnet)
+                              for index, vnet in slots]
+                scan.extend(made[port])
+            return made
+
+        local_ports = range(plan.local_counts[router_id])
         #: Network input ports: port index -> VCs (vnet-major order).
-        self.inports: Dict[int, List[VirtualChannel]] = {}
+        self.inports: Dict[int, List[VirtualChannel]] = make_ports(
+            plan.net_ports[router_id])
         #: Injection ports from attached NICs.
-        self.local_inports: Dict[int, List[VirtualChannel]] = {}
+        self.local_inports: Dict[int, List[VirtualChannel]] = make_ports(
+            [INJECT_PORT_BASE + local for local in local_ports])
         #: Outbound links by network output port.
         self.out_links: Dict[int, Link] = {}
         #: Downstream (router, inport) by network output port.
         self.out_neighbors: Dict[int, Tuple["Router", int]] = {}
         #: Ejection port busy-until times (one per attached NIC).
-        self.eject_busy: Dict[int, int] = {}
+        self.eject_busy: Dict[int, int] = {
+            EJECT_PORT_BASE + local: -1 for local in local_ports}
         #: Input-port busy-until times (switch input occupancy).
-        self.port_busy: Dict[int, int] = {}
+        self.port_busy: Dict[int, int] = dict.fromkeys(
+            (*self.inports, *self.local_inports), -1)
         #: Round-robin arbiter pointers per output port.
         self._rr: Dict[int, int] = {}
         #: Number of occupied VCs: lets ``Network.phase_allocate`` skip quiet
         #: routers and bounds the ``allocate`` scan on busy ones.
         self.active_vcs = 0
-        self.network = None  # set by Network
-        #: Every input VC in ``all_inports()`` order (built by the first
-        #: ``allocate``; the ports are fixed once the fabric is built).
-        self._scan: Optional[Tuple[VirtualChannel, ...]] = None
+        #: Every input VC in ``all_inports()`` order (the plan's VC id
+        #: order within this router).
+        self._scan: Tuple[VirtualChannel, ...] = tuple(scan)
         #: Output port -> per-vnet VC tuples of the next hop's input port
         #: (each filled the first time a packet looks through the port).
         self._down_rows: Dict[int, Tuple[Tuple[VirtualChannel, ...], ...]] = {}
-
-    # ------------------------------------------------------------------
-    # Construction (called by Network)
-    # ------------------------------------------------------------------
-    def add_network_port(self, port: int) -> None:
-        """Create the input VCs behind a network port."""
-        self.inports[port] = self._make_vcs(port)
-        self.port_busy[port] = -1
-        self._scan = None
-
-    def add_local_port(self, local_index: int) -> None:
-        """Create injection/ejection ports for one attached NIC."""
-        inject = INJECT_PORT_BASE + local_index
-        self.local_inports[inject] = self._make_vcs(inject)
-        self.port_busy[inject] = -1
-        self._scan = None
-        self.eject_busy[EJECT_PORT_BASE + local_index] = -1
-
-    def _make_vcs(self, port: int) -> List[VirtualChannel]:
-        vcs = []
-        for vnet in range(self.config.num_vnets):
-            for _ in range(self.config.vcs_per_vnet):
-                vcs.append(VirtualChannel(self.id, port, len(vcs), vnet))
-        return vcs
 
     # ------------------------------------------------------------------
     # Introspection
@@ -145,17 +141,13 @@ class Router:
         remaining = self.active_vcs
         if remaining == 0:
             return 0
-        scan = self._scan
-        if scan is None:
-            scan = self._scan = tuple(
-                vc for _, vcs in self.all_inports() for vc in vcs)
         routing = self.network.routing
         decide = routing.decide
         port_busy = self.port_busy
         requests: Dict[int, List[VirtualChannel]] = {}
         # ``active_vcs`` counts the occupied VCs, so the walk ends at the
         # last packet instead of at the last (empty) slot.
-        for vc in scan:
+        for vc in self._scan:
             packet = vc.packet
             if packet is None:
                 continue

@@ -43,7 +43,9 @@ class RoutingAlgorithm(ABC):
         self.rng = DeterministicRng(seed).fork(f"routing:{self.name}")
         self.network = None
         self.topology = None
-        self._productive_cache = {}
+        #: The topology's shared ``[router][target]`` productive-port table
+        #: (bound with the network; see :meth:`productive_ports`).
+        self._productive = ()
         #: Every VC index of a vnet — what an unrestricted algorithm permits
         #: (one shared object, so handing it out costs nothing per call).
         self._all_vcs: Sequence[int] = ()
@@ -55,7 +57,7 @@ class RoutingAlgorithm(ABC):
         """Attach to a network; validates configuration requirements."""
         self.network = network
         self.topology = network.topology
-        self._productive_cache = {}
+        self._productive = self.topology.productive_table()
         self._all_vcs = range(network.config.vcs_per_vnet)
         self._setup()
 
@@ -219,18 +221,16 @@ class RoutingAlgorithm(ABC):
     # Shared helpers
     # ------------------------------------------------------------------
     def productive_ports(self, router, target: int) -> Tuple[int, ...]:
-        """Output ports that reduce the hop distance to ``target`` (cached)."""
-        key = (router.id, target)
-        cached = self._productive_cache.get(key)
-        if cached is None:
-            hops = self.topology.hops_to(target)
-            here = hops[router.id]
-            cached = self._productive_cache[key] = tuple([
-                port
-                for port, (neighbor, _) in sorted(router.out_neighbors.items())
-                if hops[neighbor.id] < here
-            ])
-        return cached
+        """Output ports that reduce the hop distance to ``target``.
+
+        Rows live on the topology (:meth:`Topology.productive_ports` fills
+        them, once per pair per process); this only short-cuts the lookup.
+        """
+        row = self._productive[router.id]
+        ports = row[target] if row is not None else None
+        if ports is None:
+            ports = self.topology.productive_ports(router.id, target)
+        return ports
 
     def wait_targets(self, router, packet: Packet,
                      now: int) -> List[Tuple[int, list]]:

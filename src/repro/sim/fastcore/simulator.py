@@ -13,10 +13,11 @@ The engine layers two mechanisms on top of them:
   per-NIC injection wake times let quiescent regions cost zero cycles, with
   a whole-run fast-forward once traffic stops and the network drains.
 * **A struct-of-arrays core for the regions that *are* active** —
-  :class:`repro.sim.fastcore.soa.SoaCore` compiles the network at build
-  time into integer-indexed tables (global VC id space with occupancy /
-  ready / credit mirrors, per-router active rows, precombined candidate
-  entries with downstream-VC id slices, arbitration keys, lazy hop rows)
+  :class:`repro.sim.fastcore.soa.SoaCore` lays the network out as
+  integer-indexed tables (the shared :class:`~repro.network.plan.FabricPlan`
+  for everything static: global VC id space, arbitration keys, upstream and
+  downstream id rows; its own occupancy / ready / credit mirrors, per-router
+  active rows, candidate entries and lazy hop rows for the rest)
   and advances the ``allocate`` and ``inject`` phases over those tables
   with the reference datapath inlined, writing the authoritative objects
   directly so the oracle, golden traces and SPIN controllers see identical
@@ -51,6 +52,7 @@ links exist.
 from __future__ import annotations
 
 from collections import defaultdict
+from time import perf_counter
 from typing import Dict, List, Optional
 
 from repro.core.fsm import SpinState
@@ -223,6 +225,13 @@ class FastSimulator(Simulator):
             self._net.engine_sink = None
 
     def _build_schedule(self):
+        started = perf_counter()
+        schedule = self._compile_schedule()
+        if self._profiler is not None:
+            self._profiler.record_setup("compile", perf_counter() - started)
+        return schedule
+
+    def _compile_schedule(self):
         self._compile()
         if not self._fast_ok:
             return super()._build_schedule()

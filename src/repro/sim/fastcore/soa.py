@@ -1,12 +1,16 @@
 """Struct-of-arrays allocation core for the ``fast`` engine's active regions.
 
 The idle-skip layer (:mod:`repro.sim.fastcore.simulator`) makes *quiescent*
-routers free; this module makes *active* routers cheap.  At build time
-:class:`SoaCore` compiles the network into integer-indexed tables — a global
-VC id space with occupancy/ready/credit mirrors, per-router active-VC rows,
-precombined candidate entries with downstream-VC id slices, arbitration keys
-and lazy hop-distance rows — and advances the hot phases (``allocate``,
-``inject``) over those tables with the reference datapath inlined.
+routers free; this module makes *active* routers cheap.  :class:`SoaCore`
+runs the network over integer-indexed tables — a global VC id space with
+occupancy/ready/credit mirrors, per-router active-VC rows, precombined
+candidate entries with downstream-VC id slices, arbitration keys and lazy
+hop-distance rows — and advances the hot phases (``allocate``, ``inject``)
+over those tables with the reference datapath inlined.  Everything static
+among them (the id space, arbitration keys, upstream/NIC/downstream id rows)
+is the network's :class:`~repro.network.plan.FabricPlan`, compiled once per
+fabric and shared between points; a core builds only what refers to its own
+network's objects and state.
 
 Authority and synchronization contract
 --------------------------------------
@@ -57,12 +61,36 @@ anything could change; release events from downstream re-arm it earlier.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.network.router import EJECT_PORT_BASE, INJECT_PORT_BASE
+from repro.network.router import EJECT_PORT_BASE
 
 #: Sentinel wake time meaning "never (until an event)".
 _NEVER = 1 << 60
+
+
+def _vc_rows(vc_obj: list, vid_rows) -> tuple:
+    """The VC objects behind per-vnet rows of (contiguous) VC ids."""
+    return tuple(tuple(vc_obj[row[0]:row[-1] + 1]) for row in vid_rows)
+
+
+class _OutInfo(dict):
+    """``SoaCore.outinfo``: entries are built on first lookup from the
+    plan's downstream rows and this network's links and VC objects
+    (``KeyError`` for anything but a network output port)."""
+
+    def __init__(self, core: "SoaCore") -> None:
+        super().__init__()
+        self._core = core
+
+    def __missing__(self, key: Tuple[int, int]) -> tuple:
+        rid, outport = key
+        core = self._core
+        neighbor, _, dvids_v = core.plan.down[rid][outport]
+        entry = self[key] = (
+            outport, core.routers[rid].out_links[outport], neighbor,
+            _vc_rows(core.vc_obj, dvids_v), dvids_v)
+        return entry
 
 
 class SoaCore:
@@ -74,115 +102,58 @@ class SoaCore:
         self.routers = net.routers
         self.nics = net.nics
         self.stats = net.stats
-        config = net.config
-        self.router_latency = config.router_latency
-        self.num_vnets = config.num_vnets
+        self.router_latency = net.config.router_latency
         #: Bound ``random.Random.choice`` of the routing RNG — the exact
         #: method ``RoutingAlgorithm.select`` draws from.
         self.rng_choice = net.routing.rng._random.choice
         self._count_event = net.stats.count
 
-        self._compile_static()
-        self.resync()
-
-    # ------------------------------------------------------------------
-    # Build-time compilation
-    # ------------------------------------------------------------------
-    def _compile_static(self) -> None:
-        net = self.net
-        routers = self.routers
-        count = len(routers)
-        self.router_count = count
-
-        # Global VC id space: router-major, ``all_inports()`` scan order
-        # (which fixes both the reference request-scan order and, through
+        # Static layout: the network's fabric plan, shared by every point
+        # on the same fabric (global VC id space in ``all_inports()`` scan
+        # order, which fixes the reference request-scan order and, through
         # it, the RNG draw order).
-        vc_obj: List[object] = []
-        vid_of: Dict[int, int] = {}
-        r_lo = [0] * (count + 1)
-        vc_inport: List[int] = []
-        vc_arbkey: List[int] = []
-        for rid, router in enumerate(routers):
-            r_lo[rid] = len(vc_obj)
-            for inport, vcs in router.all_inports():
-                for vc in vcs:
-                    vid_of[id(vc)] = len(vc_obj)
-                    vc_obj.append(vc)
-                    vc_inport.append(inport)
-                    vc_arbkey.append(inport * 64 + vc.index)
-        r_lo[count] = len(vc_obj)
+        plan = net.plan
+        self.plan = plan
+        count = len(self.routers)
+        self.router_count = count
+        self.vc_arbkey = plan.vc_arbkey
+        #: Upstream router per vid (release events re-arm the upstream
+        #: router's wake time) and owning NIC per injection-port vid.
+        self.up_rid = plan.up_rid
+        self.nic_of = plan.nic_of
+        #: Ejection port per terminal node.
+        self.eject_of = plan.eject_of
+        self.inj_port = plan.inj_port
+        self.inj_rid = plan.inj_rid
+        self.inj_vids = plan.inj_vids
+
+        # This network's objects behind the plan's ids.
+        vc_obj = [vc for router in self.routers for vc in router._scan]
         self.vc_obj = vc_obj
-        self.vid_of = vid_of
-        self.r_lo = r_lo
-        self.vc_inport = vc_inport
-        self.vc_arbkey = vc_arbkey
-        nvcs = len(vc_obj)
-
-        # Upstream router per vid (release events re-arm the upstream
-        # router's wake time) and owning NIC per injection-port vid.
-        upmap = {(link.dst, link.dst_port): link.src
-                 for link in net.links.values()}
-        nic_at = {(nic.router_id, nic.inject_port): nic.node
-                  for nic in net.nics}
-        self.up_rid = [
-            upmap.get((vc.router, vc.inport), -1) for vc in vc_obj
-        ]
-        self.nic_of = [
-            nic_at.get((vc.router, vc.inport), -1) for vc in vc_obj
-        ]
-
-        # Per-(router, outport) downstream info: the link, the neighbor
-        # router id, and per-vnet downstream VC object/vid rows.
-        num_vnets = self.num_vnets
-        outinfo = {}
-        for router in routers:
-            for outport, (neighbor, dst_port) in router.out_neighbors.items():
-                link = router.out_links[outport]
-                dvcs_v = tuple(
-                    tuple(neighbor.vnet_slice(dst_port, vnet))
-                    for vnet in range(num_vnets))
-                dvids_v = tuple(
-                    tuple(vid_of[id(dvc)] for dvc in row) for row in dvcs_v)
-                outinfo[(router.id, outport)] = (
-                    outport, link, neighbor.id, dvcs_v, dvids_v)
-        self.outinfo = outinfo
+        self.vid_of: Dict[int, int] = {
+            id(vc): vid for vid, vc in enumerate(vc_obj)}
+        self.inj_vcs = [_vc_rows(vc_obj, rows) for rows in plan.inj_vids]
+        #: ``(router, outport) -> (outport, link, neighbor router id,
+        #: per-vnet downstream VC rows, per-vnet downstream vid rows)``,
+        #: each built the first time something looks through the port.
+        self.outinfo = _OutInfo(self)
 
         # Candidate info per (router, routing target): an ``(entries,
-        # ports)`` pair where ``entries`` are enriched outinfo tuples and
-        # ``ports`` the raw candidate tuple (for the sticky-request test).
+        # ports)`` pair where ``entries`` are outinfo tuples and ``ports``
+        # the raw candidate tuple (for the sticky-request test).
         # Row-indexed by target router id — this lookup runs once per
-        # active VC per cycle, so it avoids tuple-key hashing.  Filled
-        # lazily by the first packet that needs each slot (candidate sets
-        # depend only on static topology for whitelisted algorithms).
-        self.cand_rows: List[List[Optional[tuple]]] = [
-            [None] * count for _ in range(count)]
+        # active VC per cycle, so it avoids tuple-key hashing.  A router's
+        # row is allocated, and each slot filled, by the first packet that
+        # needs it (candidate sets depend only on static topology for
+        # whitelisted algorithms).
+        self.cand_rows: List[Optional[List[Optional[tuple]]]] = [None] * count
 
         # Hop-distance rows per routing target (``Topology.hops_to``),
         # fetched lazily.
-        self._hops: Dict[int, List[int]] = {}
-
-        #: Ejection port per terminal node.
-        self.eject_of = [EJECT_PORT_BASE + nic.local_index
-                         for nic in net.nics]
-
-        # Injection-side tables per NIC: port, router id, and per-vnet
-        # injection VC object/vid rows.
-        self.inj_port = [nic.inject_port for nic in net.nics]
-        self.inj_rid = [nic.router_id for nic in net.nics]
-        inj_vcs = []
-        inj_vids = []
-        for nic in net.nics:
-            router = routers[nic.router_id]
-            rows = tuple(
-                tuple(router.vnet_slice(nic.inject_port, vnet))
-                for vnet in range(num_vnets))
-            inj_vcs.append(rows)
-            inj_vids.append(tuple(
-                tuple(vid_of[id(vc)] for vc in row) for row in rows))
-        self.inj_vcs = inj_vcs
-        self.inj_vids = inj_vids
+        self._hops: Dict[int, Sequence[int]] = {}
 
         # Dynamic rows (contents rebuilt by resync()).
+        nvcs = len(vc_obj)
         self.vc_pkt = bytearray(nvcs)
         self.vc_ready = [0] * nvcs
         self.vc_free = [0] * nvcs
@@ -199,8 +170,9 @@ class SoaCore:
         self.active_nics = set()
         self.occupied = 0
         self.resyncs = 0
+        self.resync()
 
-    def _hop_row(self, target: int) -> List[int]:
+    def _hop_row(self, target: int) -> Sequence[int]:
         row = self._hops.get(target)
         if row is None:
             row = self._hops[target] = self.net.topology.hops_to(target)
@@ -468,6 +440,8 @@ class SoaCore:
         eject_of = self.eject_of
         port_busy = router.port_busy
         cand_row = self.cand_rows[rid]
+        if cand_row is None:
+            cand_row = self.cand_rows[rid] = [None] * self.router_count
         requests: Dict[int, list] = {}
         decide_called = False
         wake = _NEVER
@@ -609,17 +583,12 @@ class SoaCore:
         ports = tuple(self.routing.candidate_outports(router, packet))
         outinfo = self.outinfo
         rid = router.id
-        entries = []
-        for port in ports:
-            info = outinfo.get((rid, port))
-            if info is None:
-                # A candidate that is not a plain network port (should not
-                # happen for whitelisted algorithms): refuse to inline.
-                entries = ()
-                break
-            entries.append(info)
-        else:
-            entries = tuple(entries)
+        try:
+            entries = tuple([outinfo[(rid, port)] for port in ports])
+        except KeyError:
+            # A candidate that is not a plain network port (should not
+            # happen for whitelisted algorithms): refuse to inline.
+            entries = ()
         cached = (entries, ports)
         cand_row[packet.dst_router] = cached
         return cached

@@ -39,6 +39,10 @@ PROFILE_ENV = "REPRO_PROFILE"
 _FALSEY = {"", "0", "off", "false", "no"}
 
 
+def _rounded(seconds: Optional[float]) -> Optional[float]:
+    return None if seconds is None else round(seconds, 6)
+
+
 class PhaseProfiler:
     """Accumulates per-phase wall time, call counts, and counters.
 
@@ -50,6 +54,12 @@ class PhaseProfiler:
         self.phase_seconds: Dict[str, float] = {}
         self.phase_calls: Dict[str, int] = {}
         self.counters: Dict[str, int] = {}
+        #: A point's fixed cost before its first cycle, by stage: ``build``
+        #: (``ExperimentSpec.build``: network, traffic, injector — recorded
+        #: by ``ExperimentSpec.run``) and ``compile`` (the ``fast`` engine's
+        #: envelope check, SoA core and schedule).  A stage nobody timed is
+        #: absent.
+        self.setup_seconds: Dict[str, float] = {}
 
     def wrap_phase(self, name: str, bound_methods: Iterable) -> object:
         """Fuse a phase's bound methods into one timed callable.
@@ -74,6 +84,11 @@ class PhaseProfiler:
 
         return timed_phase
 
+    def record_setup(self, stage: str, seconds: float) -> None:
+        """Add wall time to one stage of the point's fixed cost."""
+        self.setup_seconds[stage] = (self.setup_seconds.get(stage, 0.0)
+                                     + seconds)
+
     def count(self, name: str, amount: int = 1) -> None:
         """Bump a named counter (fast-core skip/run accounting)."""
         self.counters[name] = self.counters.get(name, 0) + amount
@@ -87,6 +102,8 @@ class PhaseProfiler:
         ``engine_path`` says which datapath actually ran (``"soa"`` or
         ``"reference-schedule"``; ``None`` when the caller does not know)
         and ``fallback_reason`` why a ``fast`` request fell back.
+        ``build_s`` / ``compile_s`` are the point's fixed cost before its
+        first cycle (``None`` for a stage nobody timed).
         """
         total = sum(self.phase_seconds.values())
         phases = {}
@@ -103,9 +120,10 @@ class PhaseProfiler:
             "engine_path": engine_path,
             "fallback_reason": fallback_reason,
             "cycles": cycles,
+            "build_s": _rounded(self.setup_seconds.get("build")),
+            "compile_s": _rounded(self.setup_seconds.get("compile")),
             "phase_seconds_total": round(total, 6),
-            "wall_seconds": (round(wall_seconds, 6)
-                             if wall_seconds is not None else None),
+            "wall_seconds": _rounded(wall_seconds),
             "phases": phases,
             "counters": dict(sorted(self.counters.items())),
         }
@@ -129,11 +147,20 @@ def _path_text(report: Dict[str, object]) -> str:
     return f" path={path} ({reason})" if reason else f" path={path}"
 
 
+def _setup_text(report: Dict[str, object], digits: int) -> str:
+    """``build=…s compile=…s `` for the stages the report has timed."""
+    return "".join(
+        f"{stage}={report[key]:.{digits}f}s  "
+        for stage, key in (("build", "build_s"), ("compile", "compile_s"))
+        if report.get(key) is not None)
+
+
 def render_report(report: Dict[str, object]) -> str:
     """Human-readable phase table for one profile report."""
     lines: List[str] = []
     lines.append(f"engine={report['engine']}{_path_text(report)}  "
                  f"cycles={report['cycles']}  "
+                 f"{_setup_text(report, 4)}"
                  f"phase-time={report['phase_seconds_total']:.4f}s")
     lines.append(f"{'phase':<12} {'seconds':>10} {'share':>7} {'calls':>10}")
     lines.append("-" * 42)
@@ -155,7 +182,7 @@ def summary_line(report: Dict[str, object]) -> str:
     parts = [f"{name}={row['share'] * 100:.0f}%"
              for name, row in report.get("phases", {}).items()]
     return (f"[profile] engine={report['engine']}{_path_text(report)} "
-            f"cycles={report['cycles']} "
+            f"cycles={report['cycles']} {_setup_text(report, 3)}"
             f"phase-time={report['phase_seconds_total']:.3f}s "
             + " ".join(parts))
 

@@ -8,17 +8,28 @@ used for the inbound and outbound direction of that channel, so
 Terminal nodes (the entities that inject and eject traffic) attach to routers
 via dedicated local ports that are managed by the network substrate, not by
 the topology.
+
+A topology is **immutable after construction**.  Everything derived from it
+— the validation verdict, neighbour maps, hop and productive-port rows, the
+terminal placement and the compiled :class:`repro.network.plan.FabricPlan`
+per datapath shape — is computed at most once per instance and shared by
+every network built on it, so one instance may (and, through
+:func:`repro.harness.configs.build_network`, does) serve many simulated
+points.  Construct a new topology rather than editing one.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from repro.errors import TopologyError
+
+#: ``[router][target] -> productive ports``; ``None`` where not asked yet.
+ProductiveTable = List[Optional[List[Optional[Tuple[int, ...]]]]]
 
 
 @dataclass(frozen=True)
@@ -47,10 +58,22 @@ class Topology(ABC):
     name: str = "topology"
 
     def __init__(self) -> None:
+        self._validated = False
         self._neighbor_cache: Dict[int, Dict[int, Tuple[int, int, int]]] = {}
-        self._distance_cache: List[List[int]] = []
+        self._distance_cache: Tuple[Tuple[int, ...], ...] = ()
         #: ``hops_to`` rows of topologies with a closed-form ``min_hops``.
-        self._hop_rows: Dict[int, List[int]] = {}
+        self._hop_rows: Dict[int, Tuple[int, ...]] = {}
+        #: ``[router][target] -> productive ports``: a router's row is
+        #: allocated, and each slot filled, on first use.  Equal port tuples
+        #: are one object (``_port_tuples``), so a filled table costs a
+        #: pointer per pair.
+        self._productive_rows: ProductiveTable = []
+        self._port_tuples: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        #: Terminal nodes per router, in node order (built on first use).
+        self._router_nodes: Tuple[Tuple[int, ...], ...] = ()
+        #: Compiled fabric plans by datapath shape; filled and read by
+        #: :meth:`repro.network.plan.FabricPlan.of` only.
+        self.plans: Dict[Tuple[int, int], object] = {}
 
     # ------------------------------------------------------------------
     # Abstract interface
@@ -66,7 +89,7 @@ class Topology(ABC):
         """Number of terminal nodes."""
 
     @abstractmethod
-    def links(self) -> List[LinkSpec]:
+    def links(self) -> Sequence[LinkSpec]:
         """All directed links (both directions of every channel)."""
 
     @abstractmethod
@@ -76,13 +99,18 @@ class Topology(ABC):
     # ------------------------------------------------------------------
     # Derived structure
     # ------------------------------------------------------------------
-    def nodes_of_router(self, router: int) -> List[int]:
-        """Terminal nodes attached to ``router``."""
-        return [
-            node
-            for node in range(self.num_nodes)
-            if self.router_of_node(node) == router
-        ]
+    def nodes_of_router(self, router: int) -> Tuple[int, ...]:
+        """Terminal nodes attached to ``router``, ascending.
+
+        A node's position in the tuple is its local index at the router
+        (the network substrate numbers injection/ejection ports by it).
+        """
+        if not self._router_nodes:
+            placement: List[List[int]] = [[] for _ in range(self.num_routers)]
+            for node in range(self.num_nodes):
+                placement[self.router_of_node(node)].append(node)
+            self._router_nodes = tuple(map(tuple, placement))
+        return self._router_nodes[router]
 
     def neighbors(self, router: int) -> Dict[int, Tuple[int, int, int]]:
         """Outgoing channels of a router.
@@ -114,9 +142,7 @@ class Topology(ABC):
 
     def min_hops(self, src_router: int, dst_router: int) -> int:
         """Minimal hop count between two routers (BFS, cached)."""
-        if not self._distance_cache:
-            self._distance_cache = self._all_pairs_hops()
-        return self._distance_cache[src_router][dst_router]
+        return self._distance_table()[src_router][dst_router]
 
     def hops_to(self, dst_router: int) -> Sequence[int]:
         """``min_hops(r, dst_router)`` for every router ``r``, as one row.
@@ -128,19 +154,62 @@ class Topology(ABC):
         rows are built one destination at a time.
         """
         if type(self).min_hops is Topology.min_hops:
-            if not self._distance_cache:
-                self._distance_cache = self._all_pairs_hops()
-            return self._distance_cache[dst_router]
+            return self._distance_table()[dst_router]
         row = self._hop_rows.get(dst_router)
         if row is None:
             min_hops = self.min_hops
-            row = self._hop_rows[dst_router] = [
+            row = self._hop_rows[dst_router] = tuple([
                 min_hops(router, dst_router)
-                for router in range(self.num_routers)]
+                for router in range(self.num_routers)])
         return row
 
-    def _all_pairs_hops(self) -> List[List[int]]:
-        graph = self.to_networkx()
+    def productive_table(self) -> ProductiveTable:
+        """The ``[router][target]`` table behind :meth:`productive_ports`.
+
+        For the routing layer's per-decision lookup only: a ``None`` row or
+        slot means "not asked yet — call :meth:`productive_ports`", which is
+        the one place that fills it.
+        """
+        if not self._productive_rows:
+            self._productive_rows = [None] * self.num_routers
+        return self._productive_rows
+
+    def productive_ports(self, router: int, target: int) -> Tuple[int, ...]:
+        """Output ports of ``router`` that reduce the hop distance to
+        ``target``, ascending (a pure function of the topology, computed
+        once per pair).
+        """
+        table = self.productive_table()
+        row = table[router]
+        if row is None:
+            row = table[router] = [None] * self.num_routers
+        ports = row[target]
+        if ports is None:
+            hops = self.hops_to(target)
+            here = hops[router]
+            ports = tuple([
+                port
+                for port, (neighbor, _, _) in sorted(
+                    self.neighbors(router).items())
+                if hops[neighbor] < here
+            ])
+            ports = row[target] = self._port_tuples.setdefault(ports, ports)
+        return ports
+
+    def _distance_table(
+            self, graph: Optional[nx.DiGraph] = None
+    ) -> Tuple[Tuple[int, ...], ...]:
+        """The all-pairs BFS table, computed once (from ``graph`` when the
+        caller already built the router graph)."""
+        if not self._distance_cache:
+            self._distance_cache = self._all_pairs_hops(graph)
+        return self._distance_cache
+
+    def _all_pairs_hops(
+            self, graph: Optional[nx.DiGraph] = None
+    ) -> Tuple[Tuple[int, ...], ...]:
+        if graph is None:
+            graph = self.to_networkx()
         num = self.num_routers
         table = [[-1] * num for _ in range(num)]
         for src, lengths in nx.all_pairs_shortest_path_length(graph):
@@ -150,7 +219,7 @@ class Topology(ABC):
         for src in range(num):
             if min(table[src]) < 0:
                 raise TopologyError(f"router {src} cannot reach every router")
-        return table
+        return tuple(map(tuple, table))
 
     def to_networkx(self) -> nx.DiGraph:
         """Directed router graph (one edge per link direction)."""
@@ -166,8 +235,12 @@ class Topology(ABC):
 
         Verifies that every link has a reverse using the same port pair,
         ports are not double-booked, and the router graph is strongly
-        connected.
+        connected.  A topology never changes, so a pass is remembered and
+        later calls return at once; the one router graph built here also
+        fills the BFS distance table of topologies that route by it.
         """
+        if self._validated:
+            return
         seen = {}
         for link in self.links():
             key = (link.src, link.src_port)
@@ -185,9 +258,13 @@ class Topology(ABC):
                 raise TopologyError(
                     f"link {link} has no symmetric reverse channel"
                 )
-        if not nx.is_strongly_connected(self.to_networkx()):
+        graph = self.to_networkx()
+        if not nx.is_strongly_connected(graph):
             raise TopologyError("router graph is not strongly connected")
         for node in range(self.num_nodes):
             router = self.router_of_node(node)
             if not 0 <= router < self.num_routers:
                 raise TopologyError(f"node {node} attached to bad router {router}")
+        if type(self).min_hops is Topology.min_hops:
+            self._distance_table(graph)
+        self._validated = True

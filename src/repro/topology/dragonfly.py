@@ -27,7 +27,7 @@ Port layout per router (local index ``i``):
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import TopologyError
 from repro.topology.base import LinkSpec, Topology
@@ -49,7 +49,7 @@ class DragonflyTopology(Topology):
         self.num_groups = a * h + 1
         self.local_latency = local_latency
         self.global_latency = global_latency
-        self._links = self._build_links()
+        self._links = tuple(self._build_links())
 
     # ------------------------------------------------------------------
     # Structure helpers
@@ -125,7 +125,7 @@ class DragonflyTopology(Topology):
     # ------------------------------------------------------------------
     # Links
     # ------------------------------------------------------------------
-    def links(self) -> List[LinkSpec]:
+    def links(self) -> Sequence[LinkSpec]:
         return self._links
 
     def _build_links(self) -> List[LinkSpec]:

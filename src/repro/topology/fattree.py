@@ -14,7 +14,7 @@ Ports: leaf port ``s`` reaches spine ``s``; spine port ``l`` reaches leaf
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.errors import TopologyError
 from repro.topology.base import LinkSpec, Topology
@@ -36,7 +36,7 @@ class FatTreeTopology(Topology):
         self.num_spines = num_spines
         self.terminals_per_leaf = terminals_per_leaf
         self.link_latency = link_latency
-        self._links = self._build_links()
+        self._links = tuple(self._build_links())
 
     # ------------------------------------------------------------------
     # Structure
@@ -71,7 +71,7 @@ class FatTreeTopology(Topology):
             return 1
         return 2  # spine to spine via any leaf
 
-    def links(self) -> List[LinkSpec]:
+    def links(self) -> Sequence[LinkSpec]:
         return self._links
 
     def _build_links(self) -> List[LinkSpec]:

@@ -16,7 +16,7 @@ Port layout per router at (x, y):
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import TopologyError
 from repro.topology.base import LinkSpec, Topology
@@ -37,7 +37,7 @@ class FlattenedButterflyTopology(Topology):
         self.k = k
         self.concentration = concentration
         self.link_latency = link_latency
-        self._links = self._build_links()
+        self._links = tuple(self._build_links())
 
     # ------------------------------------------------------------------
     # Structure
@@ -81,7 +81,7 @@ class FlattenedButterflyTopology(Topology):
         dx, dy = self.coordinates(dst_router)
         return (sx != dx) + (sy != dy)
 
-    def links(self) -> List[LinkSpec]:
+    def links(self) -> Sequence[LinkSpec]:
         return self._links
 
     def _build_links(self) -> List[LinkSpec]:

@@ -10,7 +10,7 @@ connectivity.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -49,7 +49,7 @@ class IrregularTopology(Topology):
         for router in nodes:
             for port, peer in enumerate(sorted(graph.neighbors(router))):
                 self._port_of[(router, peer)] = port
-        self._links = self._build_links()
+        self._links = tuple(self._build_links())
 
     def _edge_latency(self, u: int, v: int) -> int:
         if isinstance(self._latency, dict):
@@ -74,7 +74,7 @@ class IrregularTopology(Topology):
         except KeyError:
             raise TopologyError(f"{router} and {peer} are not adjacent") from None
 
-    def links(self) -> List[LinkSpec]:
+    def links(self) -> Sequence[LinkSpec]:
         return self._links
 
     def _build_links(self) -> List[LinkSpec]:

@@ -9,7 +9,7 @@ the paper's 8x8 64-core mesh.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import TopologyError
 from repro.topology.base import LinkSpec, Topology
@@ -42,7 +42,7 @@ class MeshTopology(Topology):
         self.cols = cols
         self.rows = rows
         self.link_latency = link_latency
-        self._links = self._build_links()
+        self._links = tuple(self._build_links())
 
     # ------------------------------------------------------------------
     # Coordinates
@@ -95,7 +95,7 @@ class MeshTopology(Topology):
     def router_of_node(self, node: int) -> int:
         return node
 
-    def links(self) -> List[LinkSpec]:
+    def links(self) -> Sequence[LinkSpec]:
         return self._links
 
     def min_hops(self, src_router: int, dst_router: int) -> int:

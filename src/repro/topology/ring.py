@@ -8,7 +8,7 @@ scheme family.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.errors import TopologyError
 from repro.topology.base import LinkSpec, Topology
@@ -32,7 +32,7 @@ class RingTopology(Topology):
         self._num_routers = num_routers
         self.link_latency = link_latency
         self.bidirectional = bidirectional
-        self._links = self._build_links()
+        self._links = tuple(self._build_links())
 
     @property
     def num_routers(self) -> int:
@@ -53,7 +53,7 @@ class RingTopology(Topology):
         """The router reached through the counter-clockwise port."""
         return (router - 1) % self._num_routers
 
-    def links(self) -> List[LinkSpec]:
+    def links(self) -> Sequence[LinkSpec]:
         return self._links
 
     def min_hops(self, src_router: int, dst_router: int) -> int:

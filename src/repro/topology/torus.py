@@ -9,7 +9,7 @@ CDG even under dimension-order routing).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import TopologyError
 from repro.topology.base import LinkSpec, Topology
@@ -30,7 +30,7 @@ class TorusTopology(Topology):
         self.cols = cols
         self.rows = rows
         self.link_latency = link_latency
-        self._links = self._build_links()
+        self._links = tuple(self._build_links())
 
     def coordinates(self, router: int) -> Tuple[int, int]:
         """(x, y) position of a router."""
@@ -82,7 +82,7 @@ class TorusTopology(Topology):
     def router_of_node(self, node: int) -> int:
         return node
 
-    def links(self) -> List[LinkSpec]:
+    def links(self) -> Sequence[LinkSpec]:
         return self._links
 
     def min_hops(self, src_router: int, dst_router: int) -> int:

@@ -59,7 +59,7 @@ class TestCompilation:
         assert len(core.vid_of) == len(expected)
         for vid, vc in enumerate(core.vc_obj):
             assert core.vid_of[id(vc)] == vid
-            assert core.vc_inport[vid] == vc.inport
+            assert core.plan.vc_inport[vid] == vc.inport
             # Arbitration key orders (inport, index) lexicographically.
             assert core.vc_arbkey[vid] == vc.inport * 64 + vc.index
 
@@ -67,10 +67,10 @@ class TestCompilation:
         simulator, network = _fast_sim()
         simulator.run(1)
         core = simulator._core
-        assert core.r_lo[0] == 0
-        assert core.r_lo[-1] == len(core.vc_obj)
+        assert core.plan.r_lo[0] == 0
+        assert core.plan.r_lo[-1] == len(core.vc_obj)
         for rid, router in enumerate(network.routers):
-            lo, hi = core.r_lo[rid], core.r_lo[rid + 1]
+            lo, hi = core.plan.r_lo[rid], core.plan.r_lo[rid + 1]
             assert all(vc.router == rid for vc in core.vc_obj[lo:hi])
 
     def test_downstream_rows_mirror_the_link_graph(self):
