@@ -221,6 +221,10 @@ def cmd_run(args) -> int:
     print(format_table(
         ["Metric", "Value"], rows,
         title=f"{args.design} / {args.pattern} @ {args.rate}"))
+    from repro.telemetry.report import sm_fate_lines
+
+    for line in sm_fate_lines(point.events):
+        print(line)
     if profiler is not None:
         from repro.sim import render_report
         from repro.sim.engine_api import resolve_engine_name

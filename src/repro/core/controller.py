@@ -68,10 +68,12 @@ class SpinController:
         self.probe_pending: Optional[Tuple[int, int, int, int, int]] = None
         self.kill_retries = 0
 
-        # Round-robin scan ring over the network VCs (cached: the router's
-        # inports are fixed after fabric construction).
+        # Round-robin scan ring over the network VCs and per-(inport, vnet)
+        # VC rows (cached: the router's inports are fixed after fabric
+        # construction).
         self._vc_ring: Optional[list] = None
         self._vc_pos: Optional[dict] = None
+        self._vnet_rows: dict = {}
 
     # ------------------------------------------------------------------
     # Counter tick (called once per cycle)
@@ -148,6 +150,17 @@ class SpinController:
         if vcs is None or index >= len(vcs):
             return None
         return vcs[index]
+
+    def _vnet_vcs(self, inport: Optional[int], vnet: int) -> tuple:
+        """The VCs of one vnet at a network input port — ``()`` for a port
+        this router does not have."""
+        row = self._vnet_rows.get((inport, vnet))
+        if row is None:
+            router = self.router
+            row = self._vnet_rows[(inport, vnet)] = (
+                tuple(router.vnet_slice(inport, vnet))
+                if inport in router.inports else ())
+        return row
 
     def _network_vcs(self):
         for inport in sorted(self.router.inports):
@@ -382,9 +395,7 @@ class SpinController:
         if len(probe.path) >= framework.max_probe_path:
             framework.stats.count("probes_dropped_length")
             return
-        if inport not in self.router.inports:
-            return
-        vcs = self.router.vnet_slice(inport, probe.vnet)
+        vcs = self._vnet_vcs(inport, probe.vnet)
         if not vcs:
             return
         requests = []
@@ -473,14 +484,7 @@ class SpinController:
     def _freezable_vc(self, inport: Optional[int], outport: int,
                       vnet: int, now: int) -> Optional[VirtualChannel]:
         """A VC of ``vnet`` at ``inport`` whose packet waits on ``outport``."""
-        if inport is None:
-            return None
-        if inport not in self.router.inports:
-            return None
-        vcs = self.router.vnet_slice(inport, vnet)
-        if not vcs:
-            return None
-        for vc in vcs:
+        for vc in self._vnet_vcs(inport, vnet):
             packet = vc.packet
             if (
                 packet is not None

@@ -11,11 +11,49 @@ Implements the microarchitectural guarantees of paper Sec. IV-D:
   loser is dropped (the initiator FSMs recover via timeouts).
 * **Distributed** — there is no central coordinator; this class is only the
   simulation-level event plumbing between per-router controllers.
+
+Controller scheduling
+---------------------
+
+:meth:`SpinFramework.phase_control` is the one control loop of both
+engines.  With :attr:`SpinFramework.scheduled` off (the ``reference``
+engine) it ticks every controller every cycle; with it on (the ``fast``
+engine, for every design) it ticks a controller only when its dirty bit is
+set or its FSM due time (:func:`_ctrl_due`) has come, and every skipped
+tick is one the unscheduled loop would have run as a no-op.
+
+*The invariant this rests on:* a controller's guards change only through an
+SM arrival or a VC event at its router, and both reschedule it.  A VC event
+dirties it (``Network.note_vc_reserved`` / ``note_vc_released`` set its bit
+in :attr:`SpinFramework.dirty`): it ticks in the next control phase.  An SM batch is handled by the controller itself, so the
+state it leaves is known: delivery re-derives the due time from it, and a
+probe that was only forwarded leaves the controller asleep.  Everything
+that writes controller-visible state *without* going through that funnel
+fails closed here, not in the engine:
+
+* the **spin executor** rotates packets and runs controller callbacks on
+  its own: a cycle with a spin scheduled ticks every controller and wakes
+  every router;
+* **vc-less planting events** (``note_vc_reserved(router)`` after a scenario
+  mutated VC fields directly) may have touched any router: every
+  controller is dirtied;
+* a **fault injector** or **dead links** (SM loss/delay/corruption, router
+  power-gating, packets dropped behind the controllers' backs):
+  scheduling is off for as long as either is present, and every
+  controller is dirty when it resumes.
+
+*The arrival rule.*  Control work touches the datapath only by freezing or
+thawing a VC (``move`` / ``probe_move`` / ``kill_move``, watchdog resets,
+FROZEN escapes) — a probe reads ``current_request`` and moves on.  So an SM
+batch or a tick wakes its router's allocation
+(:meth:`repro.network.network.Network.wake_router`) only if
+``VirtualChannel.freeze_epoch`` moved while it was handled.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from time import perf_counter
 from typing import Dict, List, Tuple
 
 from repro.config import SpinParams
@@ -24,6 +62,43 @@ from repro.core.executor import SpinExecutor
 from repro.core.fsm import SpinState
 from repro.core.priority import RotatingPriority
 from repro.errors import ProtocolError
+from repro.network.vc import VirtualChannel
+
+#: Sentinel due time meaning "never (until the controller is dirtied)".
+_NEVER = 1 << 60
+
+
+def _ctrl_due(controller: SpinController, cycle: int) -> int:
+    """Next cycle at which a controller's ``tick`` is not a no-op.
+
+    Derived from :meth:`repro.core.controller.SpinController.tick`: every
+    branch is a pure no-op strictly before the returned cycle, *given* the
+    module docstring's invariant (SM arrivals and VC events at the router
+    reschedule the controller; they are the only ways the tick's guards
+    can change earlier).
+    """
+    state = controller.state
+    if state is SpinState.OFF:
+        # OFF ticks only re-point at occupied network VCs; occupancy changes
+        # require a VC event (dirty).  With no occupied network VC the
+        # re-point is a no-op.
+        return _NEVER
+    deadline = controller.deadline
+    if state is SpinState.DD:
+        due = deadline if deadline is not None else cycle + 1
+        pending = controller.probe_pending
+        if pending is not None and pending[3] < due:
+            due = pending[3]
+        return due
+    if state is SpinState.PROBE_MOVE:
+        send_at = controller.probe_move_send_at
+        if send_at is not None:
+            return send_at
+        return deadline if deadline is not None else cycle + 1
+    if state is SpinState.MOVE or state is SpinState.KILL_MOVE:
+        return deadline if deadline is not None else cycle + 1
+    # FROZEN / FORWARD_PROGRESS: the escape fires when now > deadline + 1.
+    return deadline + 2 if deadline is not None else _NEVER
 
 
 class SpinFramework:
@@ -44,6 +119,19 @@ class SpinFramework:
         #: When true, each spin is labelled true-deadlock vs false-positive
         #: using the ground-truth wait-graph (Fig. 9).  Costs CPU time.
         self.collect_ground_truth = False
+        #: Skip no-op controller ticks (module docstring).  Switched on by
+        #: the ``fast`` engine; the ``reference`` engine leaves it off.
+        self.scheduled = False
+        #: Per-controller dirty bits (one object for the framework's life:
+        #: the SoA core's inlined VC events write it directly) and FSM due
+        #: times, both sized by :meth:`bind`; ``_min_due`` is ``min(_due)``.
+        self.dirty = bytearray()
+        self._due: List[int] = []
+        self._min_due = 0
+        #: A :class:`repro.sim.profile.PhaseProfiler` (set by the engine
+        #: that switches scheduling on) and where this loop's counters go.
+        self.profiler = None
+        self.count = None
 
     # ------------------------------------------------------------------
     # Control-plane lifecycle
@@ -56,6 +144,8 @@ class SpinFramework:
         self.controllers = [
             SpinController(router, self) for router in network.routers
         ]
+        self._due = [0] * num_routers
+        self.dirty_all()
         self.max_probe_path = self.params.probe_path_factor * num_routers
         # Watchdog round-trip bound (docs/FAULTS.md): the longest loop a
         # probe can confirm has at most max_probe_path hops, each costing
@@ -67,37 +157,131 @@ class SpinFramework:
         self.sm_rtt_bound = self.max_probe_path * (
             max_link_latency + network.config.router_latency)
 
+    # ------------------------------------------------------------------
+    # Controller scheduling (module docstring)
+    # ------------------------------------------------------------------
+    def dirty_all(self) -> None:
+        """Drop every cached due time: the next scheduled cycle ticks all."""
+        self.dirty[:] = b"\x01" * len(self.controllers)
+
+    def _wake(self, router_id: int) -> None:
+        """Control work froze or thawed a VC at this router."""
+        self.network.wake_router(router_id)
+        if self.profiler is not None:
+            self.count("routers_woken_by_control")
+
     def phase_control(self, cycle: int) -> None:
+        profiler = self.profiler
+        if profiler is not None:
+            mark = perf_counter()
         # 1. Spins scheduled for this cycle happen before anything else.
-        self.executor.execute(cycle)
+        #    (Peek before execute() pops the cycle's groups.)
+        executor = self.executor
+        spinning = cycle in executor._pending
+        if executor._pending:
+            executor.execute(cycle)
+        if profiler is not None:
+            mark = profiler.lap("control", "executor", mark)
         # 2. Deliver and process SM arrivals, highest class priority first.
-        arrivals = self._arrivals.pop(cycle, None)
+        arrivals = self._arrivals.pop(cycle, None) if self._arrivals else None
         if arrivals:
-            by_router: Dict[int, list] = defaultdict(list)
-            for router_id, inport, sm in arrivals:
-                by_router[router_id].append((inport, sm))
-            for router_id in sorted(by_router):
-                batch = by_router[router_id]
-                if len(batch) > 1:
-                    batch.sort(key=lambda item: (
-                        -item[1].class_priority,
-                        -self.priority.dynamic_priority(item[1].sender,
-                                                        cycle),
-                        item[0],
-                    ))
-                controller = self.controllers[router_id]
-                for inport, sm in batch:
-                    controller.on_sm(sm, inport, cycle)
+            self._deliver(arrivals, cycle)
+        if profiler is not None:
+            mark = profiler.lap("control", "sm_delivery", mark)
         # 3. Detection counters and initiator timeouts tick.
-        #    (An OFF controller at an empty router has nothing to point at:
-        #    its tick would return at once.)
-        off = SpinState.OFF
-        for controller in self.controllers:
-            if controller.state is off and not controller.router.active_vcs:
-                continue
-            controller.tick(cycle)
+        controllers = self.controllers
+        network = self.network
+        if not (self.scheduled and network.fault_injector is None
+                and not network.dead_link_count):
+            # Every controller, every cycle.  (An OFF controller at an empty
+            # router has nothing to point at: its tick would return at once.)
+            off = SpinState.OFF
+            ticked = 0
+            for controller in controllers:
+                if controller.state is off and not controller.router.active_vcs:
+                    continue
+                controller.tick(cycle)
+                ticked += 1
+            if self.scheduled:
+                self.dirty_all()
+        elif spinning:
+            dirty = self.dirty
+            due = self._due
+            for i, controller in enumerate(controllers):
+                dirty[i] = 0
+                controller.tick(cycle)
+                due[i] = _ctrl_due(controller, cycle)
+                network.wake_router(i)
+            ticked = len(controllers)
+            self._min_due = min(due)
+        elif cycle >= self._min_due or 1 in self.dirty:
+            dirty = self.dirty
+            due = self._due
+            ticked = 0
+            if cycle >= self._min_due:
+                candidates = range(len(controllers))
+            else:
+                # Nothing is due: visit only the dirty controllers.
+                candidates = []
+                i = dirty.find(1)
+                while i >= 0:
+                    candidates.append(i)
+                    i = dirty.find(1, i + 1)
+            for i in candidates:
+                if not dirty[i] and cycle < due[i]:
+                    continue
+                dirty[i] = 0
+                controller = controllers[i]
+                # Detection-pointer ticks — the vast majority — leave the
+                # datapath alone; watchdog resets and FROZEN escapes thaw.
+                epoch = VirtualChannel.freeze_epoch
+                controller.tick(cycle)
+                due[i] = _ctrl_due(controller, cycle)
+                if VirtualChannel.freeze_epoch != epoch:
+                    self._wake(i)
+                ticked += 1
+            self._min_due = min(due)
+        else:
+            ticked = 0
+        if profiler is not None:
+            mark = profiler.lap("control", "tick", mark)
+            self.count("controller_ticks", ticked)
+            self.count("controller_ticks_skipped", len(controllers) - ticked)
         # 4. Resolve output-link contention among SMs emitted this cycle.
-        self._resolve_outbox(cycle)
+        if self._outbox:
+            self._resolve_outbox(cycle)
+        if profiler is not None:
+            profiler.lap("control", "outbox", mark)
+
+    def _deliver(self, arrivals, cycle: int) -> None:
+        by_router: Dict[int, list] = defaultdict(list)
+        for router_id, inport, sm in arrivals:
+            by_router[router_id].append((inport, sm))
+        due = self._due
+        min_due = self._min_due
+        for router_id in sorted(by_router):
+            batch = by_router[router_id]
+            if len(batch) > 1:
+                batch.sort(key=lambda item: (
+                    -item[1].class_priority,
+                    -self.priority.dynamic_priority(item[1].sender, cycle),
+                    item[0],
+                ))
+            controller = self.controllers[router_id]
+            epoch = VirtualChannel.freeze_epoch
+            for inport, sm in batch:
+                controller.on_sm(sm, inport, cycle)
+            # The batch may have moved the FSM: re-derive the due time from
+            # the state it left (a forwarded probe leaves it where it was,
+            # so the controller keeps sleeping).
+            when = due[router_id] = _ctrl_due(controller, cycle)
+            if when < min_due:
+                min_due = when
+            if VirtualChannel.freeze_epoch != epoch:
+                self._wake(router_id)
+        self._min_due = min_due
+        if self.profiler is not None:
+            self.count("sm_arrivals", len(arrivals))
 
     # ------------------------------------------------------------------
     # SM transport

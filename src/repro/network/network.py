@@ -80,8 +80,8 @@ class Network:
         #: Attached runtime fault injector (see :mod:`repro.faults`), if any.
         self.fault_injector = None
         #: Engine event sink (see :mod:`repro.sim.fastcore`): when set, VC
-        #: reserve/release and NIC-backlog events are forwarded so an
-        #: event-driven engine can track activity without polling.
+        #: reserve/release, NIC-backlog and router-wake events are forwarded
+        #: so an event-driven engine can track activity without polling.
         self.engine_sink = None
         #: Number of directed links currently failed (fast path for the
         #: routing layer's dead-link filtering).
@@ -148,13 +148,39 @@ class Network:
 
     def note_vc_reserved(self, router: Router, vc=None) -> None:
         router.active_vcs += 1
+        spin = self.spin
+        if spin is not None:
+            # Reschedule the router's SPIN controller (inlined: this runs
+            # once per flit hop).  A vc-less planting event may stand for
+            # edits anywhere.
+            if vc is None:
+                spin.dirty_all()
+            else:
+                spin.dirty[router.id] = 1
         if self.engine_sink is not None:
             self.engine_sink.vc_reserved(router, vc)
 
     def note_vc_released(self, router: Router, vc=None) -> None:
         router.active_vcs -= 1
+        spin = self.spin
+        if spin is not None:
+            if vc is None:
+                spin.dirty_all()
+            else:
+                spin.dirty[router.id] = 1
         if self.engine_sink is not None:
             self.engine_sink.vc_released(router, vc)
+
+    def wake_router(self, router_id: int) -> None:
+        """Control work changed what this router's allocation would do —
+        it froze or thawed a VC — without a VC event.
+
+        The seam between the control planes and an engine that lets blocked
+        routers sleep; the reference schedule allocates every occupied
+        router every cycle and needs no waking.
+        """
+        if self.engine_sink is not None:
+            self.engine_sink.router_woken(router_id)
 
     def note_movement(self) -> None:
         self.last_movement = self.now

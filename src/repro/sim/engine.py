@@ -115,21 +115,17 @@ class Simulator:
             for phase, bound in zip(_PHASES, schedule)
         ]
 
+    def _bound_schedule(self):
+        """Per phase, the bound hooks of components then observers."""
+        return [
+            [getattr(member, phase)
+             for member in (*self._components, *self._observers)
+             if hasattr(member, phase)]
+            for phase in _PHASES
+        ]
+
     def _build_schedule(self):
-        schedule = []
-        for phase in _PHASES:
-            bound = [
-                getattr(component, phase)
-                for component in self._components
-                if hasattr(component, phase)
-            ]
-            bound.extend(
-                getattr(observer, phase)
-                for observer in self._observers
-                if hasattr(observer, phase)
-            )
-            schedule.append(bound)
-        return self._wrap_schedule(schedule)
+        return self._wrap_schedule(self._bound_schedule())
 
     def step(self) -> None:
         """Simulate exactly one cycle."""

@@ -9,9 +9,9 @@ All authoritative state stays in the reference objects (``Router``,
 The engine layers two mechanisms on top of them:
 
 * **Event-driven idle skipping** — per-router dirty bits + wake times (set
-  by every VC reserve/release event), per-controller FSM due times, and
-  per-NIC injection wake times let quiescent regions cost zero cycles, with
-  a whole-run fast-forward once traffic stops and the network drains.
+  by every VC reserve/release event) and per-NIC injection wake times let
+  quiescent regions cost zero cycles, with a whole-run fast-forward once
+  traffic stops and the network drains.
 * **A struct-of-arrays core for the regions that *are* active** —
   :class:`repro.sim.fastcore.soa.SoaCore` lays the network out as
   integer-indexed tables (the shared :class:`~repro.network.plan.FabricPlan`
@@ -30,70 +30,32 @@ order, same RNG draws, same arbitration pointers, same field writes), so
 granted cycles are bit-identical to the reference engine; the analysis for
 *skipped* cycles proves them to be reference no-ops.
 
-SPIN controller ticks are skipped before their FSM-derived deadlines unless
-an SM arrived or a VC event touched their router (``_ctrl_due`` covers all
-seven FSM states); spin-execution cycles conservatively tick (and wake)
-everything, because the executor may freeze/unfreeze VCs without datapath
-events.
+SPIN controller ticks are scheduled by the control plane itself: for every
+network with a :class:`~repro.core.framework.SpinFramework`, inside the
+routing whitelist or not, the engine switches ``SpinFramework.scheduled``
+on (contract and fail-closed cases: that module's docstring) and receives
+``Network.wake_router`` for routers where control work froze or thawed a VC.
 
-The skip/inline analysis is only valid for configurations it was proven
-against: stock minimal-adaptive or dimension-order routing (base-class
-decision, selection, VC-choice, downstream-VC *and* ``on_hop``/
+The datapath skip/inline analysis is only valid for configurations it was
+proven against: stock minimal-adaptive or dimension-order routing
+(base-class decision, selection, VC-choice, downstream-VC *and* ``on_hop``/
 ``on_inject`` hook implementations), the known control planes, and no
 runtime fault injector.  Anything else — Static Bubble / escape-VC routing,
-custom planes, faults — compiles to the *pure reference schedule*: the
-engine still satisfies the API but performs exactly the reference work, so
-conformance is trivial.  A runtime link failure while the fast path is
-active likewise drops allocation back to the reference rotation (the SoA
-mirrors stay synchronized through the event funnel) for as long as dead
-links exist.
+custom planes, faults — compiles to the *reference schedule*: the datapath
+performs exactly the reference work.  A runtime link failure while the fast
+path is active likewise drops allocation back to the reference rotation
+(the SoA mirrors stay synchronized through the event funnel) for as long as
+dead links exist.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.core.fsm import SpinState
-from repro.network.vc import VirtualChannel
-from repro.sim.engine import Simulator, _PHASES
+from repro.sim.engine import Simulator
 from repro.sim.fastcore.soa import SoaCore
-
-#: Sentinel wake/due time meaning "never (until an event)".
-_NEVER = 1 << 60
-
-
-def _ctrl_due(controller, cycle: int) -> int:
-    """Next cycle at which a controller's ``tick`` is not a no-op.
-
-    Derived from :meth:`repro.core.controller.SpinController.tick`: every
-    branch is a pure no-op strictly before the returned cycle, *given* that
-    SM arrivals and VC events at the router re-dirty the controller (they
-    are the only ways the tick's guards can change earlier).
-    """
-    state = controller.state
-    if state is SpinState.OFF:
-        # OFF ticks only re-point at occupied network VCs; occupancy changes
-        # require a VC event (dirty).  With no occupied network VC the
-        # re-point is a no-op.
-        return _NEVER
-    deadline = controller.deadline
-    if state is SpinState.DD:
-        due = deadline if deadline is not None else cycle + 1
-        pending = controller.probe_pending
-        if pending is not None and pending[3] < due:
-            due = pending[3]
-        return due
-    if state is SpinState.PROBE_MOVE:
-        send_at = controller.probe_move_send_at
-        if send_at is not None:
-            return send_at
-        return deadline if deadline is not None else cycle + 1
-    if state is SpinState.MOVE or state is SpinState.KILL_MOVE:
-        return deadline if deadline is not None else cycle + 1
-    # FROZEN / FORWARD_PROGRESS: the escape fires when now > deadline + 1.
-    return deadline + 2 if deadline is not None else _NEVER
 
 
 def _stock_routing(routing) -> bool:
@@ -161,7 +123,6 @@ class FastSimulator(Simulator):
     def __init__(self) -> None:
         super().__init__()
         self._net = None
-        self._fw = None
         self._traffic = None
         self._fast_ok = False
         self._ff_ok = False
@@ -196,13 +157,22 @@ class FastSimulator(Simulator):
         net = nets[0]
         self._net = net
         self.fallback_reason = fallback_reason(net)
+        fw = net.spin
+        if fw is not None:
+            # Tick scheduling is legal on either datapath; only where its
+            # counts go differs (``PhaseProfiler.control_counters``).
+            fw.scheduled = True
+            fw.dirty_all()
+            fw.profiler = profiler = self._profiler
+            if profiler is not None:
+                fw.count = (profiler.count if self.fallback_reason is None
+                            else profiler.count_control)
         if self.fallback_reason is not None:
             self._detach_sink()
             return
 
         self._fast_ok = True
         self.engine_path = "soa"
-        self._fw = net.spin
         self._core = SoaCore(net)
         net.engine_sink = self
 
@@ -233,31 +203,17 @@ class FastSimulator(Simulator):
 
     def _compile_schedule(self):
         self._compile()
-        if not self._fast_ok:
-            return super()._build_schedule()
-        substitutes = {
-            "phase_control": self._fast_phase_control,
-            "phase_inject": self._fast_phase_inject,
-            "phase_allocate": self._fast_phase_allocate,
-        }
-        schedule = []
-        for phase in _PHASES:
-            bound = []
-            for component in self._components:
-                if component is self._net and phase in substitutes:
-                    bound.append(substitutes[phase])
-                elif hasattr(component, phase):
-                    bound.append(getattr(component, phase))
-            bound.extend(
-                getattr(observer, phase)
-                for observer in self._observers
-                if hasattr(observer, phase)
-            )
-            schedule.append(bound)
+        schedule = self._bound_schedule()
+        if self._fast_ok:
+            net = self._net
+            swap = {net.phase_inject: self._core.phase_inject,
+                    net.phase_allocate: self._fast_phase_allocate}
+            schedule = [[swap.get(hook, hook) for hook in bound]
+                        for bound in schedule]
         return self._wrap_schedule(schedule)
 
     # ------------------------------------------------------------------
-    # Event sink (called from Network.note_vc_* and NIC.enqueue)
+    # Event sink (called from Network.note_vc_*, wake_router, NIC.enqueue)
     # ------------------------------------------------------------------
     def vc_reserved(self, router, vc=None) -> None:
         if vc is None:
@@ -276,95 +232,10 @@ class FastSimulator(Simulator):
     def nic_backlogged(self, node: int) -> None:
         self._core.nic_backlogged(node)
 
-    # ------------------------------------------------------------------
-    # Phase: control
-    # ------------------------------------------------------------------
-    def _fast_phase_control(self, cycle: int) -> None:
-        net = self._net
-        net.now = cycle
-        fw = self._fw
-        for plane in net.control_planes:
-            if plane is fw:
-                self._spin_control(cycle)
-            else:
-                plane.phase_control(cycle)
-
-    def _spin_control(self, cycle: int) -> None:
-        """Replica of SpinFramework.phase_control with no-op ticks skipped."""
-        fw = self._fw
+    def router_woken(self, router_id: int) -> None:
         core = self._core
-        executor = fw.executor
-        # Peek before execute() pops: spin cycles freeze/unfreeze VCs and run
-        # controller callbacks with no datapath events, so they tick (and
-        # wake) everything.
-        pending = executor._pending
-        full_cycle = cycle in pending
-        if pending:
-            executor.execute(cycle)
-        arrivals = fw._arrivals.pop(cycle, None) if fw._arrivals else None
-        c_dirty = core.c_dirty
-        r_dirty = core.r_dirty
-        if arrivals:
-            by_router: Dict[int, list] = defaultdict(list)
-            for router_id, inport, sm in arrivals:
-                by_router[router_id].append((inport, sm))
-            for router_id in sorted(by_router):
-                batch = by_router[router_id]
-                batch.sort(key=lambda item: (
-                    -item[1].class_priority,
-                    -fw.priority.dynamic_priority(item[1].sender, cycle),
-                    item[0],
-                ))
-                controller = fw.controllers[router_id]
-                for inport, sm in batch:
-                    controller.on_sm(sm, inport, cycle)
-                c_dirty[router_id] = 1
-                r_dirty[router_id] = 1
-            core.c_any_dirty = True
-            core.r_any_dirty = True
-        c_due = core.c_due
-        ticked = 0
-        if full_cycle:
-            for i, controller in enumerate(fw.controllers):
-                c_dirty[i] = 0
-                controller.tick(cycle)
-                c_due[i] = _ctrl_due(controller, cycle)
-                r_dirty[i] = 1
-            ticked = len(fw.controllers)
-            core.r_any_dirty = True
-            core.c_any_dirty = 1 in c_dirty
-            core.c_min_due = min(c_due)
-        elif core.c_any_dirty or cycle >= core.c_min_due:
-            for i, controller in enumerate(fw.controllers):
-                if not c_dirty[i] and cycle < c_due[i]:
-                    continue
-                c_dirty[i] = 0
-                # A tick may freeze/unfreeze VCs (watchdog resets, FROZEN
-                # escapes) without firing datapath events; the epoch says
-                # whether this one did.  Detection-pointer ticks — the vast
-                # majority — leave the datapath untouched and must not force
-                # an allocate re-run.
-                epoch = VirtualChannel.freeze_epoch
-                controller.tick(cycle)
-                c_due[i] = _ctrl_due(controller, cycle)
-                if VirtualChannel.freeze_epoch != epoch:
-                    r_dirty[i] = 1
-                    core.r_any_dirty = True
-                ticked += 1
-            core.c_any_dirty = 1 in c_dirty
-            core.c_min_due = min(c_due)
-        if self._profiler is not None:
-            self._profiler.count("controller_ticks", ticked)
-            self._profiler.count("controller_ticks_skipped",
-                                 len(fw.controllers) - ticked)
-        if fw._outbox:
-            fw._resolve_outbox(cycle)
-
-    # ------------------------------------------------------------------
-    # Phase: inject
-    # ------------------------------------------------------------------
-    def _fast_phase_inject(self, cycle: int) -> None:
-        self._core.phase_inject(cycle)
+        core.r_dirty[router_id] = 1
+        core.r_any_dirty = True
 
     # ------------------------------------------------------------------
     # Phase: allocate
@@ -427,7 +298,7 @@ class FastSimulator(Simulator):
             if traffic.packet_probability > 0 and (
                     traffic.stop_at is None or cycle < traffic.stop_at):
                 return False
-        fw = self._fw
+        fw = self._net.spin
         if fw is not None:
             if fw._arrivals or fw._outbox or fw.executor._pending:
                 return False

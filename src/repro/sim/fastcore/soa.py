@@ -162,10 +162,11 @@ class SoaCore:
         self.r_wake = [0] * count
         self.r_any_dirty = True
         self.r_min_wake = 0
-        self.c_dirty = bytearray(count)
-        self.c_due = [0] * count
-        self.c_any_dirty = True
-        self.c_min_due = 0
+        #: The SPIN framework's per-controller dirty bits (its own object,
+        #: not a mirror): the inlined VC events below set them the way
+        #: ``Network.note_vc_reserved`` / ``note_vc_released`` would.
+        self.ctrl_dirty = (net.spin.dirty if net.spin is not None
+                           else bytearray(count))
         self.nic_wake = [0] * len(net.nics)
         self.active_nics = set()
         self.occupied = 0
@@ -187,8 +188,6 @@ class SoaCore:
         self.occupied += 1
         self.r_dirty[rid] = 1
         self.r_any_dirty = True
-        self.c_dirty[rid] = 1
-        self.c_any_dirty = True
         vid = self.vid_of[id(vc)]
         self.vc_pkt[vid] = 1
         self.vc_ready[vid] = vc.ready_at
@@ -200,8 +199,6 @@ class SoaCore:
         self.occupied -= 1
         self.r_dirty[rid] = 1
         self.r_any_dirty = True
-        self.c_dirty[rid] = 1
-        self.c_any_dirty = True
         vid = self.vid_of[id(vc)]
         self.vc_pkt[vid] = 0
         free = vc.free_at
@@ -229,7 +226,8 @@ class SoaCore:
 
         Used at compile time and after a legacy *vc-less* event (scenario
         deadlock planting mutates VC fields directly); also wakes every
-        router, controller and NIC, dropping all cached skip analysis.
+        router and NIC, dropping all cached skip analysis (the SPIN
+        framework dirties its controllers on the same event).
         """
         self.resyncs += 1
         vc_pkt = self.vc_pkt
@@ -257,10 +255,6 @@ class SoaCore:
         self.r_wake = [0] * count
         self.r_any_dirty = True
         self.r_min_wake = 0
-        self.c_dirty = bytearray(b"\x01" * count)
-        self.c_due = [0] * count
-        self.c_any_dirty = True
-        self.c_min_due = 0
         self.nic_wake = [0] * len(self.nic_wake)
         self.active_nics = {nic.node for nic in self.nics if nic.backlog()}
 
@@ -324,7 +318,7 @@ class SoaCore:
         stats = self.stats
         router_latency = self.router_latency
         r_dirty = self.r_dirty
-        c_dirty = self.c_dirty
+        ctrl_dirty = self.ctrl_dirty
         inj_port = self.inj_port
         inj_rid = self.inj_rid
         for node in sorted(active):
@@ -377,7 +371,7 @@ class SoaCore:
                     router.active_vcs += 1
                     self.occupied += 1
                     r_dirty[rid] = 1
-                    c_dirty[rid] = 1
+                    ctrl_dirty[rid] = 1
                     vc_pkt[vid] = 1
                     vc_ready[vid] = ready
                     insort(self.active[rid], vid)
@@ -386,7 +380,6 @@ class SoaCore:
                     break
                 if injected:
                     self.r_any_dirty = True
-                    self.c_any_dirty = True
             # Wake analysis (identical to the idle-skip layer): failed
             # try_inject calls are pure, so sleeping over them is exact.
             for queue in queues:
@@ -605,7 +598,7 @@ class SoaCore:
         vc_free = self.vc_free
         vc_ready = self.vc_ready
         r_dirty = self.r_dirty
-        c_dirty = self.c_dirty
+        ctrl_dirty = self.ctrl_dirty
         r_wake = self.r_wake
         nic_wake = self.nic_wake
         up_rid = self.up_rid
@@ -682,7 +675,7 @@ class SoaCore:
             vc_free[vid] = free
             active[rid].remove(vid)
             r_dirty[rid] = 1
-            c_dirty[rid] = 1
+            ctrl_dirty[rid] = 1
             uid = up_rid[vid]
             if uid >= 0:
                 if r_wake[uid] > free:
@@ -730,7 +723,7 @@ class SoaCore:
                 vc_ready[dvid] = ready
                 insort(active[nrid], dvid)
                 r_dirty[nrid] = 1
-                c_dirty[nrid] = 1
+                ctrl_dirty[nrid] = 1
         if flit_hops:
             # One aggregated increment per router per cycle; the counter's
             # final value matches the reference's per-grant increments.
@@ -738,4 +731,3 @@ class SoaCore:
         if moved:
             net.last_movement = cycle
             self.r_any_dirty = True
-            self.c_any_dirty = True

@@ -53,7 +53,17 @@ class PhaseProfiler:
     def __init__(self) -> None:
         self.phase_seconds: Dict[str, float] = {}
         self.phase_calls: Dict[str, int] = {}
+        #: Datapath skip/run accounting of the ``fast`` engine's SoA core
+        #: (plus the control loop's counts on that path).  Empty whenever
+        #: the object datapath ran, which is what benchmarks/perf reads it
+        #: for; the control loop's counts on that datapath are kept apart
+        #: in ``control_counters`` and merged by :meth:`report`.
         self.counters: Dict[str, int] = {}
+        self.control_counters: Dict[str, int] = {}
+        #: phase -> part -> seconds: the split of a phase (``control`` into
+        #: ``executor`` / ``sm_delivery`` / ``tick`` / ``outbox``), recorded
+        #: by the component that runs it.
+        self.part_seconds: Dict[str, Dict[str, float]] = {}
         #: A point's fixed cost before its first cycle, by stage: ``build``
         #: (``ExperimentSpec.build``: network, traffic, injector — recorded
         #: by ``ExperimentSpec.run``) and ``compile`` (the ``fast`` engine's
@@ -93,6 +103,18 @@ class PhaseProfiler:
         """Bump a named counter (fast-core skip/run accounting)."""
         self.counters[name] = self.counters.get(name, 0) + amount
 
+    def count_control(self, name: str, amount: int = 1) -> None:
+        """Bump a control-loop counter on the object datapath."""
+        self.control_counters[name] = (self.control_counters.get(name, 0)
+                                       + amount)
+
+    def lap(self, phase: str, part: str, since: float) -> float:
+        """Add the time since ``since`` to a part of a phase; returns now."""
+        now = time.perf_counter()
+        parts = self.part_seconds.setdefault(phase, {})
+        parts[part] = parts.get(part, 0.0) + now - since
+        return now
+
     def report(self, engine: str, cycles: int,
                wall_seconds: Optional[float] = None,
                engine_path: Optional[str] = None,
@@ -114,6 +136,10 @@ class PhaseProfiler:
                 "calls": self.phase_calls.get(name, 0),
                 "share": round(seconds / total, 4) if total > 0 else 0.0,
             }
+            if name in self.part_seconds:
+                phases[name]["parts"] = {
+                    part: round(spent, 6) for part, spent
+                    in sorted(self.part_seconds[name].items())}
         return {
             "schema": PROFILE_SCHEMA,
             "engine": engine,
@@ -125,7 +151,8 @@ class PhaseProfiler:
             "phase_seconds_total": round(total, 6),
             "wall_seconds": _rounded(wall_seconds),
             "phases": phases,
-            "counters": dict(sorted(self.counters.items())),
+            "counters": dict(sorted({**self.counters,
+                                     **self.control_counters}.items())),
         }
 
 
@@ -167,6 +194,8 @@ def render_report(report: Dict[str, object]) -> str:
     for name, row in report.get("phases", {}).items():
         lines.append(f"{name:<12} {row['seconds']:>10.4f} "
                      f"{row['share'] * 100:>6.1f}% {row['calls']:>10}")
+        for part, spent in row.get("parts", {}).items():
+            lines.append(f"  .{part:<12}{spent:>8.4f}")
     counters = report.get("counters") or {}
     if counters:
         lines.append("")

@@ -734,6 +734,8 @@ class LiveStatusPlane:
             except OSError:  # pragma: no cover
                 pass
             self._thread.join(timeout=5.0)
+            if not self._thread.is_alive():
+                self._drain_pending()
             self._thread = None
         self._cleanup_io()
         self.enabled = False
@@ -830,12 +832,26 @@ class LiveStatusPlane:
             conn.setblocking(False)
             self._conns[conn.fileno()] = conn
 
-    def _read_conn(self, conn: socket.socket) -> None:
+    def _drain_pending(self) -> None:
+        """Read what was already sent when the drain thread stopped.
+
+        Workers send synchronously, so every frame of a finished point is
+        in a socket buffer by now — but a short campaign can end between
+        two wake-ups of the drain thread, before it accepted or read them.
+        """
+        self._accept()
+        for conn in list(self._conns.values()):
+            while self._read_conn(conn):
+                pass
+
+    def _read_conn(self, conn: socket.socket) -> bool:
+        """Consume one chunk; False once the connection has nothing more
+        (for now, or for good)."""
         conn_id = conn.fileno()
         try:
             data = conn.recv(65536)
         except BlockingIOError:
-            return
+            return False
         except OSError:
             data = b""
         if not data:
@@ -844,7 +860,7 @@ class LiveStatusPlane:
                 conn.close()
             except OSError:  # pragma: no cover
                 pass
-            return
+            return False
         frames = self.aggregator.feed_bytes(conn_id, data)
         if frames and self._log_handle is not None:
             try:
@@ -854,6 +870,7 @@ class LiveStatusPlane:
                 self._log_handle.flush()
             except (OSError, ValueError):  # pragma: no cover
                 pass
+        return True
 
     # -- status ----------------------------------------------------------
     def write_status(self, status: str) -> None:

@@ -15,6 +15,7 @@ from the artifact without rerunning the simulation.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.stats.collectors import LatencySummary
@@ -23,6 +24,37 @@ from repro.telemetry.spans import SpinSpan
 
 #: Shade ramp for the occupancy heatmap (low -> high).
 HEAT_RAMP = " .:-=+*#%@"
+
+
+def sm_fate_lines(events: Dict[str, int]) -> List[str]:
+    """The "SM fate" breakdown: what became of the probes and moves sent.
+
+    Reads only the counters a run already keeps in
+    ``NetworkStats.events`` / ``SweepPoint.events`` (``probes_sent``,
+    ``probes_returned``, ``probes_stale``, ``probes_dropped_<reason>``, the
+    same for ``moves``, ``kill_moves_sent``, ``freeze_timeouts``,
+    ``watchdog_fires``).  Empty when no probe was ever sent.  A forked
+    probe is one ``sent`` and several fates, so the parts need not add up.
+    """
+    if not events.get("probes_sent"):
+        return []
+    lines = ["SM fate:"]
+    for kind in ("probes", "moves"):
+        prefix = f"{kind}_dropped_"
+        dropped = " ".join(
+            f"{name[len(prefix):]}={count}"
+            for name, count in sorted(events.items())
+            if name.startswith(prefix))
+        lines.append(
+            f"  {kind:<7} sent={events.get(kind + '_sent', 0)} "
+            f"returned={events.get(kind + '_returned', 0)} "
+            f"stale={events.get(kind + '_stale', 0)}"
+            + (f"  dropped: {dropped}" if dropped else ""))
+    lines.append(
+        f"  kill_moves sent={events.get('kill_moves_sent', 0)}  "
+        f"freeze_timeouts={events.get('freeze_timeouts', 0)}  "
+        f"watchdog_fires={events.get('watchdog_fires', 0)}")
+    return lines
 
 
 class TraceReport:
@@ -79,6 +111,14 @@ class TraceReport:
     def total_spins(self) -> int:
         """Synchronized spins executed across all episodes."""
         return sum(len(span.spin_cycles) for span in self.episodes)
+
+    def event_totals(self) -> Dict[str, int]:
+        """``NetworkStats.events`` as of the last sample (the samples carry
+        per-interval deltas)."""
+        totals: Counter = Counter()
+        for sample in self.samples:
+            totals.update(sample.get("events") or {})
+        return totals
 
     # ------------------------------------------------------------------
     # Link and occupancy analytics
@@ -223,6 +263,11 @@ class TraceReport:
                     f"{span.start_cycle:>6}..{end:<6}  "
                     f"{span.detection_latency:>6}  {recovery:>7}  "
                     f"{len(span.spin_cycles):>5}  {span.outcome or 'open'}")
+
+        fate = sm_fate_lines(self.event_totals())
+        if fate:
+            lines.append("")
+            lines.extend(fate)
 
         hot = self.hot_links(top_links)
         lines.append("")

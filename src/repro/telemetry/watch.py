@@ -11,6 +11,7 @@ clear-screen/sleep loop on top.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -20,6 +21,7 @@ from repro.telemetry.live import (
     read_stream_log,
     stream_summary,
 )
+from repro.telemetry.report import sm_fate_lines
 
 #: Worker/point state glyphs for the compact progress strip.
 _POINT_GLYPHS = {"pending": ".", "running": "r", "ok": "#",
@@ -225,6 +227,7 @@ def render_campaign_report(directory: Union[str, Path]) -> str:
                  f"{'wall_s':>8} {'spins':>7}  key")
     lines.append("-" * 64)
     done = failed = 0
+    events: Counter = Counter()
     for spec, key in zip(specs, keys):
         record = by_key.get(key)
         if record is None:
@@ -234,8 +237,9 @@ def render_campaign_report(directory: Union[str, Path]) -> str:
             status = "ok"
             attempt = str(record.get("attempt", 0))
             wall = f"{float(record.get('wall_time', 0.0)):.2f}"
-            point = record.get("point") or {}
-            spins = str((point.get("events") or {}).get("spins", 0))
+            point_events = (record.get("point") or {}).get("events") or {}
+            events.update(point_events)
+            spins = str(point_events.get("spins", 0))
         else:
             failed += 1
             attempt = str(record.get("attempt", 0))
@@ -246,6 +250,7 @@ def render_campaign_report(directory: Union[str, Path]) -> str:
     lines.append("")
     lines.append(f"points: {len(specs)} total, {done} ok, {failed} failed, "
                  f"{len(specs) - done - failed} pending")
+    lines.extend(sm_fate_lines(events))
 
     status = load_status(directory)
     if status is not None:

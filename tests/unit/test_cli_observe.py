@@ -205,6 +205,18 @@ class TestCampaignReport:
         assert "stream:" in out
         assert "point_end=2" in out
 
+    def test_report_sums_sm_fate_over_the_points(self, tmp_path, capsys):
+        directory = tmp_path / "storm"
+        assert main(["sweep", "--design", "spin_mesh", "--rates", "0.3,0.4",
+                     "--mesh-side", "4", "--tdd", "8", "--warmup", "50",
+                     "--measure", "200", "--drain", "50", "--abort-cycles",
+                     "1000", "--campaign", str(directory),
+                     "--no-stream"]) == 0
+        capsys.readouterr()
+        assert main(["report", str(directory)]) == 0
+        out = capsys.readouterr().out
+        assert "SM fate:" in out and "probes  sent=" in out
+
     def test_report_rejects_non_campaign_directory(self, tmp_path):
         from repro.errors import ConfigurationError
 

@@ -71,6 +71,9 @@ class TestReportCommand:
         assert "hot links" in out
         assert "wedge timeline" in out
         assert "occupancy heatmap" in out
+        # What became of the probes and moves, from the samples' events.
+        assert "SM fate:" in out
+        assert "probes  sent=" in out and "returned=" in out
 
     def test_report_top_links_bound(self, tmp_path, capsys):
         prefix, _ = _trace_scenario(tmp_path, capsys)
@@ -85,6 +88,38 @@ class TestReportCommand:
         path.write_text('{"type":"header","format":"wrong/v1"}\n')
         with pytest.raises(ConfigurationError):
             main(["report", str(path)])
+
+    def test_sm_fate_lines(self):
+        from repro.telemetry.report import sm_fate_lines
+
+        assert sm_fate_lines({}) == []
+        assert sm_fate_lines({"spins": 3, "flit_hops": 10}) == []
+        lines = sm_fate_lines({
+            "probes_sent": 40, "probes_returned": 2, "probes_stale": 1,
+            "probes_dropped_idle_vc": 30, "probes_dropped_contention": 5,
+            "moves_sent": 2, "moves_returned": 1,
+            "moves_dropped_no_dependency": 1, "kill_moves_sent": 1,
+            "freeze_timeouts": 0, "watchdog_fires": 1})
+        assert lines == [
+            "SM fate:",
+            "  probes  sent=40 returned=2 stale=1  "
+            "dropped: contention=5 idle_vc=30",
+            "  moves   sent=2 returned=1 stale=0  dropped: no_dependency=1",
+            "  kill_moves sent=1  freeze_timeouts=0  watchdog_fires=1",
+        ]
+
+    def test_run_prints_sm_fate_on_a_storm(self, capsys):
+        assert main(["run", "--design", "mesh:minadaptive-spin-1vc",
+                     "--rate", "0.4", "--mesh-side", "4", "--tdd", "8",
+                     "--warmup", "50", "--measure", "200",
+                     "--drain", "50"]) == 0
+        out = capsys.readouterr().out
+        assert "SM fate:" in out and "probes  sent=" in out
+        assert main(["run", "--design", "mesh:westfirst-2vc",
+                     "--rate", "0.05", "--mesh-side", "4",
+                     "--warmup", "50", "--measure", "100",
+                     "--drain", "50"]) == 0
+        assert "SM fate:" not in capsys.readouterr().out
 
     def test_run_with_telemetry_flag(self, capsys):
         code = main(["run", "--design", "mesh:minadaptive-spin-1vc",

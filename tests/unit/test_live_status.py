@@ -241,6 +241,26 @@ class TestLiveStatusPlane:
         frames = read_stream_log(tmp_path / "stream.jsonl")
         assert [f["type"] for f in frames] == ["hello", "point_start"]
 
+    def test_stop_reads_what_the_drain_thread_never_got_to(self, tmp_path,
+                                                           monkeypatch):
+        """A campaign can finish between two wake-ups of the drain thread
+        (here: a thread that never reads at all); ``stop()`` must still log
+        every frame the workers had sent by then."""
+        from repro.telemetry.live import _SocketTransport, TelemetryShipper
+
+        plane = LiveStatusPlane(tmp_path, keys=["k1"], rates=[0.1])
+        monkeypatch.setattr(plane, "_drain_loop", plane._stop.wait)
+        plane.start()
+        shipper = TelemetryShipper(
+            _SocketTransport(plane.socket_path), worker=778)
+        shipper.hello()
+        shipper.point_start("k1", 0.1, 1000)
+        shipper.close()
+        plane.stop()
+        frames = read_stream_log(tmp_path / "stream.jsonl")
+        assert [f["type"] for f in frames] == ["hello", "point_start"]
+        assert load_status(tmp_path)["workers"]["778"]
+
     def test_long_directory_falls_back_to_tmp_socket(self, tmp_path):
         deep = tmp_path / ("d" * 50) / ("e" * 50)
         plane = LiveStatusPlane(deep, keys=["k1"])

@@ -109,8 +109,32 @@ class TestFastCoreCounters:
 
     def test_reference_engine_has_no_fast_counters(self):
         profiler = PhaseProfiler()
-        tiny_spec("reference").run(profiler=profiler)
+        _, point = tiny_spec("reference").run(profiler=profiler)
         assert profiler.counters == {}
+        report = profiler.report("reference", point.cycles)
+        assert report["counters"] == {}
+        assert "parts" not in report["phases"]["control"]
+
+    def test_control_is_split_into_parts(self):
+        profiler = PhaseProfiler()
+        _, point = tiny_spec("fast").run(profiler=profiler)
+        report = profiler.report("fast", point.cycles)
+        control = report["phases"]["control"]
+        assert set(control["parts"]) == {"executor", "sm_delivery", "tick",
+                                         "outbox"}
+        assert sum(control["parts"].values()) <= control["seconds"]
+        # The parts are not phases: shares still add up over the five.
+        assert set(report["phases"]) == PHASES
+        assert "  .sm_delivery" in render_report(report)
+
+    def test_control_counters_merge_into_the_report(self):
+        profiler = PhaseProfiler()
+        profiler.count("router_cycles_run", 3)
+        profiler.count_control("controller_ticks", 2)
+        profiler.count_control("controller_ticks", 5)
+        assert profiler.counters == {"router_cycles_run": 3}
+        assert profiler.report("fast", 1)["counters"] == {
+            "controller_ticks": 7, "router_cycles_run": 3}
 
     def test_counters_in_report(self):
         profiler = PhaseProfiler()

@@ -103,6 +103,18 @@ class TestCompilation:
                 assert list(row) \
                     == list(router.vnet_slice(nic.inject_port, vnet))
 
+    def test_controller_dirty_bits_are_the_frameworks_own(self):
+        """The core keeps no copy of the controller schedule: its inlined
+        VC events write the SPIN framework's dirty bits directly."""
+        simulator, network = _fast_sim()
+        simulator.run(1)
+        core = simulator._core
+        assert core.ctrl_dirty is network.spin.dirty
+        assert network.spin.scheduled
+        for gone in ("c_dirty", "c_due", "c_min_due", "c_any_dirty"):
+            assert not hasattr(core, gone)
+        assert not hasattr(simulator, "_spin_control")
+
 
 class TestMirrorRoundTrip:
     def test_mirrors_agree_after_a_busy_prefix(self):

@@ -1,11 +1,24 @@
 """Unit tests for the SPIN framework: SM transport and contention rules."""
 
 from repro.config import SpinParams
-from repro.core.messages import MoveMessage, ProbeMessage, ProbeMoveMessage
+from repro.core.messages import (
+    KillMoveMessage,
+    MoveMessage,
+    ProbeMessage,
+    ProbeMoveMessage,
+)
+from repro.sim import create_engine
 from repro.sim.engine import Simulator
+from repro.sim.profile import PhaseProfiler
+from repro.topology.mesh import SOUTH, WEST
 from repro.topology.ring import CLOCKWISE
 
-from tests.conftest import craft_ring_deadlock, make_ring_network
+from tests.conftest import (
+    craft_ring_deadlock,
+    craft_square_deadlock,
+    make_mesh_network,
+    make_ring_network,
+)
 
 
 def framework_network(m=6, tdd=50):
@@ -115,6 +128,65 @@ class TestArrivalOrdering:
         ])
         framework.phase_control(2)
         assert order[:2] == ["move", "probe"]
+
+
+class TestArrivalRule:
+    """An SM arrival dirties the controller; it wakes the router's
+    allocation only when a VC was frozen or thawed while it was handled."""
+
+    def _asleep_on_the_square(self):
+        # tdd far away: no controller sends anything on its own.
+        network = make_mesh_network(side=4, vcs=1,
+                                    spin=SpinParams(tdd=10_000))
+        craft_square_deadlock(network)
+        simulator = create_engine("fast")
+        profiler = simulator.attach_profiler(PhaseProfiler())
+        simulator.register(network)
+        simulator.run(6)
+        assert simulator.engine_path == "soa"
+        before = profiler.counters["router_cycles_run"]
+        simulator.run(4)
+        assert profiler.counters["router_cycles_run"] == before, (
+            "the four blocked routers should be asleep")
+        return network, simulator, profiler.counters
+
+    def test_probe_does_not_wake_but_move_and_kill_move_do(self):
+        network, simulator, counters = self._asleep_on_the_square()
+        framework = network.spin
+        at = network.topology.router_at
+        # (2,1) holds the packet that came in from the west and waits on
+        # SOUTH; an outsider's probe reads that request and moves on.
+        target, outsider = at(2, 1), at(3, 3)
+        now = simulator.cycle
+        framework._arrivals[now].append(
+            (target, WEST, ProbeMessage(sender=outsider, send_cycle=now)))
+        run, arrivals = counters["router_cycles_run"], counters.get(
+            "sm_arrivals", 0)
+        simulator.run(3)  # delivered, forwarded, delivered at the next hop
+        assert counters["sm_arrivals"] >= arrivals + 3
+        assert counters["router_cycles_run"] == run
+        assert counters.get("routers_woken_by_control", 0) == 0
+        assert framework.frozen_vc_count() == 0
+
+        # A move freezes the VC: the router's allocation must run again.
+        now = simulator.cycle
+        framework._arrivals[now].append(
+            (target, WEST, MoveMessage(sender=outsider, send_cycle=now,
+                                       path=(SOUTH,), spin_cycle=now + 500)))
+        simulator.run(1)
+        assert framework.frozen_vc_count() == 1
+        assert counters["routers_woken_by_control"] == 1
+        assert counters["router_cycles_run"] == run + 1
+
+        # A kill_move thaws it: again.
+        framework._arrivals[now + 1].append(
+            (target, WEST, KillMoveMessage(sender=outsider,
+                                           send_cycle=now + 1,
+                                           path=(SOUTH,))))
+        simulator.run(1)
+        assert framework.frozen_vc_count() == 0
+        assert counters["routers_woken_by_control"] == 2
+        assert counters["router_cycles_run"] == run + 2
 
 
 class TestIntrospection:
