@@ -45,7 +45,6 @@ __all__ = [
     "save_results",
     "load_results",
     "ExperimentSpec",
-    "ParallelRunner",
     "quick_mesh_simulation",
 ]
 
@@ -53,10 +52,10 @@ __all__ = [
 def __getattr__(name):
     # Lazy: repro.harness pulls in topology/routing modules; keep
     # `import repro` light while still exposing the headline API.
-    if name in ("ExperimentSpec", "ParallelRunner"):
+    if name == "ExperimentSpec":
         import repro.harness as harness
 
-        return getattr(harness, name)
+        return harness.ExperimentSpec
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 

@@ -22,6 +22,8 @@ from repro.errors import ConfigurationError
 CONTROL_PACKET_FLITS = 1
 #: Length (in flits) of a data packet in the paper's synthetic traffic mix.
 DATA_PACKET_FLITS = 5
+#: Most VCs one input port may hold (the arbitration-key stride).
+MAX_VCS_PER_PORT = 64
 
 
 @dataclass
@@ -63,6 +65,12 @@ class NetworkConfig:
             raise ConfigurationError("vcs_per_vnet must be >= 1")
         if self.num_vnets < 1:
             raise ConfigurationError("num_vnets must be >= 1")
+        if self.total_vcs > MAX_VCS_PER_PORT:
+            # Round-robin arbitration keys are inport * 64 + VC index: a
+            # 65th VC would alias the next port's first one.
+            raise ConfigurationError(
+                f"num_vnets x vcs_per_vnet must be <= {MAX_VCS_PER_PORT} "
+                f"(got {self.num_vnets} x {self.vcs_per_vnet})")
         if self.router_latency < 1 or self.link_latency < 1:
             raise ConfigurationError("router and link latency must be >= 1")
         if self.max_packet_length < 1:

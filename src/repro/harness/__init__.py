@@ -16,7 +16,6 @@ from repro.harness.campaign import (
     load_manifest,
     write_manifest,
 )
-from repro.harness.parallel import ParallelRunner, SpecResult
 from repro.harness.runner import (
     ExperimentSpec,
     latency_curve,
@@ -25,6 +24,7 @@ from repro.harness.runner import (
 )
 from repro.harness.supervision import (
     RetryPolicy,
+    SpecResult,
     SupervisedPool,
     classify_failure,
 )
@@ -48,7 +48,6 @@ __all__ = [
     "resolve_design_name",
     "build_network",
     "ExperimentSpec",
-    "ParallelRunner",
     "SpecResult",
     "spec_grid",
     "latency_curve",

@@ -39,11 +39,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.harness.parallel import SpecResult
 from repro.harness.runner import ExperimentSpec
 from repro.harness.supervision import (
     TRANSIENT,
     RetryPolicy,
+    SpecResult,
     SupervisedPool,
     classify_failure,
     error_class,

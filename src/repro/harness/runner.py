@@ -5,7 +5,7 @@ point: a Table III design (by registry name), a traffic pattern, an offered
 load, the simulation windows, and the seeds — all plain data.  Unlike the
 closure-based factories it replaces, a spec is **picklable**, so the same
 object that drives a serial run can cross a process boundary unchanged
-(``repro.harness.parallel``) and serialize into results files
+(``repro.harness.campaign``) and serialize into results files
 (``repro.stats.results``).
 
 ``spec.build()`` produces the ``(network, traffic, injector)`` trio that
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import SimulationConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.faults import FaultInjector, canonical_fault_spec, parse_fault_spec
 from repro.harness.configs import (
     DRAGONFLY_SMALL,
@@ -273,8 +273,7 @@ def spec_grid(designs: List[str], patterns: List[str], rates: List[float],
 
     The iteration order is ``designs x patterns x seeds x rates`` — rates
     innermost and ascending, so each contiguous run of specs is one
-    latency curve (the unit the parallel runner applies saturation
-    early-stop to).  Extra keyword arguments are passed through to every
+    latency curve (the unit a saturation cut applies to).  Extra keyword arguments are passed through to every
     :class:`ExperimentSpec`.
     """
     specs: List[ExperimentSpec] = []
@@ -338,13 +337,17 @@ def latency_curve(design_name: str, pattern_name: str, rates: List[float],
 
     Args:
         jobs: Worker processes.  ``1`` runs serially in-process; ``> 1``
-            fans the rates across a process pool
-            (:class:`repro.harness.parallel.ParallelRunner`) with the
-            identical saturation early-stop, so the returned points are
-            exactly those a serial run produces.
+            runs the rates ``jobs`` at a time, each wave through a
+            :class:`~repro.harness.campaign.CampaignEngine`.  The
+            saturation cut is decided after every wave, so the returned
+            points are exactly those a serial run produces and at most
+            ``jobs - 1`` points are simulated past the cut.
 
     Returns:
         (points, saturation rate in flits/node/cycle).
+
+    Raises:
+        SimulationError: A point failed in a worker (``jobs > 1``).
     """
     spec = ExperimentSpec(
         design=design_name, pattern=pattern_name, injection_rate=rates[0],
@@ -353,17 +356,34 @@ def latency_curve(design_name: str, pattern_name: str, rates: List[float],
         faults=faults, fault_seed=fault_seed, verify=verify,
         telemetry=telemetry, engine=engine)
     curve = spec.curve(rates)
-    if jobs > 1:
-        from repro.harness.parallel import ParallelRunner
-
-        runner = ParallelRunner(max_workers=jobs, backend="process")
-        points = runner.run_curve(curve, latency_cap=latency_cap)
-    else:
-        points = []
-        cursor = SaturationCursor(latency_cap)
-        for point_spec in curve:
-            _, point = point_spec.run()
+    jobs = max(1, jobs)
+    points: List[SweepPoint] = []
+    cursor = SaturationCursor(latency_cap)
+    for start in range(0, len(curve), jobs):
+        for point in _run_wave(curve[start:start + jobs], jobs, latency_cap):
             points.append(point)
             if cursor.push(point):
-                break
+                return points, curve_saturation_rate(points, latency_cap)
     return points, curve_saturation_rate(points, latency_cap)
+
+
+def _run_wave(specs: List[ExperimentSpec], jobs: int,
+              latency_cap: float) -> List[SweepPoint]:
+    """Simulate one wave of a curve: in-process, or as one campaign."""
+    if jobs == 1:
+        return [spec.run()[1] for spec in specs]
+    from repro.harness.campaign import CampaignConfig, CampaignEngine
+
+    report = CampaignEngine(specs, directory=None, config=CampaignConfig(
+        jobs=jobs, latency_cap=latency_cap)).run()
+    if not report.completed:
+        # The engine turned SIGINT/SIGTERM into a drain; stop the curve as
+        # the signal would have without it.
+        raise KeyboardInterrupt(report.status)
+    for result in report.results:
+        if not result.ok:
+            raise SimulationError(
+                "sweep point failed", design=result.spec.design,
+                pattern=result.spec.pattern,
+                rate=result.spec.injection_rate, error=result.error)
+    return [result.point for result in report.results]

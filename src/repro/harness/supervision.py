@@ -1,8 +1,9 @@
-"""Worker supervision: heartbeats, hang detection, respawn, retries.
+"""Spec execution: one attempt in-process, or a supervised worker pool.
 
-:class:`~repro.harness.parallel.ParallelRunner` contains failures; this
-layer *recovers* from them.  It exists because a long campaign meets
-failure modes a ``ProcessPoolExecutor`` cannot express:
+:func:`run_attempt` is the single place a spec is simulated and its
+failure captured as a :class:`SpecResult`; :class:`SupervisedPool` runs
+attempts in worker processes and *recovers* from the failure modes a
+``ProcessPoolExecutor`` cannot express:
 
 * a worker that **hangs** (runaway simulation, wedged import) occupies its
   slot forever — the pool never times it out, it must be killed;
@@ -44,8 +45,8 @@ from typing import Dict, List, Optional, Tuple
 import multiprocessing
 
 from repro.errors import ConfigurationError
-from repro.harness.parallel import SpecResult
 from repro.harness.runner import ExperimentSpec
+from repro.stats.sweep import SweepPoint
 
 #: Failure classes (see :func:`classify_failure`).
 TRANSIENT = "transient"
@@ -118,14 +119,37 @@ class RetryPolicy:
         return bounded * (0.5 + 0.5 * unit)
 
 
+@dataclass
+class SpecResult:
+    """Outcome of one spec: a point, or a failure record — never nothing.
+
+    Attributes:
+        spec: The spec that was (attempted to be) simulated; failed specs
+            can be resubmitted directly from their record.
+        point: The measurement, or ``None`` on failure.
+        error: Failure description (``worker raised:`` + traceback,
+            ``worker crashed``, ``worker hung``), or ``None`` on success.
+        wall_time: Wall-clock seconds the attempt took.
+    """
+
+    spec: ExperimentSpec
+    point: Optional[SweepPoint]
+    error: Optional[str] = None
+    wall_time: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        """Whether this spec produced a measurement."""
+        return self.error is None and self.point is not None
+
+
 def run_attempt(spec: ExperimentSpec, attempt: int = 0) -> SpecResult:
     """Execute one attempt of a spec in the calling process.
 
     The single execution path shared by serial campaigns and pool workers:
     consults the chaos hook (:mod:`repro.harness.chaos`, active only when
-    ``REPRO_CHAOS`` is set), then simulates with the same failure capture
-    the :class:`~repro.harness.parallel.ParallelRunner` serial backend
-    uses.
+    ``REPRO_CHAOS`` is set), then simulates, capturing any exception as a
+    failed :class:`SpecResult`.
 
     When live streaming is active (``REPRO_STREAM_SOCKET`` published by a
     campaign's :class:`~repro.telemetry.live.LiveStatusPlane`), the

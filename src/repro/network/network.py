@@ -38,6 +38,10 @@ class Network:
         seed: Seed for the network-local RNG (adaptive tie-breaks etc.).
     """
 
+    #: Profiler part of this component's share of a phase (in ``inject``:
+    #: NIC -> VC admission).
+    profile_part = "network"
+
     def __init__(self, topology: Topology, config: NetworkConfig, routing,
                  spin: Optional[SpinParams] = None,
                  control_planes: Tuple = (),

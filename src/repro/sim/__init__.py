@@ -7,7 +7,6 @@ from repro.sim.engine_api import (
     ENGINE_ENV_VAR,
     SimulatorEngine,
     available_engines,
-    build_simulation_loop,
     create_engine,
     resolve_engine_name,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "Simulator",
     "SimulatorEngine",
     "available_engines",
-    "build_simulation_loop",
     "create_engine",
     "profiler_from_env",
     "render_report",

@@ -22,14 +22,12 @@ Selection precedence (highest wins):
 
 Engines satisfy the :class:`SimulatorEngine` protocol; code that needs a
 loop should call :func:`create_engine` instead of constructing
-``Simulator()`` directly (see :func:`build_simulation_loop` for the
-deprecation shim covering old call sites).
+``Simulator()`` directly.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Callable, Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
@@ -123,28 +121,3 @@ def resolve_engine_name(name: Optional[str] = None,
 def create_engine(name: Optional[str] = None) -> "SimulatorEngine":
     """Instantiate an engine by name (resolving the selection precedence)."""
     return _FACTORIES[resolve_engine_name(name)]()
-
-
-def build_simulation_loop(network, traffic=None, injector=None,
-                          engine: Optional[str] = None) -> "SimulatorEngine":
-    """Deprecated adapter for call sites that wired ``Network`` + ``Simulator``
-    by hand.
-
-    Registers the pieces in the canonical order (traffic, injector, network)
-    on a freshly created engine.  New code should construct an
-    :class:`repro.harness.runner.ExperimentSpec` (which owns engine
-    selection) or call :func:`create_engine` and register components itself.
-    """
-    warnings.warn(
-        "build_simulation_loop() is a migration shim; construct an "
-        "ExperimentSpec(engine=...) or call repro.sim.create_engine() "
-        "and register components explicitly",
-        DeprecationWarning, stacklevel=2)
-    simulator = create_engine(engine)
-    if traffic is not None:
-        simulator.register(traffic)
-    if injector is not None:
-        injector.bind(network)
-        simulator.register(injector)
-    simulator.register(network)
-    return simulator

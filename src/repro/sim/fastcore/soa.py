@@ -96,6 +96,9 @@ class _OutInfo(dict):
 class SoaCore:
     """Compiled flat-table state + inlined hot phases for one network."""
 
+    #: Stands in for the network's hooks, so it profiles under its part.
+    profile_part = "network"
+
     def __init__(self, net) -> None:
         self.net = net
         self.routing = net.routing

@@ -4,7 +4,9 @@ Answers "where do the cycles go?" for both engines: per-phase wall time
 for the reference :class:`~repro.sim.engine.Simulator` schedule, plus
 fast-core counters (router cycles actually run vs skipped, controller
 ticks, cycles fast-forwarded through quiescence) for
-:class:`~repro.sim.fastcore.FastSimulator`.
+:class:`~repro.sim.fastcore.FastSimulator`.  A phase run by several
+components is split into one part per component, so ``inject`` reads as
+``traffic`` generation plus ``network`` NIC->VC admission.
 
 Overhead contract: the profiler costs *nothing* when detached.  The
 engine wraps its phase schedule with timing closures only at
@@ -12,9 +14,9 @@ schedule-build time and only when a profiler is attached
 (:meth:`~repro.sim.engine.Simulator.attach_profiler`); with no profiler
 the built schedule is exactly the pre-profiler one, and fast-core
 counter sites are guarded by a single ``is not None`` check on paths
-that already do real work.  The ``profile`` leg in
-``benchmarks/bench_sweep.py`` guards this the way the telemetry leg
-guards observer overhead.
+that already do real work.  ``benchmarks/perf`` measures what attaching
+one costs: its untraced passes run detached, its traced passes attach a
+profiler to every point, and ``trace_overhead_pct`` is the difference.
 
 Enable per-call (``simulate_point(..., profiler=...)``, ``cli profile``,
 ``cli run --profile``) or ambiently via ``REPRO_PROFILE=1``, which
@@ -60,9 +62,11 @@ class PhaseProfiler:
         #: in ``control_counters`` and merged by :meth:`report`.
         self.counters: Dict[str, int] = {}
         self.control_counters: Dict[str, int] = {}
-        #: phase -> part -> seconds: the split of a phase (``control`` into
-        #: ``executor`` / ``sm_delivery`` / ``tick`` / ``outbox``), recorded
-        #: by the component that runs it.
+        #: phase -> part -> seconds: the split of a phase.  A phase run by
+        #: several components gets one part per component (``inject`` into
+        #: ``traffic`` generation and ``network`` NIC->VC admission); a
+        #: component may also lap its own parts (``control`` into
+        #: ``executor`` / ``sm_delivery`` / ``tick`` / ``outbox``).
         self.part_seconds: Dict[str, Dict[str, float]] = {}
         #: A point's fixed cost before its first cycle, by stage: ``build``
         #: (``ExperimentSpec.build``: network, traffic, injector — recorded
@@ -76,7 +80,9 @@ class PhaseProfiler:
 
         The engine swaps this in for the phase's method list when the
         schedule is built with a profiler attached; each invocation adds
-        the phase's wall time and one call.
+        the phase's wall time and one call.  With more than one method,
+        each also adds its own time to the part named by its component's
+        ``profile_part`` attribute (or class name).
         """
         methods = tuple(bound_methods)
         seconds = self.phase_seconds
@@ -84,6 +90,24 @@ class PhaseProfiler:
         seconds.setdefault(name, 0.0)
         calls.setdefault(name, 0)
         perf = time.perf_counter
+
+        if len(methods) > 1:
+            parts = self.part_seconds.setdefault(name, {})
+            timed = tuple((method, _part_name(method)) for method in methods)
+            for _, part in timed:
+                parts.setdefault(part, 0.0)
+
+            def timed_parts(cycle: int) -> None:
+                start = lap = perf()
+                for method, part in timed:
+                    method(cycle)
+                    now = perf()
+                    parts[part] += now - lap
+                    lap = now
+                seconds[name] += lap - start
+                calls[name] += 1
+
+            return timed_parts
 
         def timed_phase(cycle: int) -> None:
             start = perf()
@@ -154,6 +178,12 @@ class PhaseProfiler:
             "counters": dict(sorted({**self.counters,
                                      **self.control_counters}.items())),
         }
+
+
+def _part_name(method) -> str:
+    """The part a phase hook's time goes to: its component's role."""
+    owner = getattr(method, "__self__", method)
+    return getattr(owner, "profile_part", type(owner).__name__)
 
 
 def profiler_from_env(env: Optional[Dict[str, str]] = None

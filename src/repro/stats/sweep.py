@@ -12,20 +12,13 @@ Two layers drive a single point:
   network, a traffic source, optionally a fault injector) and simulates the
   warmup/measure/drain windows into a :class:`SweepPoint`.  This is what
   :meth:`repro.harness.runner.ExperimentSpec.build` feeds.
-* :func:`run_point` — the factory adapter kept for backward compatibility:
-  builds the components from callables and delegates to
-  :func:`simulate_point`.
-
-The canonical traffic-factory signature is ``(network, rate, stop_at)``
-(the shape :class:`InjectionSweep` always used).  The legacy two-argument
-``(network, stop_at)`` shape is still accepted but deprecated; it is
-wrapped in an adapter that raises a :class:`DeprecationWarning`.
+* :func:`run_point` — the factory adapter: builds the components from
+  callables and delegates to :func:`simulate_point`.  Its traffic factory
+  takes ``(network, rate, stop_at)``.
 """
 
 from __future__ import annotations
 
-import inspect
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -302,12 +295,11 @@ def run_point(network_factory: Callable[[], object],
     Args:
         network_factory: Builds a fresh network.
         traffic_factory: ``(network, rate, stop_at) -> component`` building
-            the traffic source.  The legacy ``(network, stop_at)`` shape
-            (rate closed over) is accepted with a ``DeprecationWarning``.
+            the traffic source.
         sim_config: Warmup/measure/drain windows, wedge threshold.
         injection_rate: Offered load handed to the traffic factory and
             cross-checked against the built source's configured rate (see
-            :func:`simulate_point`).  Required with a rate-taking factory.
+            :func:`simulate_point`).  Required.
         fault_factory: Optional ``() -> FaultInjector`` building the fault
             injection component (docs/FAULTS.md).
         raise_on_wedge: Raise :class:`~repro.errors.SimulationError` with a
@@ -316,8 +308,7 @@ def run_point(network_factory: Callable[[], object],
     Returns:
         The simulated network (for post-hoc inspection) and its point.
     """
-    traffic_factory, takes_rate = _normalize_traffic_factory(traffic_factory)
-    if takes_rate and injection_rate is None:
+    if injection_rate is None:
         raise ConfigurationError(
             "injection_rate is required with a (network, rate, stop_at) "
             "traffic factory")
@@ -330,38 +321,6 @@ def run_point(network_factory: Callable[[], object],
                            injector=injector,
                            raise_on_wedge=raise_on_wedge)
     return network, point
-
-
-def _normalize_traffic_factory(factory) -> Tuple[Callable[..., object], bool]:
-    """Adapt a traffic factory to the canonical (network, rate, stop_at).
-
-    Returns the adapted factory and whether the original took the rate.
-    Factories whose signature cannot be introspected are assumed to take
-    the canonical three arguments.
-    """
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # builtins, C callables
-        return factory, True
-    positional = [
-        parameter for parameter in signature.parameters.values()
-        if parameter.kind in (inspect.Parameter.POSITIONAL_ONLY,
-                              inspect.Parameter.POSITIONAL_OR_KEYWORD)
-    ]
-    variadic = any(parameter.kind == inspect.Parameter.VAR_POSITIONAL
-                   for parameter in signature.parameters.values())
-    if variadic or len(positional) >= 3:
-        return factory, True
-    warnings.warn(
-        "traffic_factory(network, stop_at) is deprecated; use the "
-        "canonical (network, rate, stop_at) signature (the rate is passed "
-        "in, not closed over) — see docs/API.md migration notes",
-        DeprecationWarning, stacklevel=3)
-
-    def adapted(network, rate, stop_at):
-        return factory(network, stop_at)
-
-    return adapted, False
 
 
 def _wedge_snapshot(network, cycle: int, abort_after: int) -> Dict[str, object]:
@@ -393,9 +352,9 @@ class SaturationCursor:
 
     Push curve points in ascending-rate order; :meth:`push` returns True
     when the curve should stop *after* the pushed point.  Serial sweeps use
-    it to stop launching rates; the parallel runner uses the identical
-    object to cancel in-flight rates and to truncate results, so `--jobs 1`
-    and `--jobs N` cut a curve at exactly the same point.
+    it to stop launching rates; ``latency_curve(jobs=N)`` to stop launching
+    waves, and campaigns to truncate results, so ``--jobs 1`` and
+    ``--jobs N`` cut a curve at exactly the same point.
     """
 
     def __init__(self, latency_cap: float = 4.0,

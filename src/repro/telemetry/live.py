@@ -12,9 +12,8 @@ Wire protocol (``repro.telemetry-stream/v1``)
 ---------------------------------------------
 
 Frames travel over a Unix ``SOCK_STREAM`` socket whose path is published
-in the ``REPRO_STREAM_SOCKET`` environment variable (workers of both
-:class:`~repro.harness.supervision.SupervisedPool` and
-:class:`~repro.harness.parallel.ParallelRunner` inherit it across
+in the ``REPRO_STREAM_SOCKET`` environment variable (workers of
+:class:`~repro.harness.supervision.SupervisedPool` inherit it across
 ``fork``).  Each frame is length-prefixed JSONL::
 
     <decimal byte length> SP <compact JSON object> LF

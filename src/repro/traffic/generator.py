@@ -71,6 +71,9 @@ class SyntheticTraffic:
             None generates forever.
     """
 
+    #: Profiler part of this component's ``inject`` time.
+    profile_part = "traffic"
+
     def __init__(self, network, pattern: TrafficPattern,
                  injection_rate: float, mix: Optional[PacketMix] = None,
                  seed: int = 1, vnet: int = 0,

@@ -81,6 +81,9 @@ class ParsecWorkload:
     deadlocks; see NetworkConfig.num_vnets).
     """
 
+    #: Profiler part of this component's ``inject`` time.
+    profile_part = "traffic"
+
     def __init__(self, network, profile: ParsecProfile, seed: int = 1,
                  stop_at=None) -> None:
         if network.config.num_vnets < 2:

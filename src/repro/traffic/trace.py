@@ -73,6 +73,9 @@ def record_from_traffic(network, source, cycles: int) -> List[TraceRecord]:
 class TraceTraffic:
     """Simulator component replaying a recorded trace."""
 
+    #: Profiler part of this component's ``inject`` time.
+    profile_part = "traffic"
+
     def __init__(self, network, records: List[TraceRecord],
                  repeat: bool = False) -> None:
         self.network = network

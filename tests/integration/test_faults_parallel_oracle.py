@@ -9,7 +9,7 @@ simulation, and the fault-relaxed invariants must hold on every backend.
 import pytest
 
 from repro.config import SimulationConfig
-from repro.harness.parallel import ParallelRunner
+from repro.harness.campaign import CampaignConfig, CampaignEngine
 from repro.harness.runner import ExperimentSpec
 from repro.stats.results import results_to_json
 
@@ -33,8 +33,9 @@ def _faulted_specs(verify: bool):
     return specs
 
 
-def _points(runner, specs):
-    results = runner.run(specs)
+def _points(specs, jobs):
+    report = CampaignEngine(specs, config=CampaignConfig(jobs=jobs)).run()
+    results = report.results
     assert all(r.ok for r in results), \
         [str(r.error) for r in results if not r.ok]
     return [r.point for r in results]
@@ -43,9 +44,8 @@ def _points(runner, specs):
 class TestFaultedParallelWithOracle:
     def test_jobs2_byte_identical_to_serial(self):
         specs = _faulted_specs(verify=True)
-        serial = _points(ParallelRunner(backend="serial"), specs)
-        parallel = _points(
-            ParallelRunner(max_workers=2, backend="process"), specs)
+        serial = _points(specs, jobs=1)
+        parallel = _points(specs, jobs=2)
         assert serial == parallel
         # Byte-level identity of the serialized results documents.
         meta = {"campaign": "faults+oracle"}
@@ -56,15 +56,12 @@ class TestFaultedParallelWithOracle:
         """Raise-mode oracle (verify=True) in every worker: completing the
         run proves the fault-relaxed invariants held everywhere."""
         specs = _faulted_specs(verify=True)
-        points = _points(
-            ParallelRunner(max_workers=2, backend="process"), specs)
+        points = _points(specs, jobs=2)
         assert all(point.invariant_violations == 0 for point in points)
 
     def test_oracle_is_a_pure_observer_under_faults(self):
         """verify=True vs verify=False must yield identical measurements
         (modulo the violation counter itself, which is 0 here anyway)."""
-        with_oracle = _points(ParallelRunner(backend="serial"),
-                              _faulted_specs(verify=True))
-        without = _points(ParallelRunner(backend="serial"),
-                          _faulted_specs(verify=False))
+        with_oracle = _points(_faulted_specs(verify=True), jobs=1)
+        without = _points(_faulted_specs(verify=False), jobs=1)
         assert with_oracle == without

@@ -9,8 +9,12 @@ equality and the byte-level results-file identity.
 
 import json
 
+import pytest
+
+import repro.harness.campaign as campaign_module
 from repro.config import SimulationConfig
-from repro.harness.parallel import ParallelRunner
+from repro.errors import SimulationError
+from repro.harness.campaign import CampaignConfig, CampaignEngine
 from repro.harness.runner import ExperimentSpec, latency_curve, spec_grid
 from repro.stats.results import results_from_json, results_to_json
 
@@ -19,8 +23,9 @@ SIM = SimulationConfig(warmup_cycles=100, measure_cycles=500,
 RATES = [0.02, 0.05, 0.08, 0.11]
 
 
-def _points(runner, specs):
-    results = runner.run(specs)
+def _points(specs, jobs):
+    report = CampaignEngine(specs, config=CampaignConfig(jobs=jobs)).run()
+    results = report.results
     assert all(r.ok for r in results), [r.error for r in results if not r.ok]
     return [r.point for r in results]
 
@@ -30,20 +35,14 @@ class TestPointIdentity:
         """Identical SweepPoints per seed across --jobs 1 and --jobs 4."""
         specs = spec_grid(["spin_mesh"], ["uniform"], RATES, seeds=(1, 2),
                           mesh_side=4, tdd=32, sim=SIM)
-        serial = _points(ParallelRunner(backend="serial"), specs)
-        parallel = _points(
-            ParallelRunner(max_workers=4, backend="process"), specs)
-        assert serial == parallel
+        assert _points(specs, jobs=1) == _points(specs, jobs=4)
 
     def test_faulty_points_identical_across_backends(self):
         base = ExperimentSpec(design="spin_mesh", pattern="transpose",
                               injection_rate=RATES[0], mesh_side=4, tdd=32,
                               faults="sm_drop:p=0.05", fault_seed=11, sim=SIM)
         specs = base.curve(RATES[:3])
-        serial = _points(ParallelRunner(backend="serial"), specs)
-        parallel = _points(
-            ParallelRunner(max_workers=3, backend="process"), specs)
-        assert serial == parallel
+        assert _points(specs, jobs=1) == _points(specs, jobs=3)
 
     def test_latency_curve_jobs_parameter(self):
         serial_points, serial_sat = latency_curve(
@@ -54,17 +53,44 @@ class TestPointIdentity:
         assert serial_sat == par_sat
 
 
+class TestLatencyCurveWaves:
+    #: Saturates at 0.9 (index 2), the first rate of the second wave of 2.
+    CUT_RATES = [0.02, 0.04, 0.9, 0.95, 0.99]
+
+    def test_cut_matches_serial_and_overruns_by_at_most_jobs_minus_1(
+            self, monkeypatch):
+        ran = []
+        real = campaign_module.CampaignEngine
+
+        def recording(specs, *args, **kwargs):
+            ran.extend(spec.injection_rate for spec in specs)
+            return real(specs, *args, **kwargs)
+
+        serial = latency_curve("spin_mesh", "uniform", self.CUT_RATES, SIM,
+                               mesh_side=4, tdd=32, jobs=1)
+        monkeypatch.setattr(campaign_module, "CampaignEngine", recording)
+        waved = latency_curve("spin_mesh", "uniform", self.CUT_RATES, SIM,
+                              mesh_side=4, tdd=32, jobs=2)
+        assert waved == serial
+        points, _ = waved
+        assert len(points) == 3 < len(self.CUT_RATES)
+        assert ran == self.CUT_RATES[:4]
+        assert len(ran) - len(points) <= 2 - 1
+
+    def test_failed_point_raises_simulation_error(self):
+        with pytest.raises(SimulationError, match="sweep point failed"):
+            latency_curve("spin_mesh", "nonexistent", RATES[:2], SIM,
+                          mesh_side=4, tdd=32, jobs=2)
+
+
 class TestFileIdentity:
     def test_results_json_byte_identical(self):
         specs = ExperimentSpec(design="spin_mesh", injection_rate=RATES[0],
                                mesh_side=4, tdd=32, sim=SIM).curve(RATES)
         meta = {"design": specs[0].design, "pattern": "uniform",
                 "rates": RATES}
-        serial = results_to_json(
-            _points(ParallelRunner(backend="serial"), specs), meta)
-        parallel = results_to_json(
-            _points(ParallelRunner(max_workers=4, backend="process"), specs),
-            meta)
+        serial = results_to_json(_points(specs, jobs=1), meta)
+        parallel = results_to_json(_points(specs, jobs=4), meta)
         assert serial == parallel  # byte-for-byte
 
         points, meta_back = results_from_json(serial)
@@ -74,7 +100,7 @@ class TestFileIdentity:
     def test_results_json_is_deterministic_serialization(self):
         specs = ExperimentSpec(design="spin_mesh", injection_rate=RATES[0],
                                mesh_side=4, tdd=32, sim=SIM).curve(RATES[:2])
-        points = _points(ParallelRunner(backend="serial"), specs)
+        points = _points(specs, jobs=1)
         text = results_to_json(points, {"rates": RATES[:2]})
         # Stable key order and trailing newline: re-dumping the parsed
         # document reproduces the exact bytes.

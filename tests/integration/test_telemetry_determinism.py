@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import SimulationConfig
-from repro.harness.parallel import ParallelRunner
+from repro.harness.campaign import CampaignConfig, CampaignEngine
 from repro.harness.runner import ExperimentSpec
 
 
@@ -50,9 +50,9 @@ class TestTelemetryDeterminism:
     def test_jobs_parallel_matches_serial_with_telemetry(self):
         specs = [_spec(telemetry=True, rate=rate)
                  for rate in (0.05, 0.10)]
-        serial = ParallelRunner(max_workers=1, backend="serial").run(specs)
-        parallel = ParallelRunner(max_workers=2,
-                                  backend="process").run(specs)
+        serial = CampaignEngine(specs).run().results
+        parallel = CampaignEngine(
+            specs, config=CampaignConfig(jobs=2)).run().results
         assert all(result.ok for result in serial + parallel)
         assert [r.point for r in serial] == [r.point for r in parallel]
         assert all("telemetry_samples" in r.point.events for r in serial)

@@ -6,6 +6,7 @@ chaos suite (tests/integration/test_campaign_resume.py, ``-m chaos``).
 """
 
 import json
+import os
 
 import pytest
 
@@ -25,9 +26,8 @@ from repro.harness.campaign import (
     write_manifest,
 )
 from repro.harness.chaos import CHAOS_ENV, tear_journal_tail
-from repro.harness.parallel import ParallelRunner, SpecResult
 from repro.harness.runner import ExperimentSpec
-from repro.harness.supervision import RetryPolicy
+from repro.harness.supervision import RetryPolicy, SpecResult, run_attempt
 from repro.stats.results import results_to_json
 
 TINY = SimulationConfig(warmup_cycles=50, measure_cycles=200,
@@ -43,6 +43,18 @@ def tiny_spec(**overrides):
 
 def tiny_curve(rates=(0.02, 0.05, 0.08)):
     return tiny_spec().curve(list(rates))
+
+
+def run_in_process(specs):
+    return [run_attempt(spec) for spec in specs]
+
+
+class CrashingSpec(ExperimentSpec):
+    """A spec whose run() kills its worker process outright (OOM-kill,
+    segfault).  Module level so the pool can pickle it."""
+
+    def run(self, raise_on_wedge=False):  # pragma: no cover - child only
+        os._exit(3)
 
 
 @pytest.fixture(autouse=True)
@@ -71,7 +83,7 @@ class TestContentKey:
 
 class TestJournal:
     def _result(self, spec):
-        return ParallelRunner(backend="serial").run([spec])[0]
+        return run_attempt(spec)
 
     def test_append_load_roundtrip(self, tmp_path):
         spec = tiny_spec()
@@ -179,7 +191,7 @@ class TestConfigValidation:
 
 class TestAssembleCurve:
     def _results(self, specs):
-        return ParallelRunner(backend="serial").run(specs)
+        return run_in_process(specs)
 
     def test_clean_full_prefix(self):
         results = self._results(tiny_curve())
@@ -212,14 +224,24 @@ class TestAssembleCurve:
 
 
 class TestEngineSerial:
-    def test_ephemeral_run_matches_parallel_runner(self):
+    def test_ephemeral_run_matches_in_process_runs(self):
         specs = tiny_curve()
         report = CampaignEngine(specs).run()
         assert report.completed and report.clean
-        baseline = ParallelRunner(backend="serial").run(specs)
+        baseline = run_in_process(specs)
         assert [p for p in report.points] == [r.point for r in baseline]
         assert report.saturation_rate == 0.08
         assert report.failed == []
+
+    def test_results_ordered_with_wall_times(self):
+        report = CampaignEngine(tiny_curve()).run()
+        assert [r.spec.injection_rate for r in report.results] \
+            == [0.02, 0.05, 0.08]
+        assert all(isinstance(r, SpecResult) and r.ok
+                   for r in report.results)
+        assert all(r.point.cycles == TINY.total_cycles
+                   for r in report.results)
+        assert all(r.wall_time > 0.0 for r in report.results)
 
     def test_campaign_directory_journal_written(self, tmp_path):
         specs = tiny_curve()
@@ -349,6 +371,27 @@ class TestEnginePool:
         golden = CampaignEngine(specs).run()
         assert report.points == golden.points
 
+    def test_pool_failure_captured_alongside_successes(self):
+        specs = [tiny_spec(), tiny_spec(pattern="nonexistent"),
+                 tiny_spec(injection_rate=0.08)]
+        report = CampaignEngine(specs, config=CampaignConfig(jobs=2)).run()
+        assert report.completed
+        assert report.results[0].ok and report.results[2].ok
+        assert not report.results[1].ok
+        assert "nonexistent" in report.results[1].error
+
+    def test_worker_crash_fails_its_spec_and_the_rest_run(self):
+        crash = CrashingSpec(design="spin_mesh", injection_rate=0.05,
+                             mesh_side=4, sim=TINY, seed=9)
+        curve = tiny_curve()
+        config = CampaignConfig(jobs=2, retry=RetryPolicy(retries=0))
+        report = CampaignEngine([crash] + curve, config=config).run()
+        assert report.completed
+        assert report.results[0].error.startswith("worker crashed")
+        assert report.counters.get("workers_respawned", 0) >= 1
+        assert [r.point for r in report.results[1:]] \
+            == [r.point for r in run_in_process(curve)]
+
     def test_pool_failure_budget_aborts(self):
         specs = [tiny_spec(pattern="nonexistent", injection_rate=r)
                  for r in (0.02, 0.05)] + [tiny_spec(injection_rate=0.08)]
@@ -361,7 +404,7 @@ class TestAtomicSave:
     def test_save_results_leaves_no_temp_file(self, tmp_path):
         from repro.stats.results import load_results, save_results
 
-        results = ParallelRunner(backend="serial").run(tiny_curve())
+        results = run_in_process(tiny_curve())
         target = tmp_path / "out.json"
         save_results(target, [r.point for r in results], {"design": "x"})
         assert not list(tmp_path.glob("*.tmp"))

@@ -38,6 +38,24 @@ class TestNetworkConfig:
         config = NetworkConfig(buffer_depth=1, max_packet_length=1)
         assert config.buffer_depth == 1
 
+    def test_rejects_more_vcs_per_port_than_arbitration_keys(self):
+        # Arbitration keys are inport * 64 + VC index: at 2 x 33 a 2x2-mesh
+        # router would have 196 distinct keys for its 198 VCs.
+        with pytest.raises(ConfigurationError, match="<= 64"):
+            NetworkConfig(num_vnets=2, vcs_per_vnet=33)
+        with pytest.raises(ConfigurationError, match="<= 64"):
+            NetworkConfig(vcs_per_vnet=65)
+
+    def test_largest_accepted_port_keeps_keys_distinct(self):
+        from repro.network.plan import FabricPlan
+        from repro.topology.mesh import MeshTopology
+
+        plan = FabricPlan.of(MeshTopology(2, 2),
+                             NetworkConfig(num_vnets=2, vcs_per_vnet=32))
+        for rid in range(4):
+            keys = plan.vc_arbkey[plan.r_lo[rid]:plan.r_lo[rid + 1]]
+            assert len(set(keys)) == len(keys)
+
 
 class TestSpinParams:
     def test_epoch_is_four_tdd_by_default(self):

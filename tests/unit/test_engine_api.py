@@ -1,40 +1,32 @@
 """The pluggable engine API: protocol, registry, precedence, parity.
 
 Covers the :mod:`repro.sim.engine_api` surface (selection precedence,
-registry, the deprecation shim), the ``ExperimentSpec.engine`` field's
-serialization contract (unset hashes like a pre-engine-field spec), the
-campaign journal's engine provenance, and a hypothesis property test that
-random small meshes produce identical :class:`SweepPoint` results under
-both engines.
+registry), the ``ExperimentSpec.engine`` field's serialization contract
+(unset hashes like a pre-engine-field spec), the campaign journal's engine
+provenance, and a hypothesis property test that random small meshes
+produce identical :class:`SweepPoint` results under both engines.
 """
 
 import itertools
-import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.network.packet as packet_module
-from repro.config import NetworkConfig, SimulationConfig, SpinParams
+from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
 from repro.harness.runner import ExperimentSpec
-from repro.network.network import Network
-from repro.routing.adaptive import MinimalAdaptiveRouting
 from repro.sim import (
     DEFAULT_ENGINE,
     ENGINE_ENV_VAR,
     Simulator,
     SimulatorEngine,
     available_engines,
-    build_simulation_loop,
     create_engine,
     resolve_engine_name,
 )
 from repro.sim.fastcore import FastSimulator
-from repro.topology.mesh import MeshTopology
-from repro.traffic.generator import SyntheticTraffic
-from repro.traffic.patterns import make_pattern
 
 
 class TestProtocolAndRegistry:
@@ -124,31 +116,6 @@ class TestSpecSerialization:
         reference = ExperimentSpec(design="spin_mesh", engine="reference")
         assert len({unset.content_key(), fast.content_key(),
                     reference.content_key()}) == 3
-
-
-class TestDeprecationShim:
-    def _network(self):
-        return Network(MeshTopology(3, 3), NetworkConfig(vcs_per_vnet=1),
-                       MinimalAdaptiveRouting(1), spin=SpinParams(tdd=16),
-                       seed=1)
-
-    def test_shim_warns_and_builds_a_working_loop(self):
-        network = self._network()
-        pattern = make_pattern("uniform", network.topology.num_nodes, 3)
-        traffic = SyntheticTraffic(network, pattern, 0.1, seed=1,
-                                   stop_at=50)
-        with pytest.warns(DeprecationWarning,
-                          match="build_simulation_loop"):
-            simulator = build_simulation_loop(network, traffic=traffic)
-        simulator.run(100)
-        assert simulator.cycle == 100
-        assert network.stats.packets_delivered > 0
-
-    def test_shim_respects_engine_argument(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert build_simulation_loop(self._network(),
-                                         engine="fast").name == "fast"
 
 
 class TestCampaignEngineProvenance:

@@ -127,6 +127,20 @@ class TestFastCoreCounters:
         assert set(report["phases"]) == PHASES
         assert "  .sm_delivery" in render_report(report)
 
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_inject_is_split_by_component(self, engine):
+        profiler = PhaseProfiler()
+        _, point = tiny_spec(engine).run(profiler=profiler)
+        report = profiler.report(engine, point.cycles)
+        inject = report["phases"]["inject"]
+        # Traffic generation, then NIC -> VC admission (the network's
+        # hook, or the fast core's that stands in for it).
+        assert set(inject["parts"]) == {"traffic", "network"}
+        assert sum(inject["parts"].values()) == pytest.approx(
+            inject["seconds"], abs=1e-5)
+        assert "parts" not in report["phases"]["allocate"]
+        assert "  .traffic" in render_report(report)
+
     def test_control_counters_merge_into_the_report(self):
         profiler = PhaseProfiler()
         profiler.count("router_cycles_run", 3)

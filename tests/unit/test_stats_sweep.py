@@ -155,36 +155,14 @@ class TestRunPoint:
             run_point(lambda: make_mesh_network(side=4, vcs=2),
                       _traffic_factory, sim_config)
 
-    def test_legacy_factory_shape_deprecated_but_working(self):
-        sim_config = SimulationConfig(warmup_cycles=100, measure_cycles=400,
-                                      drain_cycles=300)
-        with pytest.warns(DeprecationWarning, match="network, rate, stop_at"):
-            network, point = run_point(
-                lambda: make_mesh_network(side=4, vcs=2),
-                lambda net, stop: _traffic_factory(net, 0.05, stop),
-                sim_config, injection_rate=0.05)
-        assert point.injection_rate == 0.05
-        assert point.delivered > 0
-
-    def test_legacy_factory_infers_rate_from_traffic(self):
-        sim_config = SimulationConfig(warmup_cycles=100, measure_cycles=400,
-                                      drain_cycles=300)
-        with pytest.warns(DeprecationWarning):
-            _, point = run_point(
-                lambda: make_mesh_network(side=4, vcs=2),
-                lambda net, stop: _traffic_factory(net, 0.07, stop),
-                sim_config)  # no injection_rate declared
-        assert point.injection_rate == 0.07
-
     def test_declared_rate_must_match_traffic(self):
         sim_config = SimulationConfig(warmup_cycles=100, measure_cycles=400,
                                       drain_cycles=300)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="disagrees"):
-                run_point(
-                    lambda: make_mesh_network(side=4, vcs=2),
-                    lambda net, stop: _traffic_factory(net, 0.20, stop),
-                    sim_config, injection_rate=0.05)
+        with pytest.raises(ConfigurationError, match="disagrees"):
+            run_point(
+                lambda: make_mesh_network(side=4, vcs=2),
+                lambda net, rate, stop: _traffic_factory(net, 0.20, stop),
+                sim_config, injection_rate=0.05)
 
 
 class TestSimulatePoint:
