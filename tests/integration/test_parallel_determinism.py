@@ -77,6 +77,52 @@ class TestLatencyCurveWaves:
         assert ran == self.CUT_RATES[:4]
         assert len(ran) - len(points) <= 2 - 1
 
+    @staticmethod
+    def _record_waves(monkeypatch):
+        waves = []
+        real = campaign_module.CampaignEngine
+
+        def recording(specs, *args, **kwargs):
+            waves.append([spec.injection_rate for spec in specs])
+            return real(specs, *args, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "CampaignEngine", recording)
+        return waves
+
+    @pytest.mark.parametrize("jobs", [3, 4, 5])
+    def test_overrun_is_the_rest_of_the_cut_wave(self, monkeypatch, jobs):
+        serial_points, serial_sat = latency_curve(
+            "spin_mesh", "uniform", self.CUT_RATES[:3], SIM, mesh_side=4,
+            tdd=32, jobs=1)
+        waves = self._record_waves(monkeypatch)
+        points, saturation = latency_curve(
+            "spin_mesh", "uniform", self.CUT_RATES, SIM, mesh_side=4,
+            tdd=32, jobs=jobs)
+        assert (points, saturation) == (serial_points, serial_sat)
+        # The cut lands in the first wave; the whole wave still ran.
+        assert waves == [self.CUT_RATES[:jobs]]
+        assert len(waves[0]) - len(points) <= jobs - 1
+
+    def test_unsaturated_curve_runs_every_wave(self, monkeypatch):
+        rates = [0.02, 0.04, 0.06]
+        serial = latency_curve("spin_mesh", "uniform", rates, SIM,
+                               mesh_side=4, tdd=32, jobs=1)
+        waves = self._record_waves(monkeypatch)
+        waved = latency_curve("spin_mesh", "uniform", rates, SIM,
+                              mesh_side=4, tdd=32, jobs=2)
+        assert waved == serial
+        assert len(waved[0]) == len(rates)
+        assert waves == [[0.02, 0.04], [0.06]]
+
+    def test_serial_curve_starts_no_campaign(self, monkeypatch):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("jobs=1 must run in-process")
+
+        monkeypatch.setattr(campaign_module, "CampaignEngine", no_campaign)
+        points, _ = latency_curve("spin_mesh", "uniform", RATES[:2], SIM,
+                                  mesh_side=4, tdd=32, jobs=1)
+        assert [p.injection_rate for p in points] == RATES[:2]
+
     def test_failed_point_raises_simulation_error(self):
         with pytest.raises(SimulationError, match="sweep point failed"):
             latency_curve("spin_mesh", "nonexistent", RATES[:2], SIM,

@@ -188,6 +188,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="at least one"):
             CampaignEngine([])
 
+    def test_default_runs_in_process_without_a_pool(self, monkeypatch):
+        from repro.harness import campaign as campaign_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("jobs=1 must not start a worker pool")
+
+        monkeypatch.setattr(campaign_module, "SupervisedPool", no_pool)
+        assert CampaignConfig().jobs == 1
+        report = CampaignEngine([tiny_spec()]).run()
+        assert report.completed and report.clean
+
 
 class TestAssembleCurve:
     def _results(self, specs):
@@ -310,6 +321,29 @@ class TestEngineSerial:
         assert report.status == "failure-budget"
         assert not report.completed
 
+    def test_failure_captured_not_raised(self):
+        # "nonexistent" passes ExperimentSpec validation (patterns are
+        # resolved at build time), then make_pattern raises in the attempt.
+        specs = [tiny_spec(), tiny_spec(pattern="nonexistent")]
+        report = CampaignEngine(specs).run()
+        assert report.completed
+        assert report.results[0].ok
+        assert report.results[1].point is None
+        assert "nonexistent" in report.results[1].error
+
+    def test_failure_budget_leaves_later_specs_unrun(self):
+        specs = [tiny_spec(pattern="nonexistent"),
+                 tiny_spec(injection_rate=0.06),
+                 tiny_spec(injection_rate=0.07)]
+        config = CampaignConfig(max_failures=0)
+        report = CampaignEngine(specs, config=config).run()
+        # One slot per spec: the later ones are reported as not reached
+        # (resumable), never silently dropped.
+        assert len(report.results) == len(specs)
+        assert not report.results[0].ok
+        assert report.results[1:] == [None, None]
+        assert not report.clean
+
     def test_transient_failures_retried_with_backoff(self, monkeypatch):
         from repro.harness import campaign as campaign_module
 
@@ -391,6 +425,25 @@ class TestEnginePool:
         assert report.counters.get("workers_respawned", 0) >= 1
         assert [r.point for r in report.results[1:]] \
             == [r.point for r in run_in_process(curve)]
+
+    def test_crash_retried_on_respawned_workers_then_permanent(self):
+        crash = CrashingSpec(design="spin_mesh", injection_rate=0.05,
+                             mesh_side=4, sim=TINY, seed=9)
+        config = CampaignConfig(jobs=2, retry=RetryPolicy(retries=1,
+                                                          base=0.01))
+        report = CampaignEngine([crash, tiny_spec()], config=config).run()
+        assert report.completed
+        assert report.results[0].error.startswith("worker crashed")
+        assert report.results[1].ok
+        assert report.counters.get("retries") == 1
+        assert report.counters.get("failures_permanent") == 1
+        assert report.counters.get("workers_respawned", 0) >= 2
+
+    def test_more_jobs_than_specs_matches_in_process(self):
+        specs = tiny_curve((0.02, 0.05))
+        report = CampaignEngine(specs, config=CampaignConfig(jobs=4)).run()
+        assert report.completed and report.clean
+        assert report.points == [r.point for r in run_in_process(specs)]
 
     def test_pool_failure_budget_aborts(self):
         specs = [tiny_spec(pattern="nonexistent", injection_rate=r)

@@ -46,6 +46,11 @@ class TestNetworkConfig:
         with pytest.raises(ConfigurationError, match="<= 64"):
             NetworkConfig(vcs_per_vnet=65)
 
+    @pytest.mark.parametrize("vnets,vcs", [(1, 64), (2, 32), (4, 16)])
+    def test_accepts_exactly_64_vcs_per_port(self, vnets, vcs):
+        config = NetworkConfig(num_vnets=vnets, vcs_per_vnet=vcs)
+        assert config.total_vcs == 64
+
     def test_largest_accepted_port_keeps_keys_distinct(self):
         from repro.network.plan import FabricPlan
         from repro.topology.mesh import MeshTopology

@@ -155,6 +155,21 @@ class TestRunPoint:
             run_point(lambda: make_mesh_network(side=4, vcs=2),
                       _traffic_factory, sim_config)
 
+    def test_factory_receives_the_declared_rate(self):
+        sim_config = SimulationConfig(warmup_cycles=100, measure_cycles=400,
+                                      drain_cycles=300)
+        seen = []
+
+        def factory(network, rate, stop_at):
+            seen.append((rate, stop_at))
+            return _traffic_factory(network, rate, stop_at)
+
+        _, point = run_point(lambda: make_mesh_network(side=4, vcs=2),
+                             factory, sim_config, injection_rate=0.07)
+        assert seen == [(0.07, 500)]
+        assert point.injection_rate == 0.07
+        assert point.delivered > 0
+
     def test_declared_rate_must_match_traffic(self):
         sim_config = SimulationConfig(warmup_cycles=100, measure_cycles=400,
                                       drain_cycles=300)

@@ -18,6 +18,7 @@ from repro.harness.supervision import (
     DETERMINISTIC,
     TRANSIENT,
     RetryPolicy,
+    SpecResult,
     SupervisedPool,
     classify_failure,
     error_class,
@@ -33,6 +34,13 @@ def tiny_spec(**overrides):
                   mesh_side=4, tdd=32, sim=TINY)
     kwargs.update(overrides)
     return ExperimentSpec(**kwargs)
+
+
+class RaisingSpec(ExperimentSpec):
+    """A spec whose run() raises a plain Python exception."""
+
+    def run(self, raise_on_wedge=False):
+        raise RuntimeError("synthetic point failure")
 
 
 def drain_events(pool, expected, deadline_seconds=30.0):
@@ -116,6 +124,37 @@ class TestRunAttempt:
         retried = run_attempt(tiny_spec(), attempt=1)
         assert retried.ok
 
+    def test_raising_spec_captured_with_its_traceback(self, monkeypatch):
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        spec = RaisingSpec(design="spin_mesh", injection_rate=0.05,
+                           mesh_side=4, sim=TINY)
+        result = run_attempt(spec)
+        assert result.point is None
+        assert result.error.startswith("worker raised:\nTraceback")
+        assert "RuntimeError: synthetic point failure" in result.error
+        assert result.wall_time >= 0.0
+
+    def test_result_keeps_its_spec_for_resubmission(self, monkeypatch):
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        good, bad = tiny_spec(), tiny_spec(pattern="nonexistent")
+        assert run_attempt(good).spec is good
+        failed = run_attempt(bad)
+        assert failed.spec is bad
+        assert run_attempt(failed.spec).error.startswith("worker raised:")
+
+
+class TestSpecResult:
+    def test_ok_needs_a_point_and_no_error(self):
+        spec, point = tiny_spec(), object()
+        assert SpecResult(spec, point).ok
+        assert not SpecResult(spec, None).ok
+        assert not SpecResult(spec, point, error="worker hung").ok
+
+    def test_failure_record_defaults(self):
+        record = SpecResult(tiny_spec(), None)
+        assert record.error is None
+        assert record.wall_time == 0.0
+
 
 class TestSupervisedPoolValidation:
     def test_bad_workers(self):
@@ -146,6 +185,23 @@ class TestSupervisedPool:
         assert all(result.ok for _, _, result in events)
         by_id = {task_id: result for task_id, _, result in events}
         assert by_id[0].point.injection_rate == 0.02
+
+    def test_spec_exception_reported_without_losing_the_worker(
+            self, monkeypatch):
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        counters = {}
+        pool = SupervisedPool(max_workers=1, counters=counters).start()
+        try:
+            pool.submit(0, 0, tiny_spec(pattern="nonexistent"))
+            (_, _, failed), = drain_events(pool, 1)
+            pool.submit(1, 0, tiny_spec())
+            (_, _, succeeded), = drain_events(pool, 1)
+        finally:
+            pool.stop()
+        assert failed.error.startswith("worker raised:")
+        assert "nonexistent" in failed.error
+        assert succeeded.ok
+        assert counters.get("workers_respawned", 0) == 0
 
     def test_crash_detected_and_worker_respawned(self, monkeypatch):
         monkeypatch.setenv(CHAOS_ENV, "crash:p=1.0")
