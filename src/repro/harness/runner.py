@@ -360,22 +360,21 @@ def latency_curve(design_name: str, pattern_name: str, rates: List[float],
     points: List[SweepPoint] = []
     cursor = SaturationCursor(latency_cap)
     for start in range(0, len(curve), jobs):
-        for point in _run_wave(curve[start:start + jobs], jobs, latency_cap):
+        for point in _run_wave(curve[start:start + jobs], jobs):
             points.append(point)
             if cursor.push(point):
                 return points, curve_saturation_rate(points, latency_cap)
     return points, curve_saturation_rate(points, latency_cap)
 
 
-def _run_wave(specs: List[ExperimentSpec], jobs: int,
-              latency_cap: float) -> List[SweepPoint]:
+def _run_wave(specs: List[ExperimentSpec], jobs: int) -> List[SweepPoint]:
     """Simulate one wave of a curve: in-process, or as one campaign."""
     if jobs == 1:
         return [spec.run()[1] for spec in specs]
     from repro.harness.campaign import CampaignConfig, CampaignEngine
 
-    report = CampaignEngine(specs, directory=None, config=CampaignConfig(
-        jobs=jobs, latency_cap=latency_cap)).run()
+    report = CampaignEngine(specs, directory=None,
+                            config=CampaignConfig(jobs=jobs)).run()
     if not report.completed:
         # The engine turned SIGINT/SIGTERM into a drain; stop the curve as
         # the signal would have without it.

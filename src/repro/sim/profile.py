@@ -65,9 +65,11 @@ class PhaseProfiler:
         #: phase -> part -> seconds: the split of a phase.  A phase run by
         #: several components gets one part per component (``inject`` into
         #: ``traffic`` generation and ``network`` NIC->VC admission); a
-        #: component may also lap its own parts (``control`` into
-        #: ``executor`` / ``sm_delivery`` / ``tick`` / ``outbox``).
+        #: component may instead lap its own parts (``control`` into
+        #: ``executor`` / ``sm_delivery`` / ``tick`` / ``outbox``), and then
+        #: gets no part of its own, so the parts never count a second twice.
         self.part_seconds: Dict[str, Dict[str, float]] = {}
+        self._laps = 0
         #: A point's fixed cost before its first cycle, by stage: ``build``
         #: (``ExperimentSpec.build``: network, traffic, injector — recorded
         #: by ``ExperimentSpec.run``) and ``compile`` (the ``fast`` engine's
@@ -82,7 +84,8 @@ class PhaseProfiler:
         schedule is built with a profiler attached; each invocation adds
         the phase's wall time and one call.  With more than one method,
         each also adds its own time to the part named by its component's
-        ``profile_part`` attribute (or class name).
+        ``profile_part`` attribute (or class name) — unless that call
+        lapped parts itself (:meth:`lap`), which already split its time.
         """
         methods = tuple(bound_methods)
         seconds = self.phase_seconds
@@ -94,15 +97,15 @@ class PhaseProfiler:
         if len(methods) > 1:
             parts = self.part_seconds.setdefault(name, {})
             timed = tuple((method, _part_name(method)) for method in methods)
-            for _, part in timed:
-                parts.setdefault(part, 0.0)
 
             def timed_parts(cycle: int) -> None:
                 start = lap = perf()
                 for method, part in timed:
+                    laps = self._laps
                     method(cycle)
                     now = perf()
-                    parts[part] += now - lap
+                    if self._laps == laps:
+                        parts[part] = parts.get(part, 0.0) + now - lap
                     lap = now
                 seconds[name] += lap - start
                 calls[name] += 1
@@ -135,6 +138,7 @@ class PhaseProfiler:
     def lap(self, phase: str, part: str, since: float) -> float:
         """Add the time since ``since`` to a part of a phase; returns now."""
         now = time.perf_counter()
+        self._laps += 1
         parts = self.part_seconds.setdefault(phase, {})
         parts[part] = parts.get(part, 0.0) + now - since
         return now

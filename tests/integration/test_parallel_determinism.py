@@ -123,6 +123,14 @@ class TestLatencyCurveWaves:
                                   mesh_side=4, tdd=32, jobs=1)
         assert [p.injection_rate for p in points] == RATES[:2]
 
+    def test_jobs_accept_the_same_latency_cap_as_serial(self):
+        # A campaign rejects latency_cap <= 1.0; a curve must not, at any jobs.
+        serial = latency_curve("spin_mesh", "uniform", RATES[:2], SIM,
+                               mesh_side=4, tdd=32, latency_cap=1.0, jobs=1)
+        waved = latency_curve("spin_mesh", "uniform", RATES[:2], SIM,
+                              mesh_side=4, tdd=32, latency_cap=1.0, jobs=2)
+        assert waved == serial
+
     def test_failed_point_raises_simulation_error(self):
         with pytest.raises(SimulationError, match="sweep point failed"):
             latency_curve("spin_mesh", "nonexistent", RATES[:2], SIM,

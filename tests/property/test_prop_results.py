@@ -55,20 +55,20 @@ META = st.dictionaries(
 
 
 @given(POINTS)
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_point_dict_round_trip(point):
     assert SweepPoint.from_dict(point.to_dict()) == point
 
 
 @given(POINTS)
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_point_dict_is_json_safe(point):
     through_json = json.loads(json.dumps(point.to_dict()))
     assert SweepPoint.from_dict(through_json) == point
 
 
 @given(st.lists(POINTS, max_size=5), META)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_results_text_round_trip(points, meta):
     text = results_to_json(points, meta)
     points_back, meta_back = results_from_json(text)
@@ -77,7 +77,7 @@ def test_results_text_round_trip(points, meta):
 
 
 @given(st.lists(POINTS, max_size=4), META)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_serialization_is_canonical(points, meta):
     text = results_to_json(points, meta)
     # Same inputs -> same bytes; parse-then-dump is a fixed point.

@@ -141,6 +141,24 @@ class TestFastCoreCounters:
         assert "parts" not in report["phases"]["allocate"]
         assert "  .traffic" in render_report(report)
 
+    def test_lapped_component_gets_no_part_of_its_own(self):
+        # Faults put the injector beside the network in ``control``; the
+        # fast engine still hands the framework the profiler, whose laps
+        # split the network's share.  Counting that share again as a
+        # ``network`` part would make the parts add up to twice the phase.
+        spec = ExperimentSpec(design=FAST_OK_DESIGN, pattern="uniform",
+                              injection_rate=0.1, mesh_side=4, sim=TINY,
+                              engine="fast", faults="sm_drop:p=0.05",
+                              fault_seed=3)
+        profiler = PhaseProfiler()
+        _, point = spec.run(profiler=profiler)
+        control = profiler.report("fast", point.cycles)["phases"]["control"]
+        assert {"FaultInjector", "executor", "sm_delivery", "tick",
+                "outbox"} <= set(control["parts"])
+        assert "network" not in control["parts"]
+        assert sum(control["parts"].values()) == pytest.approx(
+            control["seconds"], rel=0.2)
+
     def test_control_counters_merge_into_the_report(self):
         profiler = PhaseProfiler()
         profiler.count("router_cycles_run", 3)
