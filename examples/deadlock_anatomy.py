@@ -21,7 +21,6 @@ from repro.config import NetworkConfig
 from repro.routing.adaptive import MinimalAdaptiveRouting
 from repro.sim import create_engine
 from repro.topology.ring import RingTopology, COUNTER_CLOCKWISE
-from repro.network.packet import Packet
 
 RING = 6
 DST_AHEAD = 2
@@ -30,19 +29,9 @@ TDD = 16
 
 def plant_deadlock(network):
     """One packet per router, each two hops from its destination clockwise."""
-    packets = []
-    for router_id in range(RING):
-        dst = (router_id + DST_AHEAD) % RING
-        packet = Packet(src_node=router_id, dst_node=dst,
-                        src_router=router_id, dst_router=dst, length=1)
-        packet.inject_cycle = 0
-        vc = network.routers[router_id].inports[COUNTER_CLOCKWISE][0]
-        vc.reserve(packet, now=0, link_latency=0, router_latency=0)
-        vc.head_arrival = vc.ready_at = vc.tail_arrival = 0
-        network.note_vc_reserved(network.routers[router_id])
-        network.stats.record_creation(packet, 0)
-        packets.append(packet)
-    return packets
+    return [network.plant_packet(router_id, COUNTER_CLOCKWISE,
+                                 (router_id + DST_AHEAD) % RING)
+            for router_id in range(RING)]
 
 
 def snapshot(network):

@@ -24,6 +24,9 @@ CONTROL_PACKET_FLITS = 1
 DATA_PACKET_FLITS = 5
 #: Most VCs one input port may hold (the arbitration-key stride).
 MAX_VCS_PER_PORT = 64
+#: Values (stripped, lowercased) that switch an environment gate off —
+#: ``REPRO_VERIFY``, ``REPRO_TELEMETRY``, ``REPRO_PROFILE``.
+ENV_OFF_VALUES = frozenset({"", "0", "off", "false", "no"})
 
 
 @dataclass

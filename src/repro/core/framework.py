@@ -24,19 +24,18 @@ tick is one the unscheduled loop would have run as a no-op.
 
 *The invariant this rests on:* a controller's guards change only through an
 SM arrival or a VC event at its router, and both reschedule it.  A VC event
-dirties it (``Network.note_vc_reserved`` / ``note_vc_released`` set its bit
-in :attr:`SpinFramework.dirty`): it ticks in the next control phase.  An SM batch is handled by the controller itself, so the
-state it leaves is known: delivery re-derives the due time from it, and a
-probe that was only forwarded leaves the controller asleep.  Everything
+— a flit hop or a ``Network.plant_packet`` — dirties it
+(``Network.note_vc_reserved`` / ``note_vc_released`` set its bit in
+:attr:`SpinFramework.dirty`): it ticks in the next control phase.  An SM
+batch is handled by the controller itself, so the state it leaves is
+known: delivery re-derives the due time from it, and a probe that was only
+forwarded leaves the controller asleep.  Everything
 that writes controller-visible state *without* going through that funnel
 fails closed here, not in the engine:
 
 * the **spin executor** rotates packets and runs controller callbacks on
   its own: a cycle with a spin scheduled ticks every controller and wakes
   every router;
-* **vc-less planting events** (``note_vc_reserved(router)`` after a scenario
-  mutated VC fields directly) may have touched any router: every
-  controller is dirtied;
 * a **fault injector** or **dead links** (SM loss/delay/corruption, router
   power-gating, packets dropped behind the controllers' backs):
   scheduling is off for as long as either is present, and every

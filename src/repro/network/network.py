@@ -18,6 +18,7 @@ from repro.network.nic import NetworkInterface
 from repro.network.packet import Packet
 from repro.network.plan import FabricPlan
 from repro.network.router import EJECT_PORT_BASE, Router
+from repro.network.vc import VirtualChannel
 from repro.sim.rng import DeterministicRng
 from repro.stats.collectors import NetworkStats
 from repro.topology.base import Topology
@@ -150,30 +151,54 @@ class Network:
         """Ejection-port index of a terminal node at its router."""
         return self.plan.eject_of[node]
 
-    def note_vc_reserved(self, router: Router, vc=None) -> None:
+    def note_vc_reserved(self, router: Router, vc: VirtualChannel) -> None:
         router.active_vcs += 1
         spin = self.spin
         if spin is not None:
             # Reschedule the router's SPIN controller (inlined: this runs
-            # once per flit hop).  A vc-less planting event may stand for
-            # edits anywhere.
-            if vc is None:
-                spin.dirty_all()
-            else:
-                spin.dirty[router.id] = 1
+            # once per flit hop).
+            spin.dirty[router.id] = 1
         if self.engine_sink is not None:
             self.engine_sink.vc_reserved(router, vc)
 
-    def note_vc_released(self, router: Router, vc=None) -> None:
+    def note_vc_released(self, router: Router, vc: VirtualChannel) -> None:
         router.active_vcs -= 1
         spin = self.spin
         if spin is not None:
-            if vc is None:
-                spin.dirty_all()
-            else:
-                spin.dirty[router.id] = 1
+            spin.dirty[router.id] = 1
         if self.engine_sink is not None:
             self.engine_sink.vc_released(router, vc)
+
+    def plant_packet(self, router_id: int, inport: int, dst_router: int, *,
+                     vnet: int = 0, vc_index: int = 0, length: int = 1,
+                     now: int = 0, src_router: Optional[int] = None,
+                     ready_at: Optional[int] = None) -> Packet:
+        """Place a fully-arrived packet in the ``vc_index``-th VC of
+        ``vnet`` at a router's (network or injection) ``inport``.
+
+        The one way to set fabric state outside the datapath.  The packet
+        runs between the first terminals of ``src_router`` (default: this
+        router) and ``dst_router``; its head competes from ``ready_at``
+        (default ``now``).  It fires the per-VC event a flit hop fires.
+        """
+        if src_router is None:
+            src_router = router_id
+        nodes_of = self.topology.nodes_of_router
+        packet = Packet(src_node=nodes_of(src_router)[0],
+                        dst_node=nodes_of(dst_router)[0],
+                        src_router=src_router, dst_router=dst_router,
+                        length=length, vnet=vnet, create_cycle=now)
+        packet.inject_cycle = now
+        router = self.routers[router_id]
+        vc = router.vnet_slice(inport, vnet)[vc_index]
+        vc.free_at = min(vc.free_at, now)
+        vc.reserve(packet, now, link_latency=0, router_latency=0)
+        if ready_at is not None:
+            vc.ready_at = ready_at
+        vc.tail_arrival = now
+        self.note_vc_reserved(router, vc)
+        self.stats.record_creation(packet, now)
+        return packet
 
     def wake_router(self, router_id: int) -> None:
         """Control work changed what this router's allocation would do —

@@ -215,18 +215,10 @@ class FastSimulator(Simulator):
     # ------------------------------------------------------------------
     # Event sink (called from Network.note_vc_*, wake_router, NIC.enqueue)
     # ------------------------------------------------------------------
-    def vc_reserved(self, router, vc=None) -> None:
-        if vc is None:
-            # Legacy vc-less event: scenario planting mutated VC fields
-            # directly — rebuild every mirror from the objects.
-            self._core.resync()
-            return
+    def vc_reserved(self, router, vc) -> None:
         self._core.on_reserved(router, vc)
 
-    def vc_released(self, router, vc=None) -> None:
-        if vc is None:
-            self._core.resync()
-            return
+    def vc_released(self, router, vc) -> None:
         self._core.on_released(router, vc)
 
     def nic_backlogged(self, node: int) -> None:

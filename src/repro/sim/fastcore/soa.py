@@ -34,9 +34,9 @@ tables are *mirrors*, kept in sync through the same ``note_vc_reserved`` /
 * ``frozen`` and ``packet`` contents are always read from the objects —
   controllers freeze/unfreeze without datapath events.
 
-A legacy *vc-less* event (golden/model scenarios plant deadlocks by mutating
-VC fields directly, then fire ``note_vc_reserved(router)``) triggers
-:meth:`resync`, a full rebuild of every dynamic table from the objects.
+Planted packets (``Network.plant_packet``) arrive through the same per-VC
+reserve event.  :meth:`resync` rebuilds every dynamic table from the
+objects (at compile time, or to repair a mismatch);
 :meth:`verify_against_objects` checks the whole mirror invariant and backs
 the round-trip property tests.
 
@@ -173,7 +173,6 @@ class SoaCore:
         self.nic_wake = [0] * len(net.nics)
         self.active_nics = set()
         self.occupied = 0
-        self.resyncs = 0
         self.resync()
 
     def _hop_row(self, target: int) -> Sequence[int]:
@@ -227,12 +226,10 @@ class SoaCore:
     def resync(self) -> None:
         """Rebuild every dynamic table from the authoritative objects.
 
-        Used at compile time and after a legacy *vc-less* event (scenario
-        deadlock planting mutates VC fields directly); also wakes every
-        router and NIC, dropping all cached skip analysis (the SPIN
-        framework dirties its controllers on the same event).
+        Used at compile time and to repair the mirrors after
+        :meth:`verify_against_objects` found a mismatch; also wakes every
+        router and NIC, dropping all cached skip analysis.
         """
-        self.resyncs += 1
         vc_pkt = self.vc_pkt
         vc_ready = self.vc_ready
         vc_free = self.vc_free

@@ -31,14 +31,14 @@ import sys
 import time
 from typing import Dict, Iterable, List, Optional
 
+from repro.config import ENV_OFF_VALUES
+
 #: Version tag of profile reports.
 PROFILE_SCHEMA = "repro.profile/v1"
 
 #: Environment toggle: truthy values attach a profiler to every
 #: ``simulate_point`` call and print a summary line to stderr.
 PROFILE_ENV = "REPRO_PROFILE"
-
-_FALSEY = {"", "0", "off", "false", "no"}
 
 
 def _rounded(seconds: Optional[float]) -> Optional[float]:
@@ -194,7 +194,7 @@ def profiler_from_env(env: Optional[Dict[str, str]] = None
                       ) -> Optional[PhaseProfiler]:
     """A fresh profiler when ``REPRO_PROFILE`` is truthy, else ``None``."""
     value = (env if env is not None else os.environ).get(PROFILE_ENV, "")
-    if value.strip().lower() in _FALSEY:
+    if value.strip().lower() in ENV_OFF_VALUES:
         return None
     return PhaseProfiler()
 

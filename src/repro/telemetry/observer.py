@@ -37,6 +37,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.config import ENV_OFF_VALUES
 from repro.errors import ConfigurationError
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import SpanTracer, SpinSpan
@@ -305,19 +306,25 @@ def config_from_env_value(value: str) -> Optional[TelemetryConfig]:
     Accepted (case-insensitive): ``1``/``on``/``true``/``metrics``/
     ``spans`` — metrics + spans at the default interval; ``full`` — also
     per-packet hop traces; an integer > 1 — metrics + spans sampled every
-    that many cycles.  Anything else disables telemetry.
+    that many cycles; empty or an off value (``0``, ``off``, ...) — None.
+    Anything else raises :class:`ConfigurationError`.
     """
     text = value.strip().lower()
-    if not text:
+    if text in ENV_OFF_VALUES:
         return None
     if text in _ENV_ON:
         return TelemetryConfig(packet_traces=(text == "full"))
     try:
         interval = int(text)
     except ValueError:
-        return None
-    if interval <= 1:
-        return TelemetryConfig() if interval == 1 else None
+        interval = 0
+    if interval < 1:
+        raise ConfigurationError(
+            f"REPRO_TELEMETRY={text!r} is not recognized; accepted: "
+            f"{', '.join(_ENV_ON)}, an integer sample interval, or off: "
+            f"{', '.join(sorted(ENV_OFF_VALUES - {''}))}")
+    if interval == 1:
+        return TelemetryConfig()
     return TelemetryConfig(sample_interval=interval)
 
 

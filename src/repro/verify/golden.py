@@ -33,10 +33,11 @@ commit message.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import NetworkConfig, SpinParams
 from repro.network.network import Network
+from repro.network.packet import Packet
 from repro.sim import create_engine
 from repro.topology.mesh import MeshTopology
 from repro.topology.torus import TorusTopology
@@ -123,34 +124,30 @@ def _build_torus4_bubble() -> Tuple[Network, object]:
     return network, traffic
 
 
-def _plant_packet(network: Network, router_id: int, inport: int,
-                  dst_router: int, length: int = 1) -> None:
-    """Place a fully-arrived packet directly into a router input VC.
+def plant_square_deadlock(network: Network) -> List[Packet]:
+    """Plant paper Fig. 2's 4-packet clockwise deadlock on the (1,1)-(2,2)
+    square of a >= 4x4 mesh with 1 VC per vnet; returns the packets.
 
-    Mirrors the test-suite deadlock-crafting helper (tests/conftest.py) but
-    lives here so fixture regeneration and ``repro-sim trace --scenario``
-    need nothing from the test tree.
+    Each packet's destination lies two hops straight ahead, so under
+    minimal routing its unique productive port is the next clockwise edge
+    of the square — a textbook cyclic buffer dependency.
     """
-    from repro.network.packet import Packet
+    from repro.topology.mesh import EAST, NORTH, SOUTH, WEST
 
-    packet = Packet(src_node=router_id, dst_node=dst_router,
-                    src_router=router_id, dst_router=dst_router,
-                    length=length, create_cycle=0)
-    packet.inject_cycle = 0
-    router = network.routers[router_id]
-    vc = router.inports[inport][0]
-    vc.free_at = min(vc.free_at, 0)
-    vc.reserve(packet, now=0, link_latency=0, router_latency=0)
-    vc.head_arrival = 0
-    vc.ready_at = 0
-    vc.tail_arrival = 0
-    network.note_vc_reserved(router)
-    network.stats.record_creation(packet, 0)
+    at = network.topology.router_at
+    plan = [
+        # (router, inport holding the packet, destination 2 hops ahead)
+        (at(1, 1), SOUTH, at(3, 1)),   # wants EAST
+        (at(2, 1), WEST, at(2, 3)),    # wants SOUTH
+        (at(2, 2), NORTH, at(0, 2)),   # wants WEST
+        (at(1, 2), EAST, at(1, 0)),    # wants NORTH
+    ]
+    return [network.plant_packet(router, inport, dst)
+            for router, inport, dst in plan]
 
 
 def _build_mesh4_square_deadlock() -> Tuple[Network, object]:
     from repro.routing.adaptive import MinimalAdaptiveRouting
-    from repro.topology.mesh import EAST, NORTH, SOUTH, WEST
 
     params = SCENARIOS["mesh4_square_deadlock"].params
     network = Network(
@@ -160,18 +157,7 @@ def _build_mesh4_square_deadlock() -> Tuple[Network, object]:
         spin=SpinParams(tdd=params["tdd"]),
         seed=params["seed"],
     )
-    at = network.topology.router_at
-    plan = [
-        # (router, inport holding the packet, destination 2 hops ahead):
-        # each packet's unique minimal port is the next clockwise edge of
-        # the (1,1)-(2,2) square — paper Fig. 2's cyclic dependency.
-        (at(1, 1), SOUTH, at(3, 1)),   # wants EAST
-        (at(2, 1), WEST, at(2, 3)),    # wants SOUTH
-        (at(2, 2), NORTH, at(0, 2)),   # wants WEST
-        (at(1, 2), EAST, at(1, 0)),    # wants NORTH
-    ]
-    for router, inport, dst in plan:
-        _plant_packet(network, router, inport, dst)
+    plant_square_deadlock(network)
     return network, None
 
 

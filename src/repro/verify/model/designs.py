@@ -91,9 +91,14 @@ class Design:
                           probe_path_factor=self.probe_path_factor)
 
     def build_network(self, seed: int = 3):
-        """A fresh network with the design's loop deadlock planted."""
-        builder = _BUILDERS[self.topology]
-        return builder(self, seed)
+        """A fresh network with the design's loop deadlock planted: each
+        packet comes from the previous loop router."""
+        network = _BUILDERS[self.topology](self, seed)
+        plan = self.loop_plan(network)
+        for k, (router_id, inport, dst) in enumerate(plan):
+            network.plant_packet(router_id, inport, dst,
+                                 src_router=plan[k - 1][0])
+        return network
 
     def loop_plan(self, network) -> List[Tuple[int, int, int]]:
         """``(router, inport, dst_router)`` triples in loop order."""
@@ -105,25 +110,6 @@ class Design:
 # ----------------------------------------------------------------------
 # Concrete builders
 # ----------------------------------------------------------------------
-def _plant_loop(network, plan: List[Tuple[int, int, int]]) -> None:
-    from repro.network.packet import Packet
-
-    for k, (router_id, inport, dst) in enumerate(plan):
-        prev = plan[k - 1][0]
-        packet = Packet(src_node=prev, dst_node=dst, src_router=prev,
-                        dst_router=dst, length=1, create_cycle=0)
-        packet.inject_cycle = 0
-        router = network.routers[router_id]
-        vc = router.inports[inport][0]
-        vc.free_at = min(vc.free_at, 0)
-        vc.reserve(packet, now=0, link_latency=0, router_latency=0)
-        vc.head_arrival = 0
-        vc.ready_at = 0
-        vc.tail_arrival = 0
-        network.note_vc_reserved(router)
-        network.stats.record_creation(packet, 0)
-
-
 def _ring_plan(network) -> LoopPlan:
     from repro.topology.ring import COUNTER_CLOCKWISE
 
@@ -169,7 +155,7 @@ def _build_mesh(design: Design, seed: int):
     from repro.topology.mesh import MeshTopology
 
     cols, rows = {"mesh2x2": (2, 2), "mesh2x3": (2, 3)}[design.name]
-    network = Network(
+    return Network(
         topology=MeshTopology(cols, rows,
                               link_latency=design.link_latency),
         config=NetworkConfig(vcs_per_vnet=1,
@@ -178,8 +164,6 @@ def _build_mesh(design: Design, seed: int):
         spin=design.spin_params(),
         seed=seed,
     )
-    _plant_loop(network, design.loop_plan(network))
-    return network
 
 
 def _build_ring(design: Design, seed: int):
@@ -188,7 +172,7 @@ def _build_ring(design: Design, seed: int):
     from repro.routing.adaptive import MinimalAdaptiveRouting
     from repro.topology.ring import RingTopology
 
-    network = Network(
+    return Network(
         topology=RingTopology(design.loop_size,
                               link_latency=design.link_latency,
                               bidirectional=False),
@@ -198,8 +182,6 @@ def _build_ring(design: Design, seed: int):
         spin=design.spin_params(),
         seed=seed,
     )
-    _plant_loop(network, design.loop_plan(network))
-    return network
 
 
 _BUILDERS: Dict[str, Callable] = {

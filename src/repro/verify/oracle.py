@@ -42,6 +42,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.config import ENV_OFF_VALUES
 from repro.deadlock.waitgraph import (
     find_deadlocked_packets,
     spin_persistence_bound,
@@ -486,10 +487,16 @@ def oracle_from_env(network,
 
     Recognized values (case-insensitive): ``strict``/``raise`` — raise on
     the first violation; ``record``/``1`` — record and count violations
-    into the run's stats.  Anything else (including unset) disables the
-    oracle.
+    into the run's stats; unset or an off value (``0``, ``off``, ...) —
+    no oracle.  Anything else raises :class:`ConfigurationError`.
     """
-    mode = _ENV_MODES.get(os.environ.get("REPRO_VERIFY", "").strip().lower())
-    if mode is None:
+    text = os.environ.get("REPRO_VERIFY", "").strip().lower()
+    if text in ENV_OFF_VALUES:
         return None
+    mode = _ENV_MODES.get(text)
+    if mode is None:
+        raise ConfigurationError(
+            f"REPRO_VERIFY={text!r} is not recognized; accepted: "
+            f"{', '.join(sorted(_ENV_MODES))}, or off: "
+            f"{', '.join(sorted(ENV_OFF_VALUES - {''}))}")
     return InvariantOracle(network, OracleConfig(mode=mode, journal=journal))

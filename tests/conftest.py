@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import pytest
 
@@ -12,7 +12,8 @@ from repro.network.packet import Packet
 from repro.routing.adaptive import MinimalAdaptiveRouting
 from repro.sim.engine import Simulator
 from repro.topology.mesh import MeshTopology
-from repro.topology.ring import CLOCKWISE, COUNTER_CLOCKWISE, RingTopology
+from repro.topology.ring import COUNTER_CLOCKWISE, RingTopology
+from repro.verify.golden import plant_square_deadlock as craft_square_deadlock
 
 
 def make_mesh_network(side: int = 4, vcs: int = 1, routing=None,
@@ -60,75 +61,13 @@ def craft_ring_deadlock(network: Network, dst_ahead: int = 2,
     Returns:
         The planted packets, in ring order.
     """
-    topology: RingTopology = network.topology
-    m = topology.num_routers
+    m = network.topology.num_routers
     assert 2 <= dst_ahead <= m // 2, "clockwise must be uniquely minimal"
-    packets = []
-    for router_id in range(m):
-        dst_router = (router_id + dst_ahead) % m
-        packet = Packet(
-            src_node=(router_id - 1) % m,
-            dst_node=dst_router,
-            src_router=(router_id - 1) % m,
-            dst_router=dst_router,
-            length=length,
-            create_cycle=0,
-        )
-        packet.inject_cycle = 0
-        router = network.routers[router_id]
-        vc = router.inports[COUNTER_CLOCKWISE][0]
-        vc.reserve(packet, now=0, link_latency=0, router_latency=0)
-        vc.head_arrival = 0
-        vc.ready_at = 0
-        vc.tail_arrival = 0
-        network.note_vc_reserved(router)
-        network.stats.record_creation(packet, 0)
-        packets.append(packet)
-    return packets
-
-
-def _plant_packet(network: Network, router_id: int, inport: int,
-                  dst_router: int, length: int = 1,
-                  vc_index: int = 0, now: int = 0) -> Packet:
-    """Place a fully-arrived packet directly into a router input VC."""
-    packet = Packet(
-        src_node=router_id, dst_node=dst_router, src_router=router_id,
-        dst_router=dst_router, length=length, create_cycle=now)
-    packet.inject_cycle = now
-    router = network.routers[router_id]
-    vc = router.inports[inport][vc_index]
-    vc.free_at = min(vc.free_at, now)
-    vc.reserve(packet, now=now, link_latency=0, router_latency=0)
-    vc.head_arrival = now
-    vc.ready_at = now
-    vc.tail_arrival = now
-    network.note_vc_reserved(router)
-    network.stats.record_creation(packet, now)
-    return packet
-
-
-def craft_square_deadlock(network: Network, length: int = 1) -> List[Packet]:
-    """Plant a 4-packet clockwise deadlock on the (1,1)-(2,2) mesh square.
-
-    Each packet's destination lies two hops straight ahead, so under
-    minimal routing its unique productive port is the next clockwise edge
-    of the square — a textbook cyclic buffer dependency (paper Fig. 2).
-    Requires a >= 4x4 mesh with 1 VC per vnet.
-    """
-    from repro.topology.mesh import EAST, NORTH, SOUTH, WEST
-
-    mesh: MeshTopology = network.topology
-    at = mesh.router_at
-    spec = [
-        # (router, inport holding the packet, destination 2 hops ahead)
-        (at(1, 1), SOUTH, at(3, 1)),   # wants EAST
-        (at(2, 1), WEST, at(2, 3)),    # wants SOUTH
-        (at(2, 2), NORTH, at(0, 2)),   # wants WEST
-        (at(1, 2), EAST, at(1, 0)),    # wants NORTH
-    ]
     return [
-        _plant_packet(network, router, inport, dst, length)
-        for router, inport, dst in spec
+        network.plant_packet(router_id, COUNTER_CLOCKWISE,
+                             (router_id + dst_ahead) % m, length=length,
+                             src_router=(router_id - 1) % m)
+        for router_id in range(m)
     ]
 
 
@@ -153,10 +92,8 @@ def craft_figure8_deadlock(network: Network) -> List[Packet]:
         (at(2, 2), NORTH, at(0, 2)),   # wants WEST
         (at(1, 2), EAST, at(1, 0)),    # wants NORTH -> back into (1,1)
     ]
-    return [
-        _plant_packet(network, router, inport, dst)
-        for router, inport, dst in spec
-    ]
+    return [network.plant_packet(router, inport, dst)
+            for router, inport, dst in spec]
 
 
 def simulate(network: Network, cycles: int,

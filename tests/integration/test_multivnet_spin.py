@@ -10,7 +10,6 @@ deadlock avoidance; these tests pin the interaction down.)
 from repro.config import NetworkConfig, SpinParams
 from repro.deadlock.waitgraph import has_deadlock
 from repro.network.network import Network
-from repro.network.packet import Packet
 from repro.routing.adaptive import MinimalAdaptiveRouting
 from repro.sim.engine import Simulator
 from repro.topology.ring import COUNTER_CLOCKWISE, RingTopology
@@ -24,22 +23,13 @@ def two_vnet_ring(m=6, tdd=8, seed=1):
 
 
 def plant_ring_deadlock_in_vnet(network, vnet, dst_ahead=2):
-    topology: RingTopology = network.topology
-    m = topology.num_routers
-    packets = []
-    for router_id in range(m):
-        dst = (router_id + dst_ahead) % m
-        packet = Packet(src_node=(router_id - 1) % m, dst_node=dst,
-                        src_router=(router_id - 1) % m, dst_router=dst,
-                        length=1, vnet=vnet)
-        packet.inject_cycle = 0
-        vc = network.routers[router_id].vnet_slice(COUNTER_CLOCKWISE, vnet)[0]
-        vc.reserve(packet, now=0, link_latency=0, router_latency=0)
-        vc.head_arrival = vc.ready_at = vc.tail_arrival = 0
-        network.note_vc_reserved(network.routers[router_id])
-        network.stats.record_creation(packet, 0)
-        packets.append(packet)
-    return packets
+    m = network.topology.num_routers
+    return [
+        network.plant_packet(router_id, COUNTER_CLOCKWISE,
+                             (router_id + dst_ahead) % m, vnet=vnet,
+                             src_router=(router_id - 1) % m)
+        for router_id in range(m)
+    ]
 
 
 class TestVnetScopedRecovery:
@@ -74,14 +64,8 @@ class TestVnetScopedRecovery:
         deadlocked = plant_ring_deadlock_in_vnet(network, vnet=0)
         # A quiet bystander packet in vnet 1, already at its destination
         # neighborhood, blocked only by ejection scheduling.
-        bystander = Packet(src_node=0, dst_node=3, src_router=0,
-                           dst_router=3, length=1, vnet=1)
-        bystander.inject_cycle = 0
-        vc = network.routers[2].vnet_slice(COUNTER_CLOCKWISE, 1)[0]
-        vc.reserve(bystander, now=0, link_latency=0, router_latency=0)
-        vc.head_arrival = vc.ready_at = vc.tail_arrival = 0
-        network.note_vc_reserved(network.routers[2])
-        network.stats.record_creation(bystander, 0)
+        bystander = network.plant_packet(2, COUNTER_CLOCKWISE, 3, vnet=1,
+                                         src_router=0)
         sim = Simulator()
         sim.register(network)
         sim.run_until(

@@ -20,11 +20,10 @@ from repro.config import NetworkConfig, SimulationConfig, SpinParams
 from repro.deadlock.waitgraph import has_deadlock
 from repro.faults import FaultInjector, parse_fault_spec
 from repro.network.network import Network
-from repro.network.packet import Packet
 from repro.routing.adaptive import MinimalAdaptiveRouting
 from repro.sim.engine import Simulator
 from repro.topology.irregular import IrregularTopology
-from repro.topology.ring import COUNTER_CLOCKWISE, RingTopology
+from repro.topology.ring import RingTopology
 
 from tests.conftest import craft_ring_deadlock, craft_square_deadlock, \
     make_mesh_network
@@ -32,23 +31,14 @@ from tests.conftest import craft_ring_deadlock, craft_square_deadlock, \
 
 def _plant_cycle_graph_deadlock(network, m, dst_ahead=2):
     """Plant a deadlocked ring on an IrregularTopology cycle graph."""
-    topology = network.topology
-    packets = []
-    for router_id in range(m):
-        nxt = (router_id + 1) % m
-        prev = (router_id - 1) % m
-        inport = topology.port_toward(router_id, prev)
-        dst = (router_id + dst_ahead) % m
-        packet = Packet(src_node=prev, dst_node=dst, src_router=prev,
-                        dst_router=dst, length=1)
-        packet.inject_cycle = 0
-        vc = network.routers[router_id].inports[inport][0]
-        vc.reserve(packet, now=0, link_latency=0, router_latency=0)
-        vc.head_arrival = vc.ready_at = vc.tail_arrival = 0
-        network.note_vc_reserved(network.routers[router_id])
-        network.stats.record_creation(packet, 0)
-        packets.append(packet)
-    return packets
+    port_toward = network.topology.port_toward
+    return [
+        network.plant_packet(router_id,
+                             port_toward(router_id, (router_id - 1) % m),
+                             (router_id + dst_ahead) % m,
+                             src_router=(router_id - 1) % m)
+        for router_id in range(m)
+    ]
 
 
 class TestUniformSlowLinks:

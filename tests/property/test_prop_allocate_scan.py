@@ -8,11 +8,15 @@ and every VC slot, the way the datapath did before the walk was bounded.
 
 Two identically built networks, one on each, get the same traffic and the
 same perturbations (frozen VCs, heads that are not ready yet, busy input
-ports, packets planted through the vc-less ``note_vc_reserved(router)``
-convention, a SPIN recovery that moves packets through ``SpinExecutor``).
-After every cycle they must agree on the ``decide`` call sequence (the
-request set), the per-router grant counts, every ``_rr`` pointer, the
-whole datapath state and the routing RNG state.
+ports, packets planted through ``Network.plant_packet``, a SPIN recovery
+that moves packets through ``SpinExecutor``).  After every cycle they must
+agree on the ``decide`` call sequence (the request set), the per-router
+grant counts, every ``_rr`` pointer, the whole datapath state, the SPIN
+controllers and the routing RNG state.
+
+The same harness holds the ``fast`` engine to the ``reference`` one while
+packets are planted mid-run: a plant reaches the SoA mirrors, sleeping
+routers and the SPIN schedule only through its per-VC event.
 """
 
 import functools
@@ -22,8 +26,8 @@ from hypothesis import strategies as st
 
 from repro.config import SpinParams
 from repro.harness.configs import build_network
-from repro.network.packet import Packet
 from repro.network.router import is_ejection_port
+from repro.sim import create_engine
 from repro.sim.engine import Simulator
 from repro.traffic.generator import SyntheticTraffic
 from repro.traffic.patterns import make_pattern
@@ -114,13 +118,26 @@ def packet_key(packet):
 
 
 class Side:
-    """One network with its loop, its decide log and its grant log."""
+    """One network with its loop, its decide log and its grant log.
 
-    def __init__(self, network, traffics, exhaustive):
+    A side on a named ``engine`` logs neither: an instance-level ``decide``
+    patch would send ``fast`` to the reference schedule.
+    """
+
+    def __init__(self, network, traffics, exhaustive, engine=None):
         self.network = network
         self.decides = []
         self.grants = {}
         self.thaw = []  # (cycle, vc) frozen by a perturbation
+        if engine is None:
+            self._log_calls(exhaustive)
+        self.simulator = create_engine(engine) if engine else Simulator()
+        for traffic in traffics:
+            self.simulator.register(traffic)
+        self.simulator.register(network)
+
+    def _log_calls(self, exhaustive):
+        network = self.network
         routing = network.routing
         decide = routing.decide
 
@@ -137,10 +154,6 @@ class Side:
         else:
             for router in network.routers:
                 router.allocate = self._logged_allocate(router)
-        self.simulator = Simulator()
-        for traffic in traffics:
-            self.simulator.register(traffic)
-        self.simulator.register(network)
 
     def _logged_allocate(self, router):
         allocate = router.allocate
@@ -178,6 +191,10 @@ class Side:
                             packet.misroutes, packet.phase)
             # The premise of the bounded walk.
             assert router.active_vcs == held
+        core = getattr(self.simulator, "_core", None)
+        if core is not None:
+            assert core.verify_against_objects() == []
+        spin = network.spin
         stats = network.stats
         return {
             "decides": list(self.decides),
@@ -195,11 +212,15 @@ class Side:
             "stats": (stats.packets_created, stats.packets_injected,
                       stats.packets_delivered, dict(stats.events)),
             "offset": network._allocation_offset,
+            "spin": spin and [
+                (c.state, c.deadline, c.pointer, c.spin_cycle, c.loop_path)
+                for c in spin.controllers],
             "rng": network.routing.rng._random.getstate(),
         }
 
 
-def build_side(exhaustive, design, seed, rate, num_vnets, stop_at):
+def build_side(exhaustive, design, seed, rate, num_vnets, stop_at,
+               engine=None):
     network = build_network(design, seed=seed, mesh_side=4,
                             dragonfly=(2, 4, 2), num_vnets=num_vnets, tdd=8)
     pattern = make_pattern("uniform", network.topology.num_nodes, 4)
@@ -208,7 +229,7 @@ def build_side(exhaustive, design, seed, rate, num_vnets, stop_at):
                          seed=seed + vnet, vnet=vnet, stop_at=stop_at)
         for vnet in range(num_vnets)
     ]
-    return Side(network, traffics, exhaustive)
+    return Side(network, traffics, exhaustive, engine)
 
 
 def perturb(side, kind, a, b):
@@ -232,37 +253,31 @@ def perturb(side, kind, a, b):
             vc.freeze(outport=0, source=router.id, spin_cycle=now + 5,
                       path_index=0)
             side.thaw.append((now + 1 + b % 6, vc))
-    else:  # "plant" / "plant_late": the vc-less reserve convention
+    else:  # "plant" / "plant_late"
         idle = [vc for port in sorted(router.inports)
                 for vc in router.inports[port] if vc.is_idle(now)]
         if not idle:
             return
         vc = idle[b % len(idle)]
         dst_router = (router.id + 1 + b % (len(routers) - 1)) % len(routers)
-        topology = network.topology
-        packet = Packet(
-            src_node=topology.nodes_of_router(router.id)[0],
-            dst_node=topology.nodes_of_router(dst_router)[0],
-            src_router=router.id, dst_router=dst_router,
-            length=1 + b % 5, vnet=vc.vnet, create_cycle=now)
-        packet.inject_cycle = now
-        vc.reserve(packet, now=now, link_latency=0, router_latency=0)
-        vc.ready_at = now + 3 if kind == "plant_late" else now
-        network.note_vc_reserved(router)
-        network.stats.record_creation(packet, now)
+        network.plant_packet(
+            router.id, vc.inport, dst_router, vnet=vc.vnet,
+            vc_index=vc.index % network.config.vcs_per_vnet,
+            length=1 + b % 5, now=now,
+            ready_at=now + 3 if kind == "plant_late" else now)
 
 
-def run_side_by_side(bounded, exhaustive, cycles, perturbations=()):
+def run_side_by_side(side, reference, cycles, perturbations=()):
     by_cycle = {}
     for cycle, kind, a, b in perturbations:
         by_cycle.setdefault(cycle, []).append((kind, a, b))
     for cycle in range(cycles):
         for kind, a, b in by_cycle.get(cycle, ()):
-            perturb(bounded, kind, a, b)
-            perturb(exhaustive, kind, a, b)
-        bounded.step()
-        exhaustive.step()
-        got, want = bounded.snapshot(), exhaustive.snapshot()
+            perturb(side, kind, a, b)
+            perturb(reference, kind, a, b)
+        side.step()
+        reference.step()
+        got, want = side.snapshot(), reference.snapshot()
         for field in want:
             assert got[field] == want[field], (
                 f"{field} differs after cycle {cycle}")
@@ -288,6 +303,28 @@ def test_bounded_walk_equals_exhaustive_scan(design, seed, rate, num_vnets,
              for exhaustive in (False, True)]
     run_side_by_side(*sides, cycles=60, perturbations=perturbations)
     assert sides[0].network.stats.packets_injected > 0
+
+
+#: The designs the fast engine runs on its SoA core (with and without SPIN).
+SOA_DESIGNS = ("mesh:minadaptive-spin-1vc", "mesh:minadaptive-spin-2vc",
+               "mesh:minadaptive-nospin-1vc")
+
+PLANTS = st.lists(
+    st.tuples(st.integers(0, 59), st.sampled_from(["plant", "plant_late"]),
+              st.integers(0, 1000), st.integers(0, 1000)),
+    min_size=1, max_size=12)
+
+
+@given(design=st.sampled_from(SOA_DESIGNS), seed=st.integers(0, 10_000),
+       rate=st.floats(0.0, 0.5), plants=PLANTS)
+@settings(max_examples=25, deadline=None)
+def test_mid_run_plants_keep_fast_equal_to_reference(design, seed, rate,
+                                                     plants):
+    sides = [build_side(False, design, seed, rate, num_vnets=1, stop_at=45,
+                        engine=engine)
+             for engine in ("fast", "reference")]
+    run_side_by_side(*sides, cycles=60, perturbations=plants)
+    assert sides[0].simulator.engine_path == "soa"
 
 
 def test_every_perturbation_kind_lands():

@@ -5,7 +5,7 @@ from repro.network.packet import Packet
 from repro.sim.engine import Simulator
 from repro.topology.mesh import EAST, MeshTopology
 
-from tests.conftest import _plant_packet, make_mesh_network
+from tests.conftest import make_mesh_network
 
 
 class TestRoundRobinFairness:
@@ -22,16 +22,16 @@ class TestRoundRobinFairness:
 
         sim = Simulator()
         sim.register(network)
-        victim = _plant_packet(network, center, WEST, dst, now=sim.cycle)
-        rival = _plant_packet(network, center, SOUTH, dst, now=sim.cycle)
+        victim = network.plant_packet(center, WEST, dst, now=sim.cycle)
+        rival = network.plant_packet(center, SOUTH, dst, now=sim.cycle)
         for _ in range(12):
             sim.run(1)
             if victim.hops >= 1:
                 break
             vc = network.routers[center].inports[SOUTH][0]
             if vc.is_idle(sim.cycle):
-                rival = _plant_packet(network, center, SOUTH, dst,
-                                      now=sim.cycle)
+                rival = network.plant_packet(center, SOUTH, dst,
+                                             now=sim.cycle)
         assert victim.hops >= 1, "round-robin must not starve the west port"
 
     def test_one_grant_per_output_port_per_cycle(self):
@@ -43,9 +43,9 @@ class TestRoundRobinFairness:
         from repro.topology.mesh import NORTH, SOUTH, WEST
 
         packets = [
-            _plant_packet(network, center, WEST, dst),
-            _plant_packet(network, center, SOUTH, dst),
-            _plant_packet(network, center, NORTH, dst),
+            network.plant_packet(center, WEST, dst),
+            network.plant_packet(center, SOUTH, dst),
+            network.plant_packet(center, NORTH, dst),
         ]
         sim = Simulator()
         sim.register(network)
@@ -61,10 +61,10 @@ class TestRoundRobinFairness:
         center = mesh.router_at(1, 1)
         from repro.topology.mesh import WEST
 
-        a = _plant_packet(network, center, WEST, mesh.router_at(3, 1),
-                          vc_index=0)
-        b = _plant_packet(network, center, WEST, mesh.router_at(1, 3),
-                          vc_index=1)
+        a = network.plant_packet(center, WEST, mesh.router_at(3, 1),
+                                 vc_index=0)
+        b = network.plant_packet(center, WEST, mesh.router_at(1, 3),
+                                 vc_index=1)
         sim = Simulator()
         sim.register(network)
         sim.run(1)
@@ -82,7 +82,7 @@ class TestAllocationSkipsQuietRouters:
         network = make_mesh_network(side=4)
         router = network.routers[5]
         assert router.active_vcs == 0
-        packet = _plant_packet(network, 5, 1, 7)
+        packet = network.plant_packet(5, 1, 7)
         assert router.active_vcs == 1
         sim = Simulator()
         sim.register(network)

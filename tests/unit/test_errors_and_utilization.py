@@ -12,7 +12,7 @@ from repro.errors import (
 )
 from repro.sim.engine import Simulator
 
-from tests.conftest import _plant_packet, make_mesh_network
+from tests.conftest import make_mesh_network
 
 
 class TestErrorHierarchy:
@@ -45,7 +45,7 @@ class TestNetworkUtilization:
         network.stats.open_window(0, None)
         network.reset_link_utilization()
         for src, inport, dst in [(0, 2, 3), (12, 1, 15), (5, 0, 10)]:
-            _plant_packet(network, src, inport, dst)
+            network.plant_packet(src, inport, dst)
         sim = Simulator()
         sim.register(network)
         sim.run(50)
@@ -57,7 +57,7 @@ class TestNetworkUtilization:
     def test_reset_clears_history(self):
         network = make_mesh_network(side=4)
         network.stats.open_window(0, None)
-        _plant_packet(network, 0, 2, 15)
+        network.plant_packet(0, 2, 15)
         sim = Simulator()
         sim.register(network)
         sim.run(50)

@@ -3,8 +3,8 @@
 A plan is compiled once per ``(topology instance, num_vnets, vcs_per_vnet)``
 and outlives every point run on it, so these tests pin (a) that it is the
 layout the network objects actually have, (b) who shares what, and (c) that
-nothing a run does — a deadlock storm, runtime link failures, a hand-planted
-golden scenario that forces ``SoaCore.resync()`` — leaves a trace in it.
+nothing a run does — a deadlock storm, runtime link failures, a deadlock
+planted mid-run on a compiled SoA core — leaves a trace in it.
 """
 
 import hashlib
@@ -238,9 +238,9 @@ class TestImmutability:
         assert isinstance(topology.nodes_of_router(0), tuple)
 
     def test_runs_leave_no_trace_in_the_plan(self):
-        # A deadlock storm, runtime link failures and a hand-planted
-        # scenario (vc-less events -> SoaCore.resync()) on one shared
-        # fabric: every table reads the same before and after.
+        # A deadlock storm, runtime link failures and a deadlock planted
+        # on a compiled SoA core, on one shared fabric: every table reads
+        # the same before and after.
         seed = build_network("mesh:minadaptive-spin-1vc", mesh_side=4)
         topology = seed.topology
         build_network("mesh:minadaptive-spin-2vc", mesh_side=4)
@@ -269,9 +269,9 @@ class TestImmutability:
         simulator.register(planted)
         simulator.run(1)                      # compile the SoA core
         core = simulator._core
-        resyncs = core.resyncs
-        craft_square_deadlock(planted)        # vc-less events
-        assert core.resyncs > resyncs
+        craft_square_deadlock(planted)        # four per-VC events
+        assert core.occupied == 4
+        assert not core.verify_against_objects()
         simulator.run(300)
         assert planted.stats.events.get("spins", 0) > 0
         assert not core.verify_against_objects()

@@ -141,13 +141,12 @@ class TestInjectorEvents:
         assert network.dead_link_count == 2
 
     def test_gating_drops_buffered_packets(self):
-        from tests.conftest import _plant_packet
         from repro.topology.mesh import WEST
 
         # Gate at cycle 0 so the resident packet cannot escape first.
         network, _, sim = _mesh_with_injector("router_down@0:r5")
-        packet = _plant_packet(network, router_id=5, inport=WEST,
-                               dst_router=7)
+        packet = network.plant_packet(router_id=5, inport=WEST,
+                                      dst_router=7)
         sim.run(3)
         assert network.stats.packets_lost == 1
         assert network.stats.events["packets_lost_power_gate"] == 1
@@ -293,7 +292,6 @@ class TestUpDownRecompute:
 
 class TestStrandedReclamation:
     def test_stranded_packet_dropped_after_timeout(self):
-        from tests.conftest import _plant_packet
         from repro.topology.mesh import SOUTH
 
         # 2x2 mesh: under minimal routing, router 0's only productive port
@@ -306,14 +304,13 @@ class TestStrandedReclamation:
         sim = Simulator()
         sim.register(injector)
         sim.register(network)
-        _plant_packet(network, router_id=0, inport=SOUTH, dst_router=1)
+        network.plant_packet(router_id=0, inport=SOUTH, dst_router=1)
         sim.run(100)
         assert network.stats.packets_lost == 1
         assert network.stats.events["packets_lost_stranded"] == 1
         assert network.stats.events["packets_stranded"] == 1
 
     def test_reclamation_disabled_keeps_packet(self):
-        from tests.conftest import _plant_packet
         from repro.topology.mesh import SOUTH
 
         network = Network(MeshTopology(2, 2), NetworkConfig(vcs_per_vnet=1),
@@ -324,7 +321,7 @@ class TestStrandedReclamation:
         sim = Simulator()
         sim.register(injector)
         sim.register(network)
-        _plant_packet(network, router_id=0, inport=SOUTH, dst_router=1)
+        network.plant_packet(router_id=0, inport=SOUTH, dst_router=1)
         sim.run(100)
         assert network.stats.packets_lost == 0
         assert network.packets_in_flight() == 1

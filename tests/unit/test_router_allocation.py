@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.network.packet import Packet
 from repro.network.router import EJECT_PORT_BASE, is_ejection_port
 from repro.sim.engine import Simulator
 from repro.topology.mesh import EAST, MeshTopology, WEST
@@ -13,19 +12,9 @@ from tests.conftest import make_mesh_network
 def inject_directly(network, src_router, dst_router, length=1, now=0,
                     vnet=0):
     """Plant a packet into the injection-port VC of a router."""
-    packet = Packet(src_node=src_router, dst_node=dst_router,
-                    src_router=src_router, dst_router=dst_router,
-                    length=length, vnet=vnet, create_cycle=now)
-    packet.inject_cycle = now
-    router = network.routers[src_router]
     inport = network.nics[src_router].inject_port
-    vc = router.vnet_slice(inport, vnet)[0]
-    vc.reserve(packet, now=now, link_latency=0, router_latency=0)
-    vc.ready_at = now
-    vc.tail_arrival = now
-    network.note_vc_reserved(router)
-    network.stats.record_creation(packet, now)
-    return packet
+    return network.plant_packet(src_router, inport, dst_router, vnet=vnet,
+                                length=length, now=now)
 
 
 def run(network, cycles):

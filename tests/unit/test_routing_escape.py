@@ -50,9 +50,8 @@ class TestVcDiscipline:
         # Fill every adaptive VC (indices 1, 2) on both productive ports.
         for port in (EAST, SOUTH):
             neighbor, inport = router.out_neighbors[port]
-            for vc in neighbor.vcs_at(inport)[1:]:
-                vc.reserve(packet_to(9), now=0, link_latency=1,
-                           router_latency=1)
+            for index in (1, 2):
+                network.plant_packet(neighbor.id, inport, 9, vc_index=index)
         chosen = routing.decide(router, 0, packet, now=10)
         assert packet.route_state["escape"]
         # West-first escape: no west component, so the escape port is

@@ -169,9 +169,7 @@ class TestMinimalAdaptive:
         router = network.routers[mesh.router_at(0, 0)]
         # Occupy the east neighbour's west-side VC so only SOUTH has room.
         east_neighbor, east_inport = router.out_neighbors[EAST]
-        blocker = packet_to(network, 9)
-        east_neighbor.vcs_at(east_inport)[0].reserve(
-            blocker, now=0, link_latency=1, router_latency=1)
+        network.plant_packet(east_neighbor.id, east_inport, 9)
         chosen = routing.decide(router, 0, packet, now=5)
         assert chosen == SOUTH
 
@@ -185,9 +183,7 @@ class TestMinimalAdaptive:
         south_neighbor, south_inport = router.out_neighbors[SOUTH]
         # East VC active since cycle 0, south VC active since cycle 90:
         # the south VC is "younger", so FAvORS waits on SOUTH.
-        east_neighbor.vcs_at(east_inport)[0].reserve(
-            packet_to(network, 9), now=0, link_latency=1, router_latency=1)
-        south_neighbor.vcs_at(south_inport)[0].reserve(
-            packet_to(network, 9), now=90, link_latency=1, router_latency=1)
+        network.plant_packet(east_neighbor.id, east_inport, 9)
+        network.plant_packet(south_neighbor.id, south_inport, 9, now=90)
         chosen = routing.decide(router, 0, packet, now=100)
         assert chosen == SOUTH

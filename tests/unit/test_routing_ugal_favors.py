@@ -115,9 +115,7 @@ class TestUgalSourceDecision:
         min_ports = routing.productive_ports(source, packet.dst_router)
         for port in min_ports:
             neighbor, inport = source.out_neighbors[port]
-            neighbor.vnet_slice(inport, 0)[0].reserve(
-                packet_between(network, 1, 2), now=0, link_latency=1,
-                router_latency=1)
+            network.plant_packet(neighbor.id, inport, source.id)
         routing.on_inject(packet, now=500)
         assert packet.intermediate_router is not None
         assert packet.phase == 0
@@ -146,9 +144,7 @@ class TestFavors:
         source = network.routers[0]
         for port in routing.productive_ports(source, packet.dst_router):
             neighbor, inport = source.out_neighbors[port]
-            neighbor.vnet_slice(inport, 0)[0].reserve(
-                packet_between(network, 1, 2), now=0, link_latency=1,
-                router_latency=1)
+            network.plant_packet(neighbor.id, inport, source.id)
         routing.on_inject(packet, now=1000)
         assert packet.intermediate_router is not None
         assert packet.intermediate_router not in (

@@ -72,15 +72,14 @@ class TestRecovery:
         network = make_sb_network(vcs=2, tdd=10)
         # Plant a blocked packet: occupy its only adaptive VC downstream.
         mesh = network.topology
-        from tests.conftest import _plant_packet
         from repro.topology.mesh import EAST, WEST
 
-        blocked = _plant_packet(network, mesh.router_at(0, 0), 2,
-                                mesh.router_at(3, 0))
+        blocked = network.plant_packet(mesh.router_at(0, 0), 2,
+                                       mesh.router_at(3, 0))
         east_neighbor, east_inport = (
             network.routers[mesh.router_at(0, 0)].out_neighbors[EAST])
-        blocker = _plant_packet(network, east_neighbor.id, east_inport,
-                                mesh.router_at(3, 3))
+        blocker = network.plant_packet(east_neighbor.id, east_inport,
+                                       mesh.router_at(3, 3))
         # Keep the blocker from ever moving by freezing-like occupancy:
         # block ITS downstream adaptive VCs too.
         sim = Simulator()

@@ -66,9 +66,14 @@ class TestEnvGate:
         assert config is not None
         assert config.sample_interval == 128
 
-    @pytest.mark.parametrize("value", ["", "off", "0", "-3", "nope"])
+    @pytest.mark.parametrize("value", ["", "off", "0", "false", " NO "])
     def test_disabling_values(self, value):
         assert config_from_env_value(value) is None
+
+    @pytest.mark.parametrize("value", ["-3", "nope", "onn"])
+    def test_unrecognized_values_are_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="not recognized"):
+            config_from_env_value(value)
 
     def test_telemetry_from_env(self, monkeypatch):
         network = make_mesh_network()

@@ -337,6 +337,14 @@ def test_oracle_from_env(monkeypatch, mesh4):
     assert oracle_from_env(mesh4).config.mode == "raise"
     monkeypatch.setenv("REPRO_VERIFY", "0")
     assert oracle_from_env(mesh4) is None
+    monkeypatch.setenv("REPRO_VERIFY", "Off")
+    assert oracle_from_env(mesh4) is None
+
+
+def test_oracle_from_env_rejects_a_misspelled_mode(monkeypatch, mesh4):
+    monkeypatch.setenv("REPRO_VERIFY", "stirct")
+    with pytest.raises(ConfigurationError, match="strict"):
+        oracle_from_env(mesh4)
 
 
 def test_simulate_point_env_gate_counts_violations(monkeypatch):

@@ -67,7 +67,7 @@ class TestCraftedRing:
             if v.packet is packets[0]))
         vc.release(2)
         vc.free_at = 0
-        network.note_vc_released(router)
+        network.note_vc_released(router, vc)
         assert not has_deadlock(network, 3)
 
 
