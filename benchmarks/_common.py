@@ -8,20 +8,21 @@ Scaling: the paper simulates 100K cycles on gem5; pure Python is orders of
 magnitude slower, so benchmarks default to reduced cycle counts, a reduced
 dragonfly, and coarser rate grids (DESIGN.md substitution note 4).  Set
 ``REPRO_FULL=1`` for paper-scale parameters or ``REPRO_QUICK=1`` to slash
-runtimes further (CI smoke mode).
+runtimes further (CI smoke mode).  Both are on/off gates read by
+:func:`repro.config.env_gate`: an off word (``0``, ``off``, ``false``,
+``no``) keeps the normal scale and a typo is an error.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
-from repro.config import SimulationConfig
+from repro.config import SimulationConfig, env_gate
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-QUICK = os.environ.get("REPRO_QUICK", "") not in ("", "0")
-FULL = os.environ.get("REPRO_FULL", "") not in ("", "0")
+QUICK = bool(env_gate("REPRO_QUICK"))
+FULL = bool(env_gate("REPRO_FULL"))
 
 
 def scale(quick, normal, full):

@@ -18,7 +18,7 @@ Run:
 import sys
 
 from repro.config import SimulationConfig
-from repro.harness.runner import run_design
+from repro.harness.runner import ExperimentSpec
 
 SMALL = (2, 4, 2)
 FULL = (4, 8, 4)  # the paper's "1024-node" dragonfly (1056 terminals)
@@ -48,8 +48,9 @@ def main():
     print(header)
     print("-" * len(header))
     for label, name in designs:
-        network, point = run_design(name, pattern, rate, sim,
-                                    dragonfly=dragonfly, tdd=64)
+        _, point = ExperimentSpec(design=name, pattern=pattern,
+                                  injection_rate=rate, sim=sim,
+                                  dragonfly=dragonfly, tdd=64).run()
         print(f"{label:36s} {point.mean_latency:9.1f} "
               f"{point.throughput:11.3f} {point.delivery_ratio:10.3f} "
               f"{point.events.get('spins', 0):6d}")

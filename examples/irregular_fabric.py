@@ -22,7 +22,7 @@ from repro.network.network import Network
 from repro.routing.adaptive import MinimalAdaptiveRouting
 from repro.routing.table import UpDownRouting
 from repro.sim.rng import DeterministicRng
-from repro.stats.sweep import run_point
+from repro.stats.sweep import simulate_point
 from repro.topology.irregular import faulty_mesh
 from repro.traffic.generator import SyntheticTraffic
 from repro.traffic.patterns import make_pattern
@@ -40,17 +40,12 @@ def make_topology():
 
 
 def run(design_name, routing, spin):
-    def network_factory():
-        return Network(make_topology(), NetworkConfig(vcs_per_vnet=1),
-                       routing(), spin=spin, seed=7)
-
-    def traffic_factory(network, rate, stop_at):
-        pattern = make_pattern("uniform", network.topology.num_nodes)
-        return SyntheticTraffic(network, pattern, rate, seed=7,
-                                stop_at=stop_at)
-
-    network, point = run_point(network_factory, traffic_factory, SIM,
-                               injection_rate=RATE)
+    network = Network(make_topology(), NetworkConfig(vcs_per_vnet=1),
+                      routing(), spin=spin, seed=7)
+    pattern = make_pattern("uniform", network.topology.num_nodes)
+    traffic = SyntheticTraffic(network, pattern, RATE, seed=7,
+                               stop_at=SIM.warmup_cycles + SIM.measure_cycles)
+    point = simulate_point(network, traffic, SIM, injection_rate=RATE)
     return design_name, network, point
 
 

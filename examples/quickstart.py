@@ -14,7 +14,7 @@ Run:
 from repro.config import NetworkConfig, SimulationConfig, SpinParams
 from repro.network.network import Network
 from repro.routing.favors import FavorsMinimal
-from repro.stats.sweep import run_point
+from repro.stats.sweep import simulate_point
 from repro.topology.mesh import MeshTopology
 from repro.traffic.generator import SyntheticTraffic
 from repro.traffic.patterns import make_pattern
@@ -47,8 +47,10 @@ def main():
     print("Simulating an 8x8 mesh: 1 VC, fully adaptive FAvORS-Min + SPIN")
     print(f"  offered load {RATE} flits/node/cycle, "
           f"{sim_config.total_cycles} cycles total ...")
-    network, point = run_point(build_network, build_traffic, sim_config,
-                               injection_rate=RATE)
+    network = build_network()
+    traffic = build_traffic(network, RATE, sim_config.warmup_cycles
+                            + sim_config.measure_cycles)
+    point = simulate_point(network, traffic, sim_config, injection_rate=RATE)
 
     events = point.events
     print("\nResults")

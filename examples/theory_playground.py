@@ -26,7 +26,7 @@ from repro.routing.escape import EscapeVcRouting
 from repro.routing.favors import FavorsMinimal
 from repro.routing.turn_model import WestFirstRouting
 from repro.sim.rng import DeterministicRng
-from repro.stats.sweep import run_point
+from repro.stats.sweep import simulate_point
 from repro.topology.mesh import MeshTopology
 from repro.topology.torus import TorusTopology
 from repro.traffic.generator import PacketMix, SyntheticTraffic
@@ -41,17 +41,13 @@ SEED = 11
 
 def run_buffered(name, topology_factory, routing_factory, vcs, spin,
                  extra=""):
-    def network_factory():
-        return Network(topology_factory(), NetworkConfig(vcs_per_vnet=vcs),
-                       routing_factory(), spin=spin, seed=SEED)
-
-    def traffic_factory(network, rate, stop_at):
-        pattern = make_pattern("uniform", network.topology.num_nodes)
-        return SyntheticTraffic(network, pattern, rate, seed=SEED,
-                                stop_at=stop_at, mix=PacketMix.single(1))
-
-    network, point = run_point(network_factory, traffic_factory, SIM,
-                               injection_rate=RATE)
+    network = Network(topology_factory(), NetworkConfig(vcs_per_vnet=vcs),
+                      routing_factory(), spin=spin, seed=SEED)
+    pattern = make_pattern("uniform", network.topology.num_nodes)
+    traffic = SyntheticTraffic(network, pattern, RATE, seed=SEED,
+                               stop_at=SIM.warmup_cycles + SIM.measure_cycles,
+                               mix=PacketMix.single(1))
+    point = simulate_point(network, traffic, SIM, injection_rate=RATE)
     cost = extra or f"spins={point.events.get('spins', 0)}"
     return (name, vcs, round(point.mean_latency, 1),
             round(network.stats.mean_hops(), 2),

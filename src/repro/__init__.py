@@ -23,12 +23,7 @@ from repro.config import NetworkConfig, SimulationConfig, SpinParams
 from repro.network.network import Network
 from repro.sim.engine import Simulator
 from repro.stats.results import load_results, save_results
-from repro.stats.sweep import (
-    InjectionSweep,
-    SweepPoint,
-    run_point,
-    simulate_point,
-)
+from repro.stats.sweep import SweepPoint, simulate_point
 
 __version__ = "1.1.0"
 
@@ -38,9 +33,7 @@ __all__ = [
     "SpinParams",
     "Network",
     "Simulator",
-    "InjectionSweep",
     "SweepPoint",
-    "run_point",
     "simulate_point",
     "save_results",
     "load_results",
@@ -84,20 +77,16 @@ def quick_mesh_simulation(injection_rate: float = 0.1, side: int = 4,
     sim_config = sim_config or SimulationConfig(
         warmup_cycles=500, measure_cycles=2000, drain_cycles=1500)
 
-    def network_factory():
-        return Network(
-            topology=MeshTopology(side, side),
-            config=NetworkConfig(vcs_per_vnet=vcs),
-            routing=FavorsMinimal(seed),
-            spin=SpinParams(tdd=32),
-            seed=seed,
-        )
-
-    def traffic_factory(network, rate, stop_at):
-        return SyntheticTraffic(
-            network, make_pattern(pattern, side * side, cols=side),
-            rate, seed=seed, stop_at=stop_at)
-
-    _, point = run_point(network_factory, traffic_factory, sim_config,
-                         injection_rate=injection_rate)
-    return point
+    network = Network(
+        topology=MeshTopology(side, side),
+        config=NetworkConfig(vcs_per_vnet=vcs),
+        routing=FavorsMinimal(seed),
+        spin=SpinParams(tdd=32),
+        seed=seed,
+    )
+    traffic = SyntheticTraffic(
+        network, make_pattern(pattern, side * side, cols=side),
+        injection_rate, seed=seed,
+        stop_at=sim_config.warmup_cycles + sim_config.measure_cycles)
+    return simulate_point(network, traffic, sim_config,
+                          injection_rate=injection_rate)

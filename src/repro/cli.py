@@ -28,7 +28,7 @@ from repro.harness.configs import (
     get_design,
     resolve_design_name,
 )
-from repro.harness.runner import run_design
+from repro.harness.runner import ExperimentSpec
 from repro.harness.tables import format_table
 from repro.sim import ENGINE_ENV_VAR, available_engines
 from repro.verify.differential import DEFAULT_TRIAD, run_conformance
@@ -182,12 +182,13 @@ def cmd_run(args) -> int:
         from repro.sim import PhaseProfiler
 
         profiler = PhaseProfiler()
-    network, point = run_design(
-        args.design, args.pattern, args.rate, _sim_config(args),
-        seed=args.seed, mesh_side=args.mesh_side, dragonfly=dragonfly,
-        tdd=args.tdd, faults=args.faults, fault_seed=args.fault_seed,
-        verify=args.verify, telemetry=args.telemetry,
-        engine=args.engine or "", profiler=profiler)
+    network, point = ExperimentSpec(
+        design=args.design, pattern=args.pattern, injection_rate=args.rate,
+        sim=_sim_config(args), seed=args.seed, mesh_side=args.mesh_side,
+        dragonfly=dragonfly, tdd=args.tdd, faults=args.faults,
+        fault_seed=args.fault_seed, verify=args.verify,
+        telemetry=args.telemetry, engine=args.engine or "",
+    ).run(profiler=profiler)
     engine_path, reason = _engine_path(args.engine, network)
     rows = [
         ["offered load (flits/node/cycle)", args.rate],
@@ -246,7 +247,6 @@ def _sweep_campaign_inputs(args):
     ``(specs, meta, campaign_dir, output, title)``.
     """
     from repro.harness.campaign import load_manifest, write_manifest
-    from repro.harness.runner import ExperimentSpec
 
     if args.resume and args.campaign:
         raise ConfigurationError(
@@ -642,7 +642,6 @@ def cmd_trace(args) -> int:
                 "trace needs --design and --rate (or --scenario NAME)")
         get_design(args.design)  # fail fast with the full list on a typo
         _validate_run_args(args)
-        from repro.harness.runner import ExperimentSpec
         from repro.stats.sweep import simulate_point
 
         spec = ExperimentSpec(
@@ -778,7 +777,6 @@ def cmd_profile(args) -> int:
     """
     import time
 
-    from repro.harness.runner import ExperimentSpec
     from repro.sim import PhaseProfiler, PROFILE_SCHEMA, render_report
     from repro.sim.engine_api import resolve_engine_name
     from repro.sim.profile import write_report

@@ -10,11 +10,17 @@ Two configuration objects parameterize every experiment:
 
 Both objects validate themselves on construction so an inconsistent
 experiment fails loudly before any cycles are simulated.
+
+:func:`env_gate` is the one rule every ``REPRO_*`` environment gate
+(``REPRO_VERIFY``, ``REPRO_TELEMETRY``, ``REPRO_ENGINE``, ``REPRO_PROFILE``)
+is resolved by.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from typing import Mapping, Optional
 
 from repro.errors import ConfigurationError
 
@@ -24,9 +30,39 @@ CONTROL_PACKET_FLITS = 1
 DATA_PACKET_FLITS = 5
 #: Most VCs one input port may hold (the arbitration-key stride).
 MAX_VCS_PER_PORT = 64
-#: Values (stripped, lowercased) that switch an environment gate off —
-#: ``REPRO_VERIFY``, ``REPRO_TELEMETRY``, ``REPRO_PROFILE``.
+#: Values (stripped, lowercased) that switch an environment gate off.
 ENV_OFF_VALUES = frozenset({"", "0", "off", "false", "no"})
+#: Words that switch a plain on/off gate on (``REPRO_PROFILE``).
+ENV_ON_VALUES: Mapping[str, object] = {
+    "1": True, "on": True, "true": True, "yes": True}
+
+
+def env_gate(variable: str, accepted: Mapping[str, object] = ENV_ON_VALUES,
+             integer: bool = False) -> Optional[object]:
+    """Resolve one environment gate: ``None`` when off, else its value.
+
+    The variable is read stripped and lowercased.  Unset or an off word
+    (:data:`ENV_OFF_VALUES`) gives ``None``; an accepted word gives the
+    value ``accepted`` maps it to; with ``integer``, a whole number >= 1
+    is returned as an ``int``.  Anything else raises
+    :class:`ConfigurationError` naming the variable and every accepted
+    value, so a typo never runs ungated.
+
+    Precedence is the caller's: an explicit field or argument (the CLI
+    writes its flags into the spec) wins and the variable is not read.
+    """
+    text = os.environ.get(variable, "").strip().lower()
+    if text in ENV_OFF_VALUES:
+        return None
+    if text in accepted:
+        return accepted[text]
+    if integer and text.isdecimal() and int(text) >= 1:
+        return int(text)
+    words = sorted(accepted) + (["an integer >= 1"] if integer else [])
+    raise ConfigurationError(
+        f"{variable}={text!r} is not recognized; accepted: "
+        f"{', '.join(words)}, or off: "
+        f"{', '.join(sorted(ENV_OFF_VALUES - {''}))}")
 
 
 @dataclass

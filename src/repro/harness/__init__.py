@@ -19,7 +19,6 @@ from repro.harness.campaign import (
 from repro.harness.runner import (
     ExperimentSpec,
     latency_curve,
-    run_design,
     spec_grid,
 )
 from repro.harness.supervision import (
@@ -51,7 +50,6 @@ __all__ = [
     "SpecResult",
     "spec_grid",
     "latency_curve",
-    "run_design",
     "format_table",
     "TABLE_I",
     "TheoryRow",

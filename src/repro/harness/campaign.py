@@ -336,23 +336,17 @@ class CampaignEngine:
             runs ephemerally (same engine, no files) — the path plain
             ``cli sweep`` uses.
         config: Execution policy (:class:`CampaignConfig`).
-        registry: Optional :class:`~repro.telemetry.MetricsRegistry`; when
-            given, the engine's counters are mirrored into ``campaign_*``
-            counter families on completion
-            (:mod:`repro.telemetry.campaign`).
     """
 
     def __init__(self, specs: Sequence[ExperimentSpec],
                  directory: Optional[Union[str, Path]] = None,
-                 config: Optional[CampaignConfig] = None,
-                 registry=None) -> None:
+                 config: Optional[CampaignConfig] = None) -> None:
         self.specs = list(specs)
         if not self.specs:
             raise ConfigurationError("campaign needs at least one spec")
         self.keys = [spec.content_key() for spec in self.specs]
         self.directory = Path(directory) if directory is not None else None
         self.config = config or CampaignConfig()
-        self.registry = registry
         self.counters: Dict[str, int] = {}
         self._drain = False
         self._signal: Optional[int] = None
@@ -392,10 +386,6 @@ class CampaignEngine:
                 self._plane = None
         points, saturation, clean = assemble_curve(
             results, self.config.latency_cap)
-        if self.registry is not None:
-            from repro.telemetry.campaign import record_campaign_counters
-
-            record_campaign_counters(self.registry, self.counters)
         return CampaignReport(results=results, points=points,
                               saturation_rate=saturation, status=status,
                               clean=clean, counters=dict(self.counters))

@@ -10,9 +10,9 @@ object that drives a serial run can cross a process boundary unchanged
 
 ``spec.build()`` produces the ``(network, traffic, injector)`` trio that
 :func:`repro.stats.sweep.simulate_point` consumes; ``spec.run()`` does both
-steps.  The legacy :func:`run_design` / :func:`latency_curve` wrappers now
-construct specs internally, so every driver — CLI, benchmarks, examples,
-parallel sweeps — measures through the identical code path.
+steps and is the one way to run a registry design.  :func:`latency_curve`
+runs a spec's curve, so every driver — CLI, benchmarks, examples, parallel
+sweeps — measures through the identical code path.
 """
 
 from __future__ import annotations
@@ -66,19 +66,20 @@ class ExperimentSpec:
         fault_seed: Seed for the probabilistic fault realization.
         sim: Simulation windows for this point.
         verify: Attach the runtime invariant oracle (:mod:`repro.verify`)
-            to the run, failing it on the first violated invariant.  The
-            ``REPRO_VERIFY`` environment variable enables the oracle for
-            every run regardless of this flag (docs/VERIFY.md).
+            to the run, failing it on the first violated invariant.  Unset
+            (False) falls through to ``REPRO_VERIFY`` (docs/VERIFY.md).
         telemetry: Attach the recording telemetry observer
             (:mod:`repro.telemetry`) with default configuration; its
-            ``telemetry_*`` tallies land in ``SweepPoint.events``.  The
-            ``REPRO_TELEMETRY`` environment variable enables telemetry
-            for every run regardless of this flag (docs/TELEMETRY.md).
+            ``telemetry_*`` tallies land in ``SweepPoint.events``.  Unset
+            (False) falls through to ``REPRO_TELEMETRY``
+            (docs/TELEMETRY.md).
         engine: Simulator engine name (``reference``/``fast``) driving the
             cycle loop for this point; the empty string (the default)
-            means "unset" and falls through the selection precedence
-            (CLI flag, then ``REPRO_ENGINE``, then ``reference``) — see
-            :mod:`repro.sim.engine_api`.
+            means "unset" and falls through to ``REPRO_ENGINE``, then
+            ``reference`` — see :mod:`repro.sim.engine_api`.
+
+    The CLI writes its ``--verify`` / ``--telemetry`` / ``--engine`` flags
+    into these fields; every gate resolves by :func:`repro.config.env_gate`.
 
     Construction validates everything that can be validated without
     building a network, so a bad spec fails in the parent process before
@@ -201,7 +202,18 @@ class ExperimentSpec:
         return replace(self, seed=child)
 
     def curve(self, rates: List[float]) -> List["ExperimentSpec"]:
-        """This experiment swept over ascending offered loads."""
+        """This experiment swept over strictly ascending offered loads.
+
+        The saturation cut (:class:`~repro.stats.sweep.SaturationCursor`)
+        takes the first point as the zero-load latency, so an empty,
+        descending or repeated rate list is a configuration error.
+        """
+        rates = list(rates)
+        if not rates or any(low >= high
+                            for low, high in zip(rates, rates[1:])):
+            raise ConfigurationError(
+                "a curve needs a non-empty, strictly ascending rate list",
+                rates=rates)
         return [self.with_rate(rate) for rate in rates]
 
     # ------------------------------------------------------------------
@@ -281,43 +293,9 @@ def spec_grid(designs: List[str], patterns: List[str], rates: List[float],
         for pattern in patterns:
             for seed in seeds:
                 base = ExperimentSpec(design=design, pattern=pattern,
-                                      injection_rate=rates[0], seed=seed,
-                                      **common)
+                                      seed=seed, **common)
                 specs.extend(base.curve(rates))
     return specs
-
-
-def run_design(design_name: str, pattern_name: str, injection_rate: float,
-               sim_config: Optional[SimulationConfig] = None,
-               seed: int = 1, mesh_side: int = MESH_SIDE,
-               dragonfly: Tuple[int, int, int] = DRAGONFLY_SMALL,
-               mix: Optional[PacketMix] = None,
-               tdd: Optional[int] = None,
-               faults: Optional[str] = None,
-               fault_seed: int = 0,
-               verify: bool = False,
-               telemetry: bool = False,
-               engine: str = "",
-               profiler=None):
-    """Run one design at one load; returns (network, SweepPoint).
-
-    Thin wrapper over :class:`ExperimentSpec` kept for convenience and
-    backward compatibility.
-
-    Args:
-        faults: Optional fault-injection spec string (docs/FAULTS.md), e.g.
-            ``"link_down@1000:r3-r4,sm_drop:p=0.01"``.
-        fault_seed: Seed for the probabilistic fault realization; the same
-            (faults, fault_seed) pair reproduces the same fault history.
-    """
-    spec = ExperimentSpec(
-        design=design_name, pattern=pattern_name,
-        injection_rate=injection_rate,
-        sim=sim_config or SimulationConfig(), seed=seed,
-        mesh_side=mesh_side, dragonfly=dragonfly, mix=mix, tdd=tdd,
-        faults=faults, fault_seed=fault_seed, verify=verify,
-        telemetry=telemetry, engine=engine)
-    return spec.run(profiler=profiler)
 
 
 def latency_curve(design_name: str, pattern_name: str, rates: List[float],
@@ -350,7 +328,7 @@ def latency_curve(design_name: str, pattern_name: str, rates: List[float],
         SimulationError: A point failed in a worker (``jobs > 1``).
     """
     spec = ExperimentSpec(
-        design=design_name, pattern=pattern_name, injection_rate=rates[0],
+        design=design_name, pattern=pattern_name,
         sim=sim_config or SimulationConfig(), seed=seed,
         mesh_side=mesh_side, dragonfly=dragonfly, mix=mix, tdd=tdd,
         faults=faults, fault_seed=fault_seed, verify=verify,

@@ -21,7 +21,7 @@ message from the worker itself — a worker that dies the instant it starts
 (before any queue feeder thread flushes a byte) is still charged with
 exactly the task it was holding, which is failed transiently while the
 worker is respawned.  Everything observable lands in a counters dict the
-campaign engine merges into telemetry (:mod:`repro.telemetry.campaign`).
+campaign engine reports as ``CampaignReport.counters``.
 
 Determinism note: supervision only decides *when* and *where* a spec runs,
 never what it computes — a retried spec re-runs the identical seeded

@@ -14,7 +14,6 @@ from repro.sim.profile import (
     PROFILE_ENV,
     PROFILE_SCHEMA,
     PhaseProfiler,
-    profiler_from_env,
     render_report,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "SimulatorEngine",
     "available_engines",
     "create_engine",
-    "profiler_from_env",
     "render_report",
     "resolve_engine_name",
 ]

@@ -13,12 +13,13 @@ Two implementations ship with the toolkit:
   falls back to the reference schedule for configurations outside its
   proven envelope).
 
-Selection precedence (highest wins):
+Selection precedence (highest wins), the rule of every environment gate
+(:func:`repro.config.env_gate`):
 
-1. the ``ExperimentSpec.engine`` field (or an explicit ``engine=`` argument),
-2. the CLI ``--engine`` flag (the CLI writes it into the spec),
-3. the ``REPRO_ENGINE`` environment variable,
-4. the default, ``reference``.
+1. the ``ExperimentSpec.engine`` field or an explicit ``engine=`` argument
+   (the CLI writes its ``--engine`` flag into the spec),
+2. the ``REPRO_ENGINE`` environment variable,
+3. the default, ``reference`` (also when the variable holds an off word).
 
 Engines satisfy the :class:`SimulatorEngine` protocol; code that needs a
 loop should call :func:`create_engine` instead of constructing
@@ -27,9 +28,9 @@ loop should call :func:`create_engine` instead of constructing
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Protocol, runtime_checkable
 
+from repro.config import env_gate
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 
@@ -90,26 +91,22 @@ def available_engines() -> List[str]:
     return sorted(_FACTORIES)
 
 
-def resolve_engine_name(name: Optional[str] = None,
-                        cli: Optional[str] = None,
-                        env: Optional[str] = None) -> str:
+#: ``REPRO_ENGINE`` words: every registered engine name.
+_ENGINE_WORDS = {name: name for name in _FACTORIES}
+
+
+def resolve_engine_name(name: Optional[str] = None) -> str:
     """Resolve an engine name through the selection precedence.
 
-    Args:
-        name: Spec-level selection (``ExperimentSpec.engine``); empty/None
-            means unset.
-        cli: CLI-flag selection; empty/None means unset.
-        env: Environment override; defaults to ``$REPRO_ENGINE``.
-
-    Returns:
-        A validated engine name.
+    ``name`` is the explicit selection (``ExperimentSpec.engine``);
+    empty/None means unset and falls through to ``REPRO_ENGINE``, then
+    the default.
 
     Raises:
         ConfigurationError: If the winning name is not registered.
     """
-    if env is None:
-        env = os.environ.get(ENGINE_ENV_VAR) or None
-    resolved = name or cli or env or DEFAULT_ENGINE
+    resolved = (name or env_gate(ENGINE_ENV_VAR, _ENGINE_WORDS)
+                or DEFAULT_ENGINE)
     if resolved not in _FACTORIES:
         raise ConfigurationError(
             f"unknown engine {resolved!r} "

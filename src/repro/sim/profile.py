@@ -26,18 +26,16 @@ prints a one-line phase summary to stderr after every point.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from typing import Dict, Iterable, List, Optional
 
-from repro.config import ENV_OFF_VALUES
-
 #: Version tag of profile reports.
 PROFILE_SCHEMA = "repro.profile/v1"
 
-#: Environment toggle: truthy values attach a profiler to every
-#: ``simulate_point`` call and print a summary line to stderr.
+#: Environment gate (:func:`repro.config.env_gate`, on/off words): on
+#: attaches a profiler to every ``simulate_point`` call that has none and
+#: prints a summary line to stderr.
 PROFILE_ENV = "REPRO_PROFILE"
 
 
@@ -188,15 +186,6 @@ def _part_name(method) -> str:
     """The part a phase hook's time goes to: its component's role."""
     owner = getattr(method, "__self__", method)
     return getattr(owner, "profile_part", type(owner).__name__)
-
-
-def profiler_from_env(env: Optional[Dict[str, str]] = None
-                      ) -> Optional[PhaseProfiler]:
-    """A fresh profiler when ``REPRO_PROFILE`` is truthy, else ``None``."""
-    value = (env if env is not None else os.environ).get(PROFILE_ENV, "")
-    if value.strip().lower() in ENV_OFF_VALUES:
-        return None
-    return PhaseProfiler()
 
 
 def _path_text(report: Dict[str, object]) -> str:

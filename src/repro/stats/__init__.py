@@ -9,23 +9,17 @@ from repro.stats.results import (
     save_results,
 )
 from repro.stats.sweep import (
-    InjectionSweep,
     SaturationCursor,
     SweepPoint,
-    run_point,
     simulate_point,
-    truncate_at_saturation,
 )
 
 __all__ = [
     "NetworkStats",
     "LatencySummary",
-    "InjectionSweep",
     "SaturationCursor",
     "SweepPoint",
-    "run_point",
     "simulate_point",
-    "truncate_at_saturation",
     "RESULTS_SCHEMA",
     "save_results",
     "load_results",

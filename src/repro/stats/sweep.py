@@ -1,30 +1,27 @@
-"""Injection-rate sweeps: latency curves and saturation throughput.
+"""One measured point of a latency-vs-injection curve, and its saturation.
 
 The paper's Figs. 6 and 7 are latency-vs-injection curves; the numbers it
 quotes are *saturation throughputs* — the offered load beyond which latency
-diverges.  :class:`InjectionSweep` runs one simulation per rate (fresh
-network each time), stops once saturation is passed, and reports the curve
-plus the measured saturation point.
+diverges.
 
-Two layers drive a single point:
-
-* :func:`simulate_point` — the engine: takes *instantiated* components (a
-  network, a traffic source, optionally a fault injector) and simulates the
-  warmup/measure/drain windows into a :class:`SweepPoint`.  This is what
-  :meth:`repro.harness.runner.ExperimentSpec.build` feeds.
-* :func:`run_point` — the factory adapter: builds the components from
-  callables and delegates to :func:`simulate_point`.  Its traffic factory
-  takes ``(network, rate, stop_at)``.
+:func:`simulate_point` is the one engine behind every point: it takes
+*instantiated* components (a network, a traffic source, optionally a fault
+injector) and simulates the warmup/measure/drain windows into a
+:class:`SweepPoint`.  A registry design runs through
+:meth:`repro.harness.runner.ExperimentSpec.run`, which builds those
+components and calls it; a hand-built network calls it directly.
+:class:`SaturationCursor` decides where an ascending curve stops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.config import SimulationConfig
+from repro.config import SimulationConfig, env_gate
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine_api import create_engine
+from repro.sim.profile import PROFILE_ENV, PhaseProfiler, emit_env_summary
 
 #: Relative tolerance for the declared-vs-configured injection-rate check.
 _RATE_TOLERANCE = 1e-9
@@ -118,9 +115,9 @@ def simulate_point(network, traffic, sim_config: SimulationConfig,
                    profiler=None) -> SweepPoint:
     """Simulate already-built components through one measurement run.
 
-    This is the single engine behind :func:`run_point`,
-    :class:`InjectionSweep` and
-    :meth:`repro.harness.runner.ExperimentSpec.run`.
+    This is the single engine behind every point, including
+    :meth:`repro.harness.runner.ExperimentSpec.run`.  Build the network
+    first, then its traffic (and fault injector), then call this.
 
     Args:
         network: The network under test (fresh, unsimulated).
@@ -141,33 +138,29 @@ def simulate_point(network, traffic, sim_config: SimulationConfig,
         raise_on_wedge: Raise :class:`~repro.errors.SimulationError` with a
             wedge snapshot instead of returning a ``wedged=True`` point.
         verify: Attach the runtime invariant oracle (:mod:`repro.verify`)
-            in its default raise mode.  Independently of this flag, the
-            ``REPRO_VERIFY`` environment variable (``strict``/``record``)
-            attaches an oracle to *every* run without code changes.
+            in its default raise mode.
         oracle: A pre-configured
             :class:`~repro.verify.oracle.InvariantOracle` to attach
-            (overrides ``verify`` and the environment gate).  Must be
-            constructed for this ``network``.
+            (overrides ``verify``).  Must be constructed for this
+            ``network``.
         telemetry: Attach a recording
             :class:`~repro.telemetry.observer.TelemetryObserver` with
-            default configuration.  Independently of this flag, the
-            ``REPRO_TELEMETRY`` environment variable enables telemetry on
-            every run without code changes (docs/TELEMETRY.md).
+            default configuration.
         telemetry_observer: A pre-configured
             :class:`~repro.telemetry.observer.TelemetryObserver` to
-            attach (overrides ``telemetry`` and the environment gate) —
-            how ``repro-sim trace`` keeps the recording for export.  Must
-            be constructed for this ``network``.
+            attach (overrides ``telemetry``) — how ``repro-sim trace``
+            keeps the recording for export.  Must be constructed for this
+            ``network``.
         engine: Engine name (``reference``/``fast``) driving the cycle
-            loop; ``None``/empty falls through the selection precedence
-            (``REPRO_ENGINE`` environment variable, then the default) —
-            see :mod:`repro.sim.engine_api`.
+            loop (see :mod:`repro.sim.engine_api`).
         profiler: A :class:`~repro.sim.profile.PhaseProfiler` to attach
-            to the engine for this point.  Independently, the
-            ``REPRO_PROFILE`` environment variable attaches a fresh
-            profiler to every run and prints a one-line phase summary to
-            stderr (docs/OBSERVE.md).  Profiling never changes the
+            to the engine for this point.  Profiling never changes the
             measured point.
+
+    Each of the last four instruments left unset falls through to its
+    environment gate (:func:`repro.config.env_gate`): ``REPRO_VERIFY``,
+    ``REPRO_TELEMETRY``, ``REPRO_ENGINE`` and ``REPRO_PROFILE`` (which
+    also prints a one-line phase summary to stderr; docs/OBSERVE.md).
 
     Returns:
         The measured :class:`SweepPoint`.  Oracle findings (if any) are in
@@ -188,10 +181,8 @@ def simulate_point(network, traffic, sim_config: SimulationConfig,
 
     simulator = create_engine(engine or None)
     env_profiler = None
-    if profiler is None:
-        from repro.sim.profile import profiler_from_env
-
-        profiler = env_profiler = profiler_from_env()
+    if profiler is None and env_gate(PROFILE_ENV):
+        profiler = env_profiler = PhaseProfiler()
     if profiler is not None:
         simulator.attach_profiler(profiler)
     stop_at = sim_config.warmup_cycles + sim_config.measure_cycles
@@ -201,28 +192,34 @@ def simulate_point(network, traffic, sim_config: SimulationConfig,
         simulator.register(injector)
     simulator.register(network)
     if oracle is None:
-        if verify:
-            from repro.verify.oracle import InvariantOracle
+        from repro.verify.oracle import (
+            VERIFY_ENV,
+            VERIFY_MODES,
+            InvariantOracle,
+            OracleConfig,
+        )
 
-            oracle = InvariantOracle(network)
-        else:
-            from repro.verify.oracle import oracle_from_env
-
-            oracle = oracle_from_env(network)
+        mode = "raise" if verify else env_gate(VERIFY_ENV, VERIFY_MODES)
+        if mode is not None:
+            oracle = InvariantOracle(network, OracleConfig(mode=mode))
     if oracle is not None:
         if oracle.network is not network:
             raise ConfigurationError(
                 "oracle was built for a different network")
         oracle.attach(simulator)
     if telemetry_observer is None:
-        if telemetry:
-            from repro.telemetry.observer import TelemetryObserver
+        from repro.telemetry.observer import (
+            TELEMETRY_ENV,
+            TELEMETRY_MODES,
+            TelemetryObserver,
+            telemetry_config,
+        )
 
-            telemetry_observer = TelemetryObserver(network)
-        else:
-            from repro.telemetry.observer import telemetry_from_env
-
-            telemetry_observer = telemetry_from_env(network)
+        mode = "metrics" if telemetry else env_gate(
+            TELEMETRY_ENV, TELEMETRY_MODES, integer=True)
+        if mode is not None:
+            telemetry_observer = TelemetryObserver(network,
+                                                   telemetry_config(mode))
     if telemetry_observer is not None:
         if telemetry_observer.network is not network:
             raise ConfigurationError(
@@ -266,8 +263,6 @@ def simulate_point(network, traffic, sim_config: SimulationConfig,
     if telemetry_observer is not None:
         telemetry_observer.finalize(simulator.cycle)
     if env_profiler is not None:
-        from repro.sim.profile import emit_env_summary
-
         emit_env_summary(env_profiler.report(
             simulator.name, simulator.cycle,
             engine_path=simulator.engine_path,
@@ -282,45 +277,6 @@ def simulate_point(network, traffic, sim_config: SimulationConfig,
         **network.stats.point_kwargs(sim_config.measure_cycles,
                                      network.topology.num_nodes),
     )
-
-
-def run_point(network_factory: Callable[[], object],
-              traffic_factory: Callable[..., object],
-              sim_config: SimulationConfig,
-              injection_rate: Optional[float] = None,
-              fault_factory: Optional[Callable[[], object]] = None,
-              raise_on_wedge: bool = False) -> Tuple[object, SweepPoint]:
-    """Simulate one configuration at one load (factory adapter).
-
-    Args:
-        network_factory: Builds a fresh network.
-        traffic_factory: ``(network, rate, stop_at) -> component`` building
-            the traffic source.
-        sim_config: Warmup/measure/drain windows, wedge threshold.
-        injection_rate: Offered load handed to the traffic factory and
-            cross-checked against the built source's configured rate (see
-            :func:`simulate_point`).  Required.
-        fault_factory: Optional ``() -> FaultInjector`` building the fault
-            injection component (docs/FAULTS.md).
-        raise_on_wedge: Raise :class:`~repro.errors.SimulationError` with a
-            wedge snapshot instead of returning a ``wedged=True`` point.
-
-    Returns:
-        The simulated network (for post-hoc inspection) and its point.
-    """
-    if injection_rate is None:
-        raise ConfigurationError(
-            "injection_rate is required with a (network, rate, stop_at) "
-            "traffic factory")
-    network = network_factory()
-    stop_at = sim_config.warmup_cycles + sim_config.measure_cycles
-    traffic = traffic_factory(network, injection_rate, stop_at)
-    injector = fault_factory() if fault_factory is not None else None
-    point = simulate_point(network, traffic, sim_config,
-                           injection_rate=injection_rate,
-                           injector=injector,
-                           raise_on_wedge=raise_on_wedge)
-    return network, point
 
 
 def _wedge_snapshot(network, cycle: int, abort_after: int) -> Dict[str, object]:
@@ -350,131 +306,31 @@ def _wedge_snapshot(network, cycle: int, abort_after: int) -> Dict[str, object]:
 class SaturationCursor:
     """Incremental saturation-stop decision shared by every sweep driver.
 
-    Push curve points in ascending-rate order; :meth:`push` returns True
-    when the curve should stop *after* the pushed point.  Serial sweeps use
-    it to stop launching rates; ``latency_curve(jobs=N)`` to stop launching
-    waves, and campaigns to truncate results, so ``--jobs 1`` and
+    Push curve points in ascending-rate order (the first is the zero-load
+    reference); :meth:`push` returns True when the curve should stop
+    *after* the pushed point.  ``latency_curve`` uses it to stop launching
+    rates or waves and campaigns to truncate results, so ``--jobs 1`` and
     ``--jobs N`` cut a curve at exactly the same point.
     """
 
-    def __init__(self, latency_cap: float = 4.0,
-                 points_past_saturation: int = 0) -> None:
+    def __init__(self, latency_cap: float = 4.0) -> None:
         self.latency_cap = latency_cap
-        self._extra = points_past_saturation
         self._zero_load: Optional[float] = None
 
     def push(self, point: SweepPoint) -> bool:
         """Record the next point; True means the curve ends here."""
         if self._zero_load is None:
             self._zero_load = point.mean_latency
-        if point.saturated(self._zero_load, self.latency_cap):
-            if self._extra <= 0:
-                return True
-            self._extra -= 1
-        return False
-
-
-def truncate_at_saturation(points: List[SweepPoint],
-                           latency_cap: float = 4.0,
-                           points_past_saturation: int = 0
-                           ) -> List[SweepPoint]:
-    """Cut a fully-materialized curve exactly where a serial sweep stops."""
-    cursor = SaturationCursor(latency_cap, points_past_saturation)
-    kept: List[SweepPoint] = []
-    for point in points:
-        kept.append(point)
-        if cursor.push(point):
-            break
-    return kept
-
-
-def _scan_saturation(points: List[SweepPoint], latency_cap: float):
-    """Yield ``(point, saturated)`` pairs along a measured curve.
-
-    The single saturation-scan loop shared by :func:`curve_saturation_rate`
-    and :func:`curve_saturation_throughput` (previously duplicated inside
-    :class:`InjectionSweep`).
-    """
-    if not points:
-        return
-    zero_load = points[0].mean_latency
-    for point in points:
-        yield point, point.saturated(zero_load, latency_cap)
+        return point.saturated(self._zero_load, self.latency_cap)
 
 
 def curve_saturation_rate(points: List[SweepPoint],
                           latency_cap: float = 4.0) -> float:
     """Highest offered load sustained without saturating."""
+    cursor = SaturationCursor(latency_cap)
     sustained = 0.0
-    for point, saturated in _scan_saturation(points, latency_cap):
-        if saturated:
+    for point in points:
+        if cursor.push(point):
             break
         sustained = point.injection_rate
     return sustained
-
-
-def curve_saturation_throughput(points: List[SweepPoint],
-                                latency_cap: float = 4.0) -> float:
-    """Received throughput at the last non-saturated point."""
-    best = 0.0
-    for point, saturated in _scan_saturation(points, latency_cap):
-        if saturated:
-            break
-        best = max(best, point.throughput)
-    return best
-
-
-class InjectionSweep:
-    """Sweeps offered load upward until the network saturates.
-
-    Args:
-        network_factory: Builds a fresh network per point.
-        traffic_factory: ``(network, rate, stop_at) -> component``.
-        sim_config: Per-point run windows.
-        rates: Ascending offered loads in flits/node/cycle.
-        latency_cap: Saturation multiplier on the zero-load latency.
-        points_past_saturation: Extra points to run beyond saturation (to
-            show the divergence in latency curves).
-        fault_factory: Optional ``() -> FaultInjector`` applied to every
-            point of the sweep (each point gets a fresh injector so the
-            fault schedule replays identically at every load).
-    """
-
-    def __init__(self, network_factory, traffic_factory,
-                 sim_config: SimulationConfig, rates: List[float],
-                 latency_cap: float = 4.0,
-                 points_past_saturation: int = 0,
-                 fault_factory=None) -> None:
-        self.network_factory = network_factory
-        self.traffic_factory = traffic_factory
-        self.sim_config = sim_config
-        self.rates = list(rates)
-        self.latency_cap = latency_cap
-        self.points_past_saturation = points_past_saturation
-        self.fault_factory = fault_factory
-
-    def run(self) -> List[SweepPoint]:
-        """Simulate ascending loads; stop shortly after saturation."""
-        points: List[SweepPoint] = []
-        cursor = SaturationCursor(self.latency_cap,
-                                  self.points_past_saturation)
-        for rate in self.rates:
-            _, point = run_point(
-                self.network_factory,
-                self.traffic_factory,
-                self.sim_config,
-                injection_rate=rate,
-                fault_factory=self.fault_factory,
-            )
-            points.append(point)
-            if cursor.push(point):
-                break
-        return points
-
-    def saturation_rate(self, points: List[SweepPoint]) -> float:
-        """Highest offered load sustained without saturating."""
-        return curve_saturation_rate(points, self.latency_cap)
-
-    def saturation_throughput(self, points: List[SweepPoint]) -> float:
-        """Received throughput at the last non-saturated point."""
-        return curve_saturation_throughput(points, self.latency_cap)

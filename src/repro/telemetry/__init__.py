@@ -15,9 +15,6 @@ simulator-observer hook, but *recording* instead of asserting.  Layers
   ``trace_event`` exporters plus the dependency-free trace validator.
 * :mod:`repro.telemetry.report` — ``repro-sim report`` analytics: span
   tables, hot links, wedge timeline, occupancy heatmap.
-* :mod:`repro.telemetry.campaign` — campaign durability counters
-  (resumes, retries, worker respawns) mirrored from
-  :mod:`repro.harness.campaign` (docs/CAMPAIGNS.md).
 * :mod:`repro.telemetry.live` — the live observability plane: streaming
   worker frames, supervisor aggregation, rolling ``status.json``
   (docs/OBSERVE.md).
@@ -26,11 +23,6 @@ simulator-observer hook, but *recording* instead of asserting.  Layers
   status.
 """
 
-from repro.telemetry.campaign import (
-    CAMPAIGN_COUNTER_FAMILIES,
-    campaign_counter_totals,
-    record_campaign_counters,
-)
 from repro.telemetry.export import (
     CHROME_FORMAT,
     JSONL_FORMAT,
@@ -56,15 +48,12 @@ from repro.telemetry.live import (
 from repro.telemetry.observer import (
     TelemetryConfig,
     TelemetryObserver,
-    config_from_env_value,
-    telemetry_from_env,
 )
 from repro.telemetry.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.report import TraceReport
 from repro.telemetry.spans import SpanTracer, SpinSpan
 
 __all__ = [
-    "CAMPAIGN_COUNTER_FAMILIES",
     "CHROME_FORMAT",
     "JSONL_FORMAT",
     "STATUS_FORMAT",
@@ -83,17 +72,13 @@ __all__ = [
     "TelemetryShipper",
     "TraceReport",
     "build_records",
-    "campaign_counter_totals",
     "chrome_trace",
-    "config_from_env_value",
     "encode_frame",
     "ensure_worker_shipper",
     "read_jsonl",
     "read_stream_log",
-    "record_campaign_counters",
     "stream_chrome_trace",
     "stream_summary",
-    "telemetry_from_env",
     "validate_chrome_trace",
     "write_jsonl",
 ]

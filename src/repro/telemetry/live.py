@@ -40,7 +40,7 @@ Streaming is *observation only*: no frame ever feeds back into a
 :class:`~repro.stats.sweep.SweepPoint`, a journal record, or a results
 artifact, so a streamed ``--jobs N`` sweep is byte-identical to a
 non-streamed ``--jobs 1`` sweep (proven by test, like the campaign
-counters in :mod:`repro.telemetry.campaign`).  A worker that cannot send
+counters in ``CampaignReport.counters``).  A worker that cannot send
 (full buffer, supervisor gone) drops the frame and keeps simulating —
 shipping never blocks or fails the simulation.
 """

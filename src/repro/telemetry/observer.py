@@ -25,19 +25,17 @@ where they flow into :class:`~repro.stats.sweep.SweepPoint.events` and the
 ``repro.sweep-results/v1`` JSON unchanged — the counts are a pure function
 of the spec, so ``--jobs N`` sweeps stay byte-identical.
 
-Enable without code changes via ``REPRO_TELEMETRY`` (see
-:func:`telemetry_from_env`): ``1``/``on``/``metrics`` records metrics and
-spans; ``full`` adds per-packet hop traces; an integer > 1 sets the sample
-interval.  See docs/TELEMETRY.md.
+Enable without code changes via ``REPRO_TELEMETRY`` (:data:`TELEMETRY_MODES`,
+resolved by :func:`repro.config.env_gate`): ``1``/``on``/``metrics``
+records metrics and spans; ``full`` adds per-packet hop traces; an integer
+> 1 sets the sample interval.  See docs/TELEMETRY.md.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import ENV_OFF_VALUES
 from repro.errors import ConfigurationError
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import SpanTracer, SpinSpan
@@ -296,41 +294,20 @@ class TelemetryObserver:
             registry.histogram("recovery_latency").observe(latency)
 
 
-#: ``REPRO_TELEMETRY`` values that enable telemetry (lowercased).
-_ENV_ON = ("1", "on", "true", "metrics", "spans", "full")
+#: Environment gate attaching an observer to every run that has none.
+TELEMETRY_ENV = "REPRO_TELEMETRY"
+#: ``REPRO_TELEMETRY`` words; an integer (``env_gate(..., integer=True)``)
+#: sets the sample interval instead.
+TELEMETRY_MODES = {"1": "metrics", "on": "metrics", "true": "metrics",
+                   "metrics": "metrics", "spans": "metrics", "full": "full"}
 
 
-def config_from_env_value(value: str) -> Optional[TelemetryConfig]:
-    """Parse one ``REPRO_TELEMETRY`` value into a config (None = off).
-
-    Accepted (case-insensitive): ``1``/``on``/``true``/``metrics``/
-    ``spans`` — metrics + spans at the default interval; ``full`` — also
-    per-packet hop traces; an integer > 1 — metrics + spans sampled every
-    that many cycles; empty or an off value (``0``, ``off``, ...) — None.
-    Anything else raises :class:`ConfigurationError`.
-    """
-    text = value.strip().lower()
-    if text in ENV_OFF_VALUES:
-        return None
-    if text in _ENV_ON:
-        return TelemetryConfig(packet_traces=(text == "full"))
-    try:
-        interval = int(text)
-    except ValueError:
-        interval = 0
-    if interval < 1:
-        raise ConfigurationError(
-            f"REPRO_TELEMETRY={text!r} is not recognized; accepted: "
-            f"{', '.join(_ENV_ON)}, an integer sample interval, or off: "
-            f"{', '.join(sorted(ENV_OFF_VALUES - {''}))}")
-    if interval == 1:
-        return TelemetryConfig()
-    return TelemetryConfig(sample_interval=interval)
-
-
-def telemetry_from_env(network) -> Optional[TelemetryObserver]:
-    """Build an observer if ``REPRO_TELEMETRY`` asks for one, else None."""
-    config = config_from_env_value(os.environ.get("REPRO_TELEMETRY", ""))
-    if config is None:
-        return None
-    return TelemetryObserver(network, config)
+def telemetry_config(mode) -> TelemetryConfig:
+    """The config one ``REPRO_TELEMETRY`` value selects: ``"metrics"`` —
+    metrics + spans at the default interval; ``"full"`` — also per-packet
+    hop traces; an integer > 1 — metrics + spans sampled that often."""
+    if mode == "full":
+        return TelemetryConfig(packet_traces=True)
+    if isinstance(mode, int) and mode > 1:
+        return TelemetryConfig(sample_interval=mode)
+    return TelemetryConfig()

@@ -16,14 +16,13 @@ Three layers (see docs/VERIFY.md for the full catalog and usage):
 """
 
 from repro.verify.invariants import INVARIANTS
-from repro.verify.oracle import InvariantOracle, OracleConfig, oracle_from_env
+from repro.verify.oracle import InvariantOracle, OracleConfig
 from repro.verify.trace import TraceRecorder, divergence_report
 
 __all__ = [
     "INVARIANTS",
     "InvariantOracle",
     "OracleConfig",
-    "oracle_from_env",
     "TraceRecorder",
     "divergence_report",
 ]

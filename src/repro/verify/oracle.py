@@ -32,17 +32,16 @@ and counts every occurrence into ``network.stats.events`` (keys
 into :class:`~repro.stats.sweep.SweepPoint` untouched.
 
 Enable without code changes via the ``REPRO_VERIFY`` environment variable
-(see :func:`oracle_from_env`): ``strict``/``raise`` raises on first
-violation, ``record``/``1`` records.  See docs/VERIFY.md.
+(:data:`VERIFY_MODES`, resolved by :func:`repro.config.env_gate`):
+``strict``/``raise`` raises on first violation, ``record``/``1`` records.
+See docs/VERIFY.md.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.config import ENV_OFF_VALUES
 from repro.deadlock.waitgraph import (
     find_deadlocked_packets,
     spin_persistence_bound,
@@ -56,8 +55,10 @@ from repro.verify.invariants import (
     iter_resident,
 )
 
+#: Environment gate attaching an oracle to every run that has none.
+VERIFY_ENV = "REPRO_VERIFY"
 #: ``REPRO_VERIFY`` values that enable the oracle, mapped to its mode.
-_ENV_MODES = {
+VERIFY_MODES = {
     "1": "record",
     "record": "record",
     "strict": "raise",
@@ -478,25 +479,3 @@ class InvariantOracle:
         self._record(violation)
         if self.config.mode == "raise":
             raise violation
-
-
-def oracle_from_env(network,
-                    journal: bool = False) -> Optional[InvariantOracle]:
-    """Build an oracle if the ``REPRO_VERIFY`` environment variable asks
-    for one; returns None otherwise.
-
-    Recognized values (case-insensitive): ``strict``/``raise`` — raise on
-    the first violation; ``record``/``1`` — record and count violations
-    into the run's stats; unset or an off value (``0``, ``off``, ...) —
-    no oracle.  Anything else raises :class:`ConfigurationError`.
-    """
-    text = os.environ.get("REPRO_VERIFY", "").strip().lower()
-    if text in ENV_OFF_VALUES:
-        return None
-    mode = _ENV_MODES.get(text)
-    if mode is None:
-        raise ConfigurationError(
-            f"REPRO_VERIFY={text!r} is not recognized; accepted: "
-            f"{', '.join(sorted(_ENV_MODES))}, or off: "
-            f"{', '.join(sorted(ENV_OFF_VALUES - {''}))}")
-    return InvariantOracle(network, OracleConfig(mode=mode, journal=journal))

@@ -12,7 +12,6 @@ from repro.deadlock.waitgraph import has_deadlock
 from repro.network.network import Network
 from repro.routing.adaptive import MinimalAdaptiveRouting
 from repro.sim.engine import Simulator
-from repro.stats.sweep import run_point
 from repro.topology.mesh import MeshTopology
 from repro.traffic.generator import PacketMix, SyntheticTraffic
 from repro.traffic.patterns import make_pattern

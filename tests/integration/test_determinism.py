@@ -7,8 +7,8 @@ require exact equality of every observable.
 """
 
 from repro.config import SimulationConfig, SpinParams
-from repro.harness.runner import run_design
-from repro.stats.sweep import run_point
+from repro.harness.runner import ExperimentSpec
+from repro.stats.sweep import simulate_point
 from repro.traffic.generator import SyntheticTraffic
 from repro.traffic.patterns import make_pattern
 
@@ -32,16 +32,13 @@ def fingerprint(network, point):
 
 
 def run_spin_mesh(seed):
-    def network_factory():
-        return make_mesh_network(side=4, vcs=1, spin=SpinParams(tdd=24),
-                                 seed=seed)
-
-    def traffic_factory(network, rate, stop_at):
-        return SyntheticTraffic(network, make_pattern("uniform", 16), rate,
-                                seed=seed, stop_at=stop_at)
-
-    return run_point(network_factory, traffic_factory, SIM,
-                     injection_rate=0.25)
+    network = make_mesh_network(side=4, vcs=1, spin=SpinParams(tdd=24),
+                                seed=seed)
+    traffic = SyntheticTraffic(network, make_pattern("uniform", 16), 0.25,
+                               seed=seed,
+                               stop_at=SIM.warmup_cycles + SIM.measure_cycles)
+    return network, simulate_point(network, traffic, SIM,
+                                   injection_rate=0.25)
 
 
 class TestExactReplay:
@@ -64,8 +61,9 @@ class TestExactReplay:
 
     def test_design_runner_deterministic(self):
         results = [
-            run_design("mesh:escapevc-2vc", "transpose", 0.12, SIM,
-                       seed=4, mesh_side=4)[1]
+            ExperimentSpec(design="mesh:escapevc-2vc", pattern="transpose",
+                           injection_rate=0.12, sim=SIM, seed=4,
+                           mesh_side=4).run()[1]
             for _ in range(2)
         ]
         assert results[0].mean_latency == results[1].mean_latency

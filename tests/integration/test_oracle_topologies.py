@@ -13,7 +13,7 @@ import pytest
 
 from repro.config import NetworkConfig, SimulationConfig, SpinParams
 from repro.deadlock.waitgraph import has_deadlock
-from repro.harness.runner import run_design
+from repro.harness.runner import ExperimentSpec
 from repro.network.network import Network
 from repro.sim.engine import Simulator
 from repro.topology.torus import TorusTopology
@@ -44,6 +44,12 @@ def _strict_run(network, traffic=None, cycles=2000):
     return simulator, oracle
 
 
+def run_spec(design, pattern, rate, **kwargs):
+    """One registry design point over the SHORT windows."""
+    return ExperimentSpec(design=design, pattern=pattern,
+                          injection_rate=rate, sim=SHORT, **kwargs).run()
+
+
 # ----------------------------------------------------------------------
 # Table III designs: every routing family on mesh and dragonfly
 # ----------------------------------------------------------------------
@@ -57,17 +63,17 @@ class TestMeshDesignsUnderOracle:
         "mesh:minadaptive-nospin-3vc",  # plain adaptive, no recovery
     ])
     def test_uniform_load_zero_violations(self, design):
-        network, point = run_design(design, "uniform", 0.12, SHORT,
-                                    mesh_side=4, tdd=32, verify=True)
+        network, point = run_spec(design, "uniform", 0.12,
+                                  mesh_side=4, tdd=32, verify=True)
         assert not point.wedged
         assert point.invariant_violations == 0
         assert network.stats.packets_delivered == network.stats.packets_created
 
     @pytest.mark.parametrize("pattern", ["transpose", "tornado"])
     def test_adversarial_patterns_with_spin(self, pattern):
-        network, point = run_design("mesh:minadaptive-spin-1vc", pattern,
-                                    0.10, SHORT, mesh_side=4, tdd=24,
-                                    verify=True)
+        network, point = run_spec("mesh:minadaptive-spin-1vc", pattern,
+                                  0.10, mesh_side=4, tdd=24,
+                                  verify=True)
         assert not point.wedged
         assert point.invariant_violations == 0
 
@@ -79,18 +85,18 @@ class TestDragonflyDesignsUnderOracle:
         "dfly:minimal-spin-1vc",        # minimal + SPIN, 1 VC
     ])
     def test_uniform_load_zero_violations(self, design):
-        network, point = run_design(design, "uniform", 0.08, SHORT,
-                                    dragonfly=(2, 4, 2), tdd=32,
-                                    verify=True)
+        network, point = run_spec(design, "uniform", 0.08,
+                                  dragonfly=(2, 4, 2), tdd=32,
+                                  verify=True)
         assert not point.wedged
         assert point.invariant_violations == 0
 
     def test_live_spin_recovery_under_strict_oracle(self):
         """Tornado on a 1-VC dragonfly deadlocks; SPIN recovery — probes,
         moves, frozen VCs, the spin itself — must not trip the oracle."""
-        network, point = run_design("dfly:favors-nmin-spin-1vc", "tornado",
-                                    0.30, SHORT, dragonfly=(2, 4, 2),
-                                    tdd=32, verify=True)
+        network, point = run_spec("dfly:favors-nmin-spin-1vc", "tornado",
+                                  0.30, dragonfly=(2, 4, 2),
+                                  tdd=32, verify=True)
         assert not point.wedged
         assert point.events.get("spins", 0) >= 1
         assert point.invariant_violations == 0

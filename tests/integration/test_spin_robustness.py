@@ -281,17 +281,17 @@ class TestFaultsDuringRecovery:
 
     def test_sweep_point_surfaces_fault_counters(self):
         """End-to-end harness path: fault counters travel through
-        run_design into the SweepPoint the experiments consume."""
-        from repro.harness.runner import run_design
+        ExperimentSpec.run into the SweepPoint the experiments consume."""
+        from repro.harness.runner import ExperimentSpec
 
         sim_config = SimulationConfig(warmup_cycles=200, measure_cycles=1200,
                                       drain_cycles=600)
         # A dead link on an 8x8 mesh strands traffic and eats probes, so
         # the initiator watchdogs demonstrably fire during the window.
-        _, point = run_design(
-            "spin_mesh", "uniform", 0.05, sim_config, mesh_side=8,
-            tdd=32, faults="link_down@300:r3-r4,sm_drop:p=0.01",
-            fault_seed=7)
+        _, point = ExperimentSpec(
+            design="spin_mesh", injection_rate=0.05, sim=sim_config,
+            mesh_side=8, tdd=32,
+            faults="link_down@300:r3-r4,sm_drop:p=0.01", fault_seed=7).run()
         assert point.events.get("faults_injected", 0) >= 1
         assert point.events.get("sm_dropped", 0) >= 1
         assert point.events.get("watchdog_fires", 0) >= 1

@@ -9,7 +9,7 @@ import pytest
 
 from repro.config import NetworkConfig, SimulationConfig, SpinParams
 from repro.deadlock.waitgraph import has_deadlock
-from repro.harness.runner import run_design
+from repro.harness.runner import ExperimentSpec
 from repro.network.network import Network
 from repro.routing.adaptive import MinimalAdaptiveRouting
 from repro.routing.favors import FavorsNonMinimal
@@ -24,6 +24,12 @@ SHORT = SimulationConfig(warmup_cycles=200, measure_cycles=1200,
                          drain_cycles=2500, deadlock_abort_cycles=1200)
 
 
+def run_spec(design, pattern, rate, **kwargs):
+    """One registry design point over the SHORT windows."""
+    return ExperimentSpec(design=design, pattern=pattern,
+                          injection_rate=rate, sim=SHORT, **kwargs).run()
+
+
 class TestMeshDesigns:
     @pytest.mark.parametrize("design", [
         "mesh:westfirst-3vc",
@@ -33,8 +39,8 @@ class TestMeshDesigns:
         "mesh:favors-min-spin-1vc",
     ])
     def test_moderate_load_delivers_everything(self, design):
-        network, point = run_design(design, "uniform", 0.15, SHORT,
-                                    mesh_side=4, tdd=32)
+        network, point = run_spec(design, "uniform", 0.15,
+                                  mesh_side=4, tdd=32)
         assert not point.wedged
         assert network.stats.packets_delivered == network.stats.packets_created
         assert not has_deadlock(network, network.now)
@@ -42,8 +48,8 @@ class TestMeshDesigns:
     @pytest.mark.parametrize("pattern", ["transpose", "bit_reverse",
                                          "tornado", "bit_complement"])
     def test_favors_min_handles_every_pattern(self, pattern):
-        network, point = run_design("mesh:favors-min-spin-1vc", pattern,
-                                    0.10, SHORT, mesh_side=4, tdd=32)
+        network, point = run_spec("mesh:favors-min-spin-1vc", pattern,
+                                  0.10, mesh_side=4, tdd=32)
         assert not point.wedged
         assert point.delivery_ratio == 1.0
 
@@ -56,27 +62,27 @@ class TestDragonflyDesigns:
         "dfly:favors-nmin-spin-1vc",
     ])
     def test_moderate_load_delivers_everything(self, design):
-        network, point = run_design(design, "uniform", 0.10, SHORT,
-                                    dragonfly=(2, 4, 2), tdd=32)
+        network, point = run_spec(design, "uniform", 0.10,
+                                  dragonfly=(2, 4, 2), tdd=32)
         assert not point.wedged
         assert network.stats.packets_delivered == network.stats.packets_created
 
     def test_one_vc_dragonfly_deadlocks_and_spin_recovers(self):
-        network, point = run_design("dfly:favors-nmin-spin-1vc", "tornado",
-                                    0.30, SHORT, dragonfly=(2, 4, 2), tdd=32)
+        network, point = run_spec("dfly:favors-nmin-spin-1vc", "tornado",
+                                  0.30, dragonfly=(2, 4, 2), tdd=32)
         assert not point.wedged
         # Adversarial tornado on 1 VC reliably creates deadlocks.
         assert point.events.get("spins", 0) >= 1
 
     def test_ugal_discipline_prevents_deadlock_without_recovery(self):
-        network, point = run_design("dfly:ugal-dally-3vc", "tornado", 0.25,
-                                    SHORT, dragonfly=(2, 4, 2))
+        network, point = run_spec("dfly:ugal-dally-3vc", "tornado", 0.25,
+                                  dragonfly=(2, 4, 2))
         assert not point.wedged
         assert not has_deadlock(network, network.now)
 
     def test_unrestricted_without_recovery_wedges(self):
-        network, point = run_design("dfly:minimal-nospin-1vc", "tornado",
-                                    0.35, SHORT, dragonfly=(2, 4, 2))
+        network, point = run_spec("dfly:minimal-nospin-1vc", "tornado",
+                                  0.35, dragonfly=(2, 4, 2))
         assert point.wedged or not has_deadlock(network, network.now)
         # At this load the 1-VC dragonfly deadlocks deterministically for
         # this seed; assert the oracle agrees when it wedged.

@@ -472,27 +472,3 @@ class TestAtomicSave:
         atomic_write_text(target, "short")
         assert target.read_text() == "short"
         assert not list(tmp_path.glob("*.tmp"))
-
-
-class TestTelemetryBridge:
-    def test_counters_mirrored_into_registry(self):
-        from repro.telemetry.campaign import campaign_counter_totals
-        from repro.telemetry.registry import MetricsRegistry
-
-        registry = MetricsRegistry()
-        specs = tiny_curve()
-        CampaignEngine(specs, registry=registry).run()
-        totals = campaign_counter_totals(registry)
-        assert all(name.startswith("campaign_") for name in totals)
-
-    def test_record_skips_zero_counters(self):
-        from repro.telemetry.campaign import (
-            campaign_counter_totals,
-            record_campaign_counters,
-        )
-        from repro.telemetry.registry import MetricsRegistry
-
-        registry = MetricsRegistry()
-        record_campaign_counters(registry, {"retries": 0, "points_resumed": 3})
-        totals = campaign_counter_totals(registry)
-        assert totals == {"campaign_points_resumed": 3}

@@ -162,6 +162,13 @@ class TestSweepCommand:
         assert "point(s) failed" in out
         assert "worker raised" in out  # the per-error-class table
 
+    @pytest.mark.parametrize("rates", ["0.6,0.05", "0.05,0.05"])
+    def test_rates_must_ascend_strictly(self, rates):
+        # Unordered rates would all be simulated, then cut against the
+        # first point as zero load: one row and a wrong saturation rate.
+        with pytest.raises(ConfigurationError, match="ascending"):
+            main(self.SMALL + ["--rates", rates])
+
     def test_negative_retries_rejected(self):
         with pytest.raises(ConfigurationError, match="--retries"):
             main(self.SMALL + ["--rates", "0.05", "--retries", "-1"])

@@ -55,22 +55,12 @@ class TestProtocolAndRegistry:
 
 
 class TestPrecedence:
-    def test_spec_beats_cli_beats_env_beats_default(self, monkeypatch):
-        # env=None means "read $REPRO_ENGINE"; clear it so the final
-        # default-fallback assertion holds under any outer environment
-        # (the CI engine-parity job exports REPRO_ENGINE=fast).
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert resolve_engine_name("fast", cli="reference",
-                                   env="reference") == "fast"
-        assert resolve_engine_name(None, cli="fast",
-                                   env="reference") == "fast"
-        assert resolve_engine_name(None, cli=None, env="fast") == "fast"
-        assert resolve_engine_name(None, cli=None, env=None) \
-            == DEFAULT_ENGINE
-
-    def test_empty_string_means_unset(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert resolve_engine_name("", cli="", env="") == DEFAULT_ENGINE
+    def test_explicit_name_beats_env_beats_default(self, monkeypatch):
+        monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
+        assert resolve_engine_name("fast") == "fast"
+        monkeypatch.delenv(ENGINE_ENV_VAR)
+        assert resolve_engine_name(None) == DEFAULT_ENGINE
+        assert resolve_engine_name("") == DEFAULT_ENGINE
 
     def test_environment_variable_is_consulted(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "fast")

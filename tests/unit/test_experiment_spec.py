@@ -8,7 +8,8 @@ import pytest
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
-from repro.harness.runner import ExperimentSpec, run_design, spec_grid
+from repro.harness.runner import ExperimentSpec, latency_curve, spec_grid
+from repro.stats.sweep import simulate_point
 from repro.traffic.generator import PacketMix, SyntheticTraffic
 
 SHORT = SimulationConfig(warmup_cycles=100, measure_cycles=400,
@@ -85,11 +86,12 @@ class TestBuildAndRun:
         assert not point.wedged
         assert point.cycles == SHORT.total_cycles
 
-    def test_run_matches_run_design_wrapper(self):
-        _, via_spec = small_spec().run()
-        _, via_wrapper = run_design("spin_mesh", "uniform", 0.05,
-                                    SHORT, mesh_side=4, tdd=32)
-        assert via_spec == via_wrapper
+    def test_run_is_build_then_simulate_point(self):
+        _, via_run = small_spec().run()
+        network, traffic, injector = small_spec().build()
+        by_hand = simulate_point(network, traffic, SHORT,
+                                 injection_rate=0.05, injector=injector)
+        assert via_run == by_hand
 
     def test_tdd_override_reaches_network(self):
         network, _, _ = small_spec(tdd=17).build()
@@ -108,6 +110,18 @@ class TestDerivation:
         rates = [0.02, 0.05, 0.08]
         curve = small_spec().curve(rates)
         assert [s.injection_rate for s in curve] == rates
+
+    @pytest.mark.parametrize("rates", [[], [0.6, 0.05], [0.05, 0.05],
+                                       [0.02, 0.08, 0.05]])
+    def test_curve_rejects_rates_that_are_not_strictly_ascending(self,
+                                                                 rates):
+        # The saturation cut takes the first point as zero-load latency.
+        with pytest.raises(ConfigurationError, match="ascending"):
+            small_spec().curve(rates)
+
+    def test_latency_curve_rejects_an_empty_rate_list(self):
+        with pytest.raises(ConfigurationError, match="ascending"):
+            latency_curve("spin_mesh", "uniform", [], SHORT, mesh_side=4)
 
     def test_forked_seed_is_stable_and_distinct(self):
         spec = small_spec()

@@ -15,7 +15,6 @@ from repro.config import SimulationConfig
 from repro.harness.runner import ExperimentSpec
 from repro.sim import PROFILE_ENV, PROFILE_SCHEMA, PhaseProfiler
 from repro.sim.profile import (
-    profiler_from_env,
     render_report,
     summary_line,
     write_report,
@@ -176,15 +175,6 @@ class TestFastCoreCounters:
 
 
 class TestEnvActivation:
-    def test_falsey_values_disable(self):
-        for value in ("", "0", "off", "false", "no"):
-            assert profiler_from_env({PROFILE_ENV: value}) is None
-        assert profiler_from_env({}) is None
-
-    def test_truthy_value_enables(self):
-        assert isinstance(profiler_from_env({PROFILE_ENV: "1"}),
-                          PhaseProfiler)
-
     def test_env_profiler_emits_summary_to_stderr(self, monkeypatch,
                                                   capsys):
         monkeypatch.setenv(PROFILE_ENV, "1")

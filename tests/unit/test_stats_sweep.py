@@ -7,14 +7,10 @@ from repro.errors import ConfigurationError
 from repro.network.packet import Packet
 from repro.stats.collectors import LatencySummary, NetworkStats
 from repro.stats.sweep import (
-    InjectionSweep,
     SaturationCursor,
     SweepPoint,
     curve_saturation_rate,
-    curve_saturation_throughput,
-    run_point,
     simulate_point,
-    truncate_at_saturation,
 )
 from repro.traffic.generator import PacketMix, SyntheticTraffic
 from repro.traffic.patterns import make_pattern
@@ -123,61 +119,24 @@ def _traffic_factory(network, rate, stop_at):
                             mix=PacketMix.single(1))
 
 
-class TestRunPoint:
-    def test_low_load_point(self):
-        sim_config = SimulationConfig(warmup_cycles=200, measure_cycles=1000,
-                                      drain_cycles=800)
-        network, point = run_point(
-            lambda: make_mesh_network(side=4, vcs=2),
-            _traffic_factory,
-            sim_config, injection_rate=0.05)
-        assert point.delivery_ratio == 1.0
-        assert not point.wedged
-        assert 4 < point.mean_latency < 30
-        assert point.throughput == pytest.approx(0.05, rel=0.25)
-        assert point.cycles == sim_config.total_cycles
+def _simulate(rate, sim_config, vcs=2, **kwargs):
+    """Build a 4x4 mesh, then its traffic, then simulate one point."""
+    network = make_mesh_network(side=4, vcs=vcs)
+    stop_at = sim_config.warmup_cycles + sim_config.measure_cycles
+    traffic = _traffic_factory(network, rate, stop_at)
+    return network, simulate_point(network, traffic, sim_config,
+                                   injection_rate=rate, **kwargs)
 
-    def test_wedge_detection(self):
-        sim_config = SimulationConfig(warmup_cycles=100, measure_cycles=1500,
-                                      drain_cycles=1500,
-                                      deadlock_abort_cycles=600)
-        network, point = run_point(
-            lambda: make_mesh_network(side=4, vcs=1),  # no SPIN: deadlocks
-            _traffic_factory,
-            sim_config, injection_rate=0.45)
-        assert point.wedged
-        assert point.cycles < sim_config.total_cycles  # aborted early
 
-    def test_rate_required_with_canonical_factory(self):
-        sim_config = SimulationConfig(warmup_cycles=50, measure_cycles=100,
-                                      drain_cycles=50)
-        with pytest.raises(ConfigurationError, match="injection_rate"):
-            run_point(lambda: make_mesh_network(side=4, vcs=2),
-                      _traffic_factory, sim_config)
-
-    def test_factory_receives_the_declared_rate(self):
-        sim_config = SimulationConfig(warmup_cycles=100, measure_cycles=400,
-                                      drain_cycles=300)
-        seen = []
-
-        def factory(network, rate, stop_at):
-            seen.append((rate, stop_at))
-            return _traffic_factory(network, rate, stop_at)
-
-        _, point = run_point(lambda: make_mesh_network(side=4, vcs=2),
-                             factory, sim_config, injection_rate=0.07)
-        assert seen == [(0.07, 500)]
-        assert point.injection_rate == 0.07
-        assert point.delivered > 0
-
-    def test_declared_rate_must_match_traffic(self):
-        sim_config = SimulationConfig(warmup_cycles=100, measure_cycles=400,
-                                      drain_cycles=300)
-        with pytest.raises(ConfigurationError, match="disagrees"):
-            run_point(
-                lambda: make_mesh_network(side=4, vcs=2),
-                lambda net, rate, stop: _traffic_factory(net, 0.20, stop),
-                sim_config, injection_rate=0.05)
+def _sweep(rates, sim_config, vcs=2):
+    """Ascending rates through a SaturationCursor: stop at the cut."""
+    cursor = SaturationCursor()
+    points = []
+    for rate in rates:
+        points.append(_simulate(rate, sim_config, vcs=vcs)[1])
+        if cursor.push(points[-1]):
+            break
+    return points
 
 
 class TestSimulatePoint:
@@ -188,6 +147,33 @@ class TestSimulatePoint:
         stop_at = sim_config.warmup_cycles + sim_config.measure_cycles
         traffic = _traffic_factory(network, rate, stop_at)
         return network, traffic, sim_config
+
+    def test_low_load_point(self):
+        sim_config = SimulationConfig(warmup_cycles=200, measure_cycles=1000,
+                                      drain_cycles=800)
+        _, point = _simulate(0.05, sim_config)
+        assert point.delivery_ratio == 1.0
+        assert not point.wedged
+        assert 4 < point.mean_latency < 30
+        assert point.throughput == pytest.approx(0.05, rel=0.25)
+        assert point.cycles == sim_config.total_cycles
+
+    def test_wedge_detection(self):
+        sim_config = SimulationConfig(warmup_cycles=100, measure_cycles=1500,
+                                      drain_cycles=1500,
+                                      deadlock_abort_cycles=600)
+        _, point = _simulate(0.45, sim_config, vcs=1)  # no SPIN: deadlocks
+        assert point.wedged
+        assert point.cycles < sim_config.total_cycles  # aborted early
+
+    def test_raise_on_wedge(self):
+        from repro.errors import SimulationError
+
+        sim_config = SimulationConfig(warmup_cycles=100, measure_cycles=1500,
+                                      drain_cycles=1500,
+                                      deadlock_abort_cycles=600)
+        with pytest.raises(SimulationError, match="wedged"):
+            _simulate(0.45, sim_config, vcs=1, raise_on_wedge=True)
 
     def test_rate_taken_from_traffic_when_unspecified(self):
         network, traffic, sim_config = self._components(rate=0.06)
@@ -219,47 +205,24 @@ class TestSimulatePoint:
             SimulationConfig(wedge_poll_interval=0)
 
 
-class TestInjectionSweep:
+class TestCursorSweep:
+    """A SaturationCursor loop over simulate_point: the serial sweep."""
+
+    SIM = SimulationConfig(warmup_cycles=200, measure_cycles=800,
+                           drain_cycles=500)
+
     def test_sweep_stops_after_saturation(self):
-        sim_config = SimulationConfig(warmup_cycles=200, measure_cycles=800,
-                                      drain_cycles=500)
-        sweep = InjectionSweep(
-            lambda: make_mesh_network(side=4, vcs=2),
-            _traffic_factory,
-            sim_config,
-            rates=[0.02, 0.1, 0.2, 0.3, 0.4, 0.6, 0.9],
-        )
-        points = sweep.run()
+        points = _sweep([0.02, 0.1, 0.2, 0.3, 0.4, 0.6, 0.9], self.SIM)
         assert 2 <= len(points) <= 7
-        saturation = sweep.saturation_rate(points)
+        saturation = curve_saturation_rate(points)
         assert 0.02 <= saturation < 0.9
 
     def test_saturation_monotone_in_vcs(self):
-        sim_config = SimulationConfig(warmup_cycles=200, measure_cycles=800,
-                                      drain_cycles=500)
-
-        def saturation(vcs):
-            sweep = InjectionSweep(
-                lambda: make_mesh_network(side=4, vcs=vcs),
-                _traffic_factory, sim_config,
-                rates=[0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5])
-            return sweep.saturation_rate(sweep.run())
-
+        rates = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5]
         # More VCs -> at least as much sustainable load (deadlocks aside,
         # low-load points here stay below deadlock formation).
-        assert saturation(3) >= saturation(1)
-
-    def test_class_methods_match_module_helpers(self):
-        points = [
-            SweepPoint(0.05, 10.0, 20.0, 0.05, 1.0, False, 100),
-            SweepPoint(0.10, 12.0, 25.0, 0.10, 1.0, False, 100),
-            SweepPoint(0.20, 90.0, 300.0, 0.11, 0.9, False, 100),
-        ]
-        sweep = InjectionSweep(None, None, None, rates=[], latency_cap=4.0)
-        assert sweep.saturation_rate(points) == \
-            curve_saturation_rate(points, 4.0) == 0.10
-        assert sweep.saturation_throughput(points) == \
-            curve_saturation_throughput(points, 4.0) == 0.10
+        assert curve_saturation_rate(_sweep(rates, self.SIM, vcs=3)) >= \
+            curve_saturation_rate(_sweep(rates, self.SIM, vcs=1))
 
 
 class TestSaturationHelpers:
@@ -271,23 +234,26 @@ class TestSaturationHelpers:
             SweepPoint(0.30, 200.0, 500.0, 0.10, 0.5, False, 50),
         ]
 
-    def test_truncate_matches_serial_stop(self):
-        kept = truncate_at_saturation(self._curve())
-        assert [p.injection_rate for p in kept] == [0.05, 0.10, 0.20]
-
-    def test_truncate_with_extra_points(self):
-        kept = truncate_at_saturation(self._curve(), points_past_saturation=1)
-        assert len(kept) == 4
-
-    def test_cursor_incremental_equals_truncate(self):
+    def test_cursor_stops_at_the_first_saturated_point(self):
         cursor = SaturationCursor()
         stops = [cursor.push(p) for p in self._curve()[:3]]
         assert stops == [False, False, True]
 
+    def test_cursor_zero_load_is_the_first_point(self):
+        # Against the second point's latency the saturated one would not
+        # exceed 4x; the cursor keeps the first as its reference.
+        cursor = SaturationCursor(latency_cap=8.0)
+        assert [cursor.push(p) for p in self._curve()[:3]] \
+            == [False, False, True]
+        assert not SaturationCursor(latency_cap=8.0).push(self._curve()[2])
+
+    def test_saturation_rate_is_the_last_sustained_load(self):
+        assert curve_saturation_rate(self._curve()) == 0.10
+        assert curve_saturation_rate(self._curve(), latency_cap=100.0) \
+            == 0.20
+
     def test_empty_curve(self):
-        assert truncate_at_saturation([]) == []
         assert curve_saturation_rate([]) == 0.0
-        assert curve_saturation_throughput([]) == 0.0
 
 
 class TestSweepPoint:

@@ -9,8 +9,7 @@ from repro.stats.sweep import simulate_point
 from repro.telemetry.observer import (
     TelemetryConfig,
     TelemetryObserver,
-    config_from_env_value,
-    telemetry_from_env,
+    telemetry_config,
 )
 from repro.traffic.generator import SyntheticTraffic
 from repro.traffic.patterns import make_pattern
@@ -50,39 +49,13 @@ class TestTelemetryConfig:
 
 
 class TestEnvGate:
-    @pytest.mark.parametrize("value", ["1", "on", "true", "metrics",
-                                       "spans", "ON", " true "])
-    def test_enabling_values(self, value):
-        config = config_from_env_value(value)
-        assert config is not None
-        assert not config.packet_traces
+    """``REPRO_TELEMETRY`` words are tabled in tests/unit/test_env_gates.py;
+    here, what each selected value configures and that the gate is wired."""
 
-    def test_full_enables_packet_traces(self):
-        config = config_from_env_value("full")
-        assert config is not None and config.packet_traces
-
-    def test_integer_sets_interval(self):
-        config = config_from_env_value("128")
-        assert config is not None
-        assert config.sample_interval == 128
-
-    @pytest.mark.parametrize("value", ["", "off", "0", "false", " NO "])
-    def test_disabling_values(self, value):
-        assert config_from_env_value(value) is None
-
-    @pytest.mark.parametrize("value", ["-3", "nope", "onn"])
-    def test_unrecognized_values_are_rejected(self, value):
-        with pytest.raises(ConfigurationError, match="not recognized"):
-            config_from_env_value(value)
-
-    def test_telemetry_from_env(self, monkeypatch):
-        network = make_mesh_network()
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        assert telemetry_from_env(network) is None
-        monkeypatch.setenv("REPRO_TELEMETRY", "32")
-        observer = telemetry_from_env(network)
-        assert observer is not None
-        assert observer.config.sample_interval == 32
+    def test_modes_select_configs(self):
+        assert telemetry_config("metrics") == TelemetryConfig()
+        assert telemetry_config("full").packet_traces
+        assert telemetry_config(128).sample_interval == 128
 
     def test_env_gate_through_simulate_point(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "16")

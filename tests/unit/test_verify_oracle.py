@@ -16,7 +16,6 @@ from repro.traffic.generator import SyntheticTraffic
 from repro.traffic.patterns import make_pattern
 from repro.verify import INVARIANTS, InvariantOracle, OracleConfig
 from repro.verify.invariants import iter_resident
-from repro.verify.oracle import oracle_from_env
 
 from tests.conftest import (
     craft_square_deadlock,
@@ -328,25 +327,6 @@ def test_duplicate_freeze_token_detected(mesh4_spin):
 # ----------------------------------------------------------------------
 # Environment gate and sweep wiring
 # ----------------------------------------------------------------------
-def test_oracle_from_env(monkeypatch, mesh4):
-    monkeypatch.delenv("REPRO_VERIFY", raising=False)
-    assert oracle_from_env(mesh4) is None
-    monkeypatch.setenv("REPRO_VERIFY", "record")
-    assert oracle_from_env(mesh4).config.mode == "record"
-    monkeypatch.setenv("REPRO_VERIFY", "strict")
-    assert oracle_from_env(mesh4).config.mode == "raise"
-    monkeypatch.setenv("REPRO_VERIFY", "0")
-    assert oracle_from_env(mesh4) is None
-    monkeypatch.setenv("REPRO_VERIFY", "Off")
-    assert oracle_from_env(mesh4) is None
-
-
-def test_oracle_from_env_rejects_a_misspelled_mode(monkeypatch, mesh4):
-    monkeypatch.setenv("REPRO_VERIFY", "stirct")
-    with pytest.raises(ConfigurationError, match="strict"):
-        oracle_from_env(mesh4)
-
-
 def test_simulate_point_env_gate_counts_violations(monkeypatch):
     monkeypatch.setenv("REPRO_VERIFY", "record")
     network = make_mesh_network()
