@@ -12,8 +12,10 @@ Regenerates the latency curves for the paper's mesh designs:
   (~3%) better on uniform random.
 """
 
-from repro.harness.runner import latency_curve
+from repro.harness.campaign import CampaignEngine
+from repro.harness.runner import ExperimentSpec
 from repro.harness.tables import format_table
+from repro.stats.sweep import curve_saturation_rate
 
 from benchmarks._common import MESH_SIDE, TDD, run_once, scale, sim_config, write_result
 
@@ -43,8 +45,12 @@ def run_experiment():
     lines = []
     for pattern in PATTERNS:
         for label, design in DESIGNS_3VC + DESIGNS_1VC:
-            points, saturation = latency_curve(
-                design, pattern, RATES, sim, mesh_side=MESH_SIDE, tdd=TDD)
+            spec = ExperimentSpec(design=design, pattern=pattern, sim=sim,
+                                  mesh_side=MESH_SIDE, tdd=TDD)
+            report = CampaignEngine(spec.curve(RATES)).run()
+            assert report.clean, [r.error for r in report.failed]
+            points = report.points
+            saturation = curve_saturation_rate(points)
             results[(pattern, label)] = (points, saturation)
             curve = "  ".join(
                 f"{p.injection_rate:.2f}->{p.mean_latency:.0f}"

@@ -34,6 +34,7 @@ from repro.sim import ENGINE_ENV_VAR, available_engines
 from repro.verify.differential import DEFAULT_TRIAD, run_conformance
 from repro.power.model import AreaModel, EnergyModel, RouterSpec
 from repro.stats.results import save_results
+from repro.stats.sweep import curve_saturation_rate
 
 
 def _sim_config(args) -> SimulationConfig:
@@ -364,7 +365,9 @@ def cmd_sweep(args) -> int:
         ["Rate", "Mean latency", "Throughput", "Delivered", "Wedged",
          "Spins"],
         rows, title=title))
-    print(f"\nsaturation rate: {report.saturation_rate}")
+    saturation = curve_saturation_rate(report.points,
+                                       engine.config.latency_cap)
+    print(f"\nsaturation rate: {saturation}")
     if campaign_dir and report.counters:
         tallies = " ".join(f"{name}={value}" for name, value
                            in sorted(report.counters.items()))
@@ -386,7 +389,7 @@ def cmd_sweep(args) -> int:
         return 3
     if output and report.clean:
         meta = dict(meta)
-        meta["saturation_rate"] = report.saturation_rate
+        meta["saturation_rate"] = saturation
         path = save_results(output, report.points, meta)
         print(f"wrote {len(report.points)} points to {path}")
     return 1 if report.failed else 0

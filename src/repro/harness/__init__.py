@@ -16,11 +16,7 @@ from repro.harness.campaign import (
     load_manifest,
     write_manifest,
 )
-from repro.harness.runner import (
-    ExperimentSpec,
-    latency_curve,
-    spec_grid,
-)
+from repro.harness.runner import ExperimentSpec
 from repro.harness.supervision import (
     RetryPolicy,
     SpecResult,
@@ -48,8 +44,6 @@ __all__ = [
     "build_network",
     "ExperimentSpec",
     "SpecResult",
-    "spec_grid",
-    "latency_curve",
     "format_table",
     "TABLE_I",
     "TheoryRow",

@@ -12,6 +12,11 @@ The engine wraps spec execution in a durable, content-addressed journal:
   final record, and the loader tolerates exactly that (a torn *interior*
   record means real corruption and fails loudly).
 
+Specs equal but for ``injection_rate`` form a latency curve, cut at
+saturation as its points land: the engine stops dispatching a curve at
+its cut or at a permanently failed point (a pool may already have started
+up to ``jobs - 1`` more).
+
 Because each point is a deterministic seeded simulation, a resumed
 campaign that skips journaled points and re-runs the rest produces a
 results artifact **byte-identical** to an uninterrupted run — the
@@ -39,7 +44,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.harness.runner import ExperimentSpec
+from repro.harness.runner import ExperimentSpec, check_curve_rates
 from repro.harness.supervision import (
     TRANSIENT,
     RetryPolicy,
@@ -50,11 +55,7 @@ from repro.harness.supervision import (
     run_attempt,
 )
 from repro.stats.results import atomic_write_text
-from repro.stats.sweep import (
-    SaturationCursor,
-    SweepPoint,
-    curve_saturation_rate,
-)
+from repro.stats.sweep import SaturationCursor, SweepPoint
 
 #: Version tag of the campaign directory layout.
 CAMPAIGN_SCHEMA = "repro.campaign/v1"
@@ -274,20 +275,21 @@ class CampaignReport:
 
     Attributes:
         results: One ordered slot per spec; ``None`` for specs the
-            campaign never reached (drain or abort) — resumable later.
-        points: The saturation-cut curve prefix (artifact contents).
-        saturation_rate: Saturation of the cut curve.
+            campaign never dispatched (past a curve's cut or failure, or
+            not reached before a drain or abort — resumable later).
+        points: Each curve's kept prefix up to its saturation cut, in spec
+            order (artifact contents).
         status: ``"completed"``, ``"failure-budget"`` or
             ``"interrupted:<SIGNAME>"``.
-        clean: True when every point up to the saturation cut succeeded —
-            the precondition for writing the results artifact.
+        clean: True when every curve's prefix reached its saturation cut
+            or its last rate — the precondition for writing the results
+            artifact.
         counters: Durability telemetry (resumed points, retries, worker
             respawns/hangs, failure classes, torn journal records).
     """
 
     results: List[Optional[SpecResult]]
     points: List[SweepPoint]
-    saturation_rate: float
     status: str
     clean: bool
     counters: Dict[str, int]
@@ -302,40 +304,58 @@ class CampaignReport:
         return [r for r in self.results if r is not None and not r.ok]
 
 
-def assemble_curve(results: Sequence[Optional[SpecResult]],
-                   latency_cap: float = 4.0
-                   ) -> Tuple[List[SweepPoint], float, bool]:
-    """Cut an ordered result list into the serial-curve prefix.
+class _Curve:
+    """One latency curve of a campaign and its saturation cut.
 
-    Walks results in ascending-rate order through the same
-    :class:`~repro.stats.sweep.SaturationCursor` every sweep driver uses,
-    so the returned points are exactly what an uninterrupted serial sweep
-    reports.  Returns ``(points, saturation_rate, clean)`` where ``clean``
-    is False when a missing or failed point interrupted the prefix before
-    the saturation cut (no trustworthy artifact exists then).
+    ``indices`` are the curve's spec slots, rates ascending.  Landed
+    results are pushed through one :class:`SaturationCursor` as far as
+    they are contiguous from the lowest rate, so the cut is the one an
+    uninterrupted serial sweep makes, whatever order points land in.
     """
-    cursor = SaturationCursor(latency_cap)
-    points: List[SweepPoint] = []
-    clean = True
-    for result in results:
-        if result is None or not result.ok:
-            clean = False
-            break
-        points.append(result.point)
-        if cursor.push(result.point):
-            break
-    return points, curve_saturation_rate(points, latency_cap), clean
+
+    def __init__(self, indices: List[int], latency_cap: float) -> None:
+        self.indices = indices
+        self.cursor = SaturationCursor(latency_cap)
+        self.kept = 0          # landed prefix pushed through the cursor
+        self.stopped = False   # cut, or a failure ended the prefix
+        #: The live plane's ``saturation`` block for this curve.
+        self.verdict: Dict[str, object] = {
+            "cut": False, "cut_rate": None, "sustained_rate": 0.0}
+
+    def advance(self, results: List[Optional[SpecResult]]) -> None:
+        while not self.stopped and self.kept < len(self.indices):
+            result = results[self.indices[self.kept]]
+            if result is None or not result.ok:
+                self.stopped = result is not None
+                return
+            rate = result.point.injection_rate
+            if self.cursor.push(result.point):
+                self.verdict.update(cut=True, cut_rate=rate)
+                self.stopped = True
+            else:
+                self.verdict["sustained_rate"] = rate
+            self.kept += 1
+
+    @property
+    def clean(self) -> bool:
+        return self.verdict["cut"] or self.kept == len(self.indices)
 
 
 class CampaignEngine:
     """Runs a spec list to completion, durably, under supervision.
 
     Args:
-        specs: Ordered specs (ascending-rate curves for sweeps).
+        specs: Ordered specs.  Specs equal but for ``injection_rate`` are
+            one curve, cut at saturation; its rates must ascend strictly
+            in spec order.
         directory: Campaign directory for the durable journal; ``None``
             runs ephemerally (same engine, no files) — the path plain
             ``cli sweep`` uses.
         config: Execution policy (:class:`CampaignConfig`).
+
+    Raises:
+        ConfigurationError: No specs, or a curve whose rates do not
+            ascend strictly.
     """
 
     def __init__(self, specs: Sequence[ExperimentSpec],
@@ -344,7 +364,22 @@ class CampaignEngine:
         self.specs = list(specs)
         if not self.specs:
             raise ConfigurationError("campaign needs at least one spec")
-        self.keys = [spec.content_key() for spec in self.specs]
+        self.keys: List[str] = []
+        curves: Dict[str, List[int]] = {}
+        for index, spec in enumerate(self.specs):
+            key, curve_key = spec.content_and_curve_key()
+            self.keys.append(key)
+            curves.setdefault(curve_key, []).append(index)
+        self._curve_indices = list(curves.values())
+        #: Per spec: its curve's number and its position in that curve.
+        self._slot: List[Tuple[int, int]] = [(0, 0)] * len(self.specs)
+        for number, indices in enumerate(self._curve_indices):
+            first = self.specs[indices[0]]
+            check_curve_rates([self.specs[i].injection_rate for i in indices],
+                              design=first.design, pattern=first.pattern)
+            for position, index in enumerate(indices):
+                self._slot[index] = (number, position)
+        self._curves: List[_Curve] = []
         self.directory = Path(directory) if directory is not None else None
         self.config = config or CampaignConfig()
         self.counters: Dict[str, int] = {}
@@ -358,11 +393,15 @@ class CampaignEngine:
     def run(self) -> CampaignReport:
         """Execute (or resume) the campaign; always leaves a valid journal."""
         results: List[Optional[SpecResult]] = [None] * len(self.specs)
+        self._curves = [_Curve(indices, self.config.latency_cap)
+                        for indices in self._curve_indices]
         journal: Optional[CampaignJournal] = None
         if self.directory is not None:
             journal = CampaignJournal(self.directory)
             self._replay(journal, results)
             journal.open()
+        for curve in self._curves:
+            curve.advance(results)
         pending = [i for i, r in enumerate(results) if r is None]
         self._drain = False
         self._signal = None
@@ -384,11 +423,13 @@ class CampaignEngine:
             if self._plane is not None:
                 self._plane.stop(status)
                 self._plane = None
-        points, saturation, clean = assemble_curve(
-            results, self.config.latency_cap)
-        return CampaignReport(results=results, points=points,
-                              saturation_rate=saturation, status=status,
-                              clean=clean, counters=dict(self.counters))
+        kept = sorted(index for curve in self._curves
+                      for index in curve.indices[:curve.kept])
+        return CampaignReport(
+            results=results, points=[results[i].point for i in kept],
+            status=status,
+            clean=all(curve.clean for curve in self._curves),
+            counters=dict(self.counters))
 
     # ------------------------------------------------------------------
     # Live observability plane
@@ -409,24 +450,30 @@ class CampaignEngine:
             rates=[spec.injection_rate for spec in self.specs],
             hang_after=self.config.hang_timeout or DEFAULT_HANG_AFTER,
             max_failures=self.config.max_failures,
-            latency_cap=self.config.latency_cap,
         )
         plane.start()
-        resumed = [(self.keys[i], r.point)
-                   for i, r in enumerate(results)
-                   if r is not None and r.ok]
+        resumed = [i for i, r in enumerate(results) if r is not None]
         if resumed:
-            plane.mark_resumed([key for key, _ in resumed],
-                               dict(resumed))
+            plane.mark_resumed([self.keys[i] for i in resumed],
+                               saturation=self._curve(resumed[-1]).verdict)
         return plane
 
-    def _notify_done(self, key: str, result: SpecResult) -> None:
+    def _curve(self, index: int) -> _Curve:
+        return self._curves[self._slot[index][0]]
+
+    def _land(self, index: int, result: SpecResult,
+              results: List[Optional[SpecResult]]) -> None:
+        """Record a finished point, cut its curve, tell the live plane."""
+        results[index] = result
+        curve = self._curve(index)
+        curve.advance(results)
         if self._plane is not None:
             self._plane.point_done(
-                key, result.ok, point=result.point,
+                self.keys[index], result.ok, point=result.point,
                 wall_time=result.wall_time,
                 error_class=(None if result.ok
-                             else error_class(result.error)))
+                             else error_class(result.error)),
+                saturation=curve.verdict)
 
     def _notify_retry(self, key: str, attempt: int) -> None:
         if self._plane is not None:
@@ -483,14 +530,15 @@ class CampaignEngine:
         for index in pending:
             if self._drain:
                 return self._interrupted()
+            if self._curve(index).stopped:
+                continue  # past its curve's cut or failure
             spec, key = self.specs[index], self.keys[index]
             attempt = 0
             while True:
                 result = run_attempt(spec, attempt)
                 if result.ok:
                     self._journal(journal, ok_record(key, attempt, result))
-                    results[index] = result
-                    self._notify_done(key, result)
+                    self._land(index, result, results)
                     break
                 if self._retryable(result, attempt):
                     self._bump("retries")
@@ -499,8 +547,7 @@ class CampaignEngine:
                     attempt += 1
                     continue
                 self._journal(journal, failed_record(key, attempt, result))
-                results[index] = result
-                self._notify_done(key, result)
+                self._land(index, result, results)
                 failures += 1
                 self._bump("failures_permanent")
                 if self._budget_exhausted(failures):
@@ -524,7 +571,9 @@ class CampaignEngine:
         pool.start()
         status = "completed"
         failures = len([r for r in results if r is not None and not r.ok])
-        feed = deque(pending)           # never submitted yet
+        feed: Dict[int, deque] = {}     # per curve: never submitted yet
+        for index in pending:
+            feed.setdefault(self._slot[index][0], deque()).append(index)
         retry_heap: List[Tuple[float, int]] = []  # backoff-waiting retries
         submitted: set = set()          # handed to the pool, result owed
         attempts: Dict[int, int] = {}
@@ -543,14 +592,15 @@ class CampaignEngine:
                         pool.submit(index, attempts[index],
                                     self.specs[index])
                         submitted.add(index)
-                    while feed and len(submitted) < window:
-                        index = feed.popleft()
+                    while len(submitted) < window:
+                        index = self._next_feed(feed)
+                        if index is None:
+                            break
                         attempts.setdefault(index, 0)
                         pool.submit(index, attempts[index],
                                     self.specs[index])
                         submitted.add(index)
-                if not submitted and (halted
-                                      or (not feed and not retry_heap)):
+                if not submitted and (halted or not retry_heap):
                     break
                 timeout = 0.2
                 if retry_heap and not submitted:
@@ -563,8 +613,7 @@ class CampaignEngine:
                     if result.ok:
                         self._journal(journal,
                                       ok_record(key, attempt, result))
-                        results[index] = result
-                        self._notify_done(key, result)
+                        self._land(index, result, results)
                         continue
                     if not halted and self._retryable(result, attempt):
                         self._bump("retries")
@@ -576,8 +625,7 @@ class CampaignEngine:
                         continue
                     self._journal(journal,
                                   failed_record(key, attempt, result))
-                    results[index] = result
-                    self._notify_done(key, result)
+                    self._land(index, result, results)
                     failures += 1
                     self._bump("failures_permanent")
                     if self._budget_exhausted(failures):
@@ -587,6 +635,32 @@ class CampaignEngine:
         if self._drain:
             return self._interrupted()
         return status
+
+    def _next_feed(self, feed: Dict[int, deque]) -> Optional[int]:
+        """Pop the next spec to submit, rate-major across curves.
+
+        Of the curves whose lowest unsubmitted rate lies within ``jobs``
+        points of their landed prefix, the one whose rate ranks lowest in
+        its curve goes first (ties: the curve seen first), so workers
+        spread over curves and no curve runs more than ``jobs - 1``
+        points past its cut.  A cut or failed curve leaves the feed.
+        """
+        best = None
+        for number, queue in list(feed.items()):
+            curve = self._curves[number]
+            position = self._slot[queue[0]][1]
+            if curve.stopped:
+                del feed[number]
+            elif (position < curve.kept + self.config.jobs
+                  and (best is None or position < best[0])):
+                best = (position, number)
+        if best is None:
+            return None
+        queue = feed[best[1]]
+        index = queue.popleft()
+        if not queue:
+            del feed[best[1]]
+        return index
 
     # ------------------------------------------------------------------
     # Helpers

@@ -10,9 +10,11 @@ object that drives a serial run can cross a process boundary unchanged
 
 ``spec.build()`` produces the ``(network, traffic, injector)`` trio that
 :func:`repro.stats.sweep.simulate_point` consumes; ``spec.run()`` does both
-steps and is the one way to run a registry design.  :func:`latency_curve`
-runs a spec's curve, so every driver — CLI, benchmarks, examples, parallel
-sweeps — measures through the identical code path.
+steps and is the one way to run a registry design.  A latency curve is
+``spec.curve(rates)`` run through
+:class:`~repro.harness.campaign.CampaignEngine`, which cuts it at
+saturation as its points land, so every caller — CLI, benchmarks,
+examples, parallel sweeps — measures through the identical code path.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import SimulationConfig
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.faults import FaultInjector, canonical_fault_spec, parse_fault_spec
 from repro.harness.configs import (
     DRAGONFLY_SMALL,
@@ -35,14 +37,21 @@ from repro.harness.configs import (
 )
 from repro.sim.engine_api import resolve_engine_name
 from repro.sim.rng import DeterministicRng
-from repro.stats.sweep import (
-    SaturationCursor,
-    SweepPoint,
-    curve_saturation_rate,
-    simulate_point,
-)
+from repro.stats.sweep import simulate_point
 from repro.traffic.generator import PacketMix, SyntheticTraffic
 from repro.traffic.patterns import make_pattern
+
+
+def check_curve_rates(rates: List[float], **context) -> None:
+    """Reject a curve whose rates are empty, descending or repeated.
+
+    The saturation cut (:class:`~repro.stats.sweep.SaturationCursor`)
+    takes a curve's first point as the zero-load latency.
+    """
+    if not rates or any(low >= high for low, high in zip(rates, rates[1:])):
+        raise ConfigurationError(
+            "a curve needs a non-empty, strictly ascending rate list",
+            rates=rates, **context)
 
 
 @dataclass(frozen=True)
@@ -202,18 +211,10 @@ class ExperimentSpec:
         return replace(self, seed=child)
 
     def curve(self, rates: List[float]) -> List["ExperimentSpec"]:
-        """This experiment swept over strictly ascending offered loads.
-
-        The saturation cut (:class:`~repro.stats.sweep.SaturationCursor`)
-        takes the first point as the zero-load latency, so an empty,
-        descending or repeated rate list is a configuration error.
-        """
+        """This experiment swept over strictly ascending offered loads
+        (:func:`check_curve_rates`)."""
         rates = list(rates)
-        if not rates or any(low >= high
-                            for low, high in zip(rates, rates[1:])):
-            raise ConfigurationError(
-                "a curve needs a non-empty, strictly ascending rate list",
-                rates=rates)
+        check_curve_rates(rates)
         return [self.with_rate(rate) for rate in rates]
 
     # ------------------------------------------------------------------
@@ -227,9 +228,19 @@ class ExperimentSpec:
         processes and sessions — this is the key the campaign journal
         (:mod:`repro.harness.campaign`) files completed results under.
         """
+        return self.content_and_curve_key()[0]
+
+    def content_and_curve_key(self) -> Tuple[str, str]:
+        """``(content_key(), curve key)`` from one serialization: the curve
+        key is the canonical JSON without ``injection_rate``, shared by the
+        specs of one latency curve."""
         payload = json.dumps(self.to_dict(), sort_keys=True,
                              separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        key = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        # A number holds no comma, and injection_rate is never the last
+        # key in sorted order, so the rate ends at the next comma.
+        head, _, tail = payload.partition('"injection_rate":')
+        return key, head + tail[tail.index(",") + 1:]
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe dict; exact inverse of :meth:`from_dict`."""
@@ -276,91 +287,3 @@ class ExperimentSpec:
         if "dragonfly" in kwargs:
             kwargs["dragonfly"] = tuple(kwargs["dragonfly"])
         return cls(**kwargs)
-
-
-def spec_grid(designs: List[str], patterns: List[str], rates: List[float],
-              seeds: Tuple[int, ...] = (1,),
-              **common) -> List[ExperimentSpec]:
-    """Expand an evaluation grid into specs, in deterministic order.
-
-    The iteration order is ``designs x patterns x seeds x rates`` — rates
-    innermost and ascending, so each contiguous run of specs is one
-    latency curve (the unit a saturation cut applies to).  Extra keyword arguments are passed through to every
-    :class:`ExperimentSpec`.
-    """
-    specs: List[ExperimentSpec] = []
-    for design in designs:
-        for pattern in patterns:
-            for seed in seeds:
-                base = ExperimentSpec(design=design, pattern=pattern,
-                                      seed=seed, **common)
-                specs.extend(base.curve(rates))
-    return specs
-
-
-def latency_curve(design_name: str, pattern_name: str, rates: List[float],
-                  sim_config: Optional[SimulationConfig] = None,
-                  seed: int = 1, mesh_side: int = MESH_SIDE,
-                  dragonfly: Tuple[int, int, int] = DRAGONFLY_SMALL,
-                  mix: Optional[PacketMix] = None,
-                  tdd: Optional[int] = None,
-                  latency_cap: float = 4.0,
-                  faults: Optional[str] = None,
-                  fault_seed: int = 0,
-                  jobs: int = 1,
-                  verify: bool = False,
-                  telemetry: bool = False,
-                  engine: str = "") -> Tuple[List[SweepPoint], float]:
-    """Latency-vs-injection curve for one design and pattern.
-
-    Args:
-        jobs: Worker processes.  ``1`` runs serially in-process; ``> 1``
-            runs the rates ``jobs`` at a time, each wave through a
-            :class:`~repro.harness.campaign.CampaignEngine`.  The
-            saturation cut is decided after every wave, so the returned
-            points are exactly those a serial run produces and at most
-            ``jobs - 1`` points are simulated past the cut.
-
-    Returns:
-        (points, saturation rate in flits/node/cycle).
-
-    Raises:
-        SimulationError: A point failed in a worker (``jobs > 1``).
-    """
-    spec = ExperimentSpec(
-        design=design_name, pattern=pattern_name,
-        sim=sim_config or SimulationConfig(), seed=seed,
-        mesh_side=mesh_side, dragonfly=dragonfly, mix=mix, tdd=tdd,
-        faults=faults, fault_seed=fault_seed, verify=verify,
-        telemetry=telemetry, engine=engine)
-    curve = spec.curve(rates)
-    jobs = max(1, jobs)
-    points: List[SweepPoint] = []
-    cursor = SaturationCursor(latency_cap)
-    for start in range(0, len(curve), jobs):
-        for point in _run_wave(curve[start:start + jobs], jobs):
-            points.append(point)
-            if cursor.push(point):
-                return points, curve_saturation_rate(points, latency_cap)
-    return points, curve_saturation_rate(points, latency_cap)
-
-
-def _run_wave(specs: List[ExperimentSpec], jobs: int) -> List[SweepPoint]:
-    """Simulate one wave of a curve: in-process, or as one campaign."""
-    if jobs == 1:
-        return [spec.run()[1] for spec in specs]
-    from repro.harness.campaign import CampaignConfig, CampaignEngine
-
-    report = CampaignEngine(specs, directory=None,
-                            config=CampaignConfig(jobs=jobs)).run()
-    if not report.completed:
-        # The engine turned SIGINT/SIGTERM into a drain; stop the curve as
-        # the signal would have without it.
-        raise KeyboardInterrupt(report.status)
-    for result in report.results:
-        if not result.ok:
-            raise SimulationError(
-                "sweep point failed", design=result.spec.design,
-                pattern=result.spec.pattern,
-                rate=result.spec.injection_rate, error=result.error)
-    return [result.point for result in report.results]

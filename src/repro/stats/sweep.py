@@ -304,13 +304,14 @@ def _wedge_snapshot(network, cycle: int, abort_after: int) -> Dict[str, object]:
 
 
 class SaturationCursor:
-    """Incremental saturation-stop decision shared by every sweep driver.
+    """Incremental saturation-stop decision: the one owner of the cut.
 
     Push curve points in ascending-rate order (the first is the zero-load
     reference); :meth:`push` returns True when the curve should stop
-    *after* the pushed point.  ``latency_curve`` uses it to stop launching
-    rates or waves and campaigns to truncate results, so ``--jobs 1`` and
-    ``--jobs N`` cut a curve at exactly the same point.
+    *after* the pushed point.  :class:`~repro.harness.campaign.CampaignEngine`
+    keeps one per curve, fed as points land, and dispatches no rate past
+    the cut, so ``--jobs 1`` and ``--jobs N`` cut a curve at exactly the
+    same point.
     """
 
     def __init__(self, latency_cap: float = 4.0) -> None:

@@ -311,6 +311,15 @@ def ensure_worker_shipper() -> Optional[TelemetryShipper]:
     return shipper
 
 
+def _detach_worker_shipper(path: Optional[str]) -> None:
+    """Close this process's shipper bound to ``path``: a later plane on
+    the same path must not inherit a connection to a stopped one."""
+    global _WORKER_SHIPPER
+    if _WORKER_SHIPPER is not None and _WORKER_SHIPPER[1] == path:
+        _WORKER_SHIPPER[2].close()
+        _WORKER_SHIPPER = None
+
+
 def set_progress_sink(sink: Optional[TelemetryShipper]) -> None:
     """Install (or clear) the per-point progress sink for this process."""
     global _PROGRESS_SINK
@@ -350,14 +359,12 @@ class StreamAggregator:
                  rates: Optional[Sequence[float]] = None,
                  hang_after: Optional[float] = DEFAULT_HANG_AFTER,
                  max_failures: Optional[int] = None,
-                 latency_cap: float = 4.0,
                  registry=None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         from repro.telemetry.registry import MetricsRegistry
 
         self.hang_after = hang_after
         self.max_failures = max_failures
-        self.latency_cap = latency_cap
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self._clock = clock
@@ -368,7 +375,8 @@ class StreamAggregator:
         self._workers: Dict[int, Dict[str, object]] = {}
         self._points: Dict[str, Dict[str, object]] = {}
         self._keys: List[str] = list(keys or [])
-        self._sweep_points: Dict[str, object] = {}
+        self._saturation: Dict[str, object] = {
+            "cut": False, "cut_rate": None, "sustained_rate": 0.0}
         self.counters: Dict[str, int] = {}
         for index, key in enumerate(self._keys):
             self._points[key] = {
@@ -437,8 +445,14 @@ class StreamAggregator:
 
     def point_done(self, key: str, ok: bool, point=None,
                    wall_time: float = 0.0,
-                   error_class: Optional[str] = None) -> None:
-        """Authoritative completion from the campaign engine."""
+                   error_class: Optional[str] = None,
+                   saturation: Optional[Dict[str, object]] = None) -> None:
+        """Authoritative completion from the campaign engine.
+
+        ``saturation`` is the engine's cut verdict for the point's curve
+        after it landed (``cut``, ``cut_rate``, ``sustained_rate``); the
+        ``saturation`` block of the snapshot reports the latest one.
+        """
         with self._lock:
             entry = self._points.get(key)
             if entry is not None:
@@ -449,12 +463,9 @@ class StreamAggregator:
                     entry["cycles_total"] = point.cycles
                     entry["delivered"] = point.delivered
                     entry["spins"] = point.events.get("spins", 0)
-            if ok:
-                self._bump("points_ok")
-                if point is not None:
-                    self._sweep_points[key] = point
-            else:
-                self._bump("points_failed")
+            if saturation is not None:
+                self._saturation = dict(saturation)
+            self._bump("points_ok" if ok else "points_failed")
 
     def point_retry(self, key: str, attempt: int) -> None:
         with self._lock:
@@ -463,15 +474,17 @@ class StreamAggregator:
                 entry["attempts"] = max(entry["attempts"], attempt + 1)
             self._bump("retries")
 
-    def mark_resumed(self, keys: Sequence[str], points=None) -> None:
-        """Journal-replayed points (campaign resume)."""
+    def mark_resumed(self, keys: Sequence[str],
+                     saturation: Optional[Dict[str, object]] = None) -> None:
+        """Journal-replayed points (campaign resume), with the cut verdict
+        the replay re-derived."""
         with self._lock:
             for key in keys:
                 entry = self._points.get(key)
                 if entry is not None:
                     entry["status"] = "resumed"
-                if points is not None and key in points:
-                    self._sweep_points[key] = points[key]
+            if saturation is not None:
+                self._saturation = dict(saturation)
             self._bump("points_resumed", len(list(keys)))
 
     # -- frame application (lock held) -----------------------------------
@@ -596,8 +609,11 @@ class StreamAggregator:
                              + self.counters.get("points_failed", 0))
             throughput = finished_live / elapsed
             remaining = len(self._keys) - done if self._keys else 0
+            # A finished campaign has no ETA, even with points left pending
+            # past a curve's cut.
             eta = (round(remaining / throughput, 1)
-                   if throughput > 0 and remaining > 0 else None)
+                   if status == "running" and throughput > 0
+                   and remaining > 0 else None)
             payload = {
                 "schema": STATUS_FORMAT,
                 "status": status,
@@ -616,7 +632,7 @@ class StreamAggregator:
                         "max": self.max_failures,
                         "burned": failed,
                     },
-                    "saturation": self._saturation(),
+                    "saturation": dict(self._saturation),
                 },
                 "workers": workers,
                 "points": points,
@@ -624,26 +640,6 @@ class StreamAggregator:
                 "stream_totals": self.registry.counter_totals(),
             }
             return payload
-
-    def _saturation(self) -> Dict[str, object]:
-        """Live saturation-cursor state over the contiguous ok prefix."""
-        from repro.stats.sweep import SaturationCursor
-
-        cursor = SaturationCursor(self.latency_cap)
-        cut = False
-        cut_rate = None
-        sustained = 0.0
-        for key in self._keys:
-            point = self._sweep_points.get(key)
-            if point is None:
-                break
-            if cursor.push(point):
-                cut = True
-                cut_rate = point.injection_rate
-                break
-            sustained = point.injection_rate
-        return {"cut": cut, "cut_rate": cut_rate,
-                "sustained_rate": sustained}
 
 
 # ----------------------------------------------------------------------
@@ -667,7 +663,6 @@ class LiveStatusPlane:
                  rates: Optional[Sequence[float]] = None,
                  hang_after: Optional[float] = DEFAULT_HANG_AFTER,
                  max_failures: Optional[int] = None,
-                 latency_cap: float = 4.0,
                  status_interval: float = 0.5,
                  log_frames: bool = True) -> None:
         self.directory = Path(directory)
@@ -675,7 +670,7 @@ class LiveStatusPlane:
         self.log_frames = log_frames
         self.aggregator = StreamAggregator(
             keys=keys, rates=rates, hang_after=hang_after,
-            max_failures=max_failures, latency_cap=latency_cap)
+            max_failures=max_failures)
         self.enabled = False
         self.socket_path: Optional[str] = None
         self._listener: Optional[socket.socket] = None
@@ -736,6 +731,7 @@ class LiveStatusPlane:
             if not self._thread.is_alive():
                 self._drain_pending()
             self._thread = None
+        _detach_worker_shipper(self.socket_path)
         self._cleanup_io()
         self.enabled = False
         try:
@@ -884,16 +880,19 @@ class LiveStatusPlane:
     # -- notification proxies (campaign engine) ---------------------------
     def point_done(self, key: str, ok: bool, point=None,
                    wall_time: float = 0.0,
-                   error_class: Optional[str] = None) -> None:
+                   error_class: Optional[str] = None,
+                   saturation: Optional[Dict[str, object]] = None) -> None:
         self.aggregator.point_done(key, ok, point=point,
                                    wall_time=wall_time,
-                                   error_class=error_class)
+                                   error_class=error_class,
+                                   saturation=saturation)
 
     def point_retry(self, key: str, attempt: int) -> None:
         self.aggregator.point_retry(key, attempt)
 
-    def mark_resumed(self, keys: Sequence[str], points=None) -> None:
-        self.aggregator.mark_resumed(keys, points)
+    def mark_resumed(self, keys: Sequence[str],
+                     saturation: Optional[Dict[str, object]] = None) -> None:
+        self.aggregator.mark_resumed(keys, saturation)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,9 @@ process-level facts), so they carry the ``chaos`` marker and a dedicated
 CI job runs them (``pytest -m chaos``).
 """
 
+import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.campaign import CampaignJournal
+from repro.harness.campaign import CampaignJournal, load_manifest
 
 pytestmark = pytest.mark.chaos
 
@@ -151,3 +153,33 @@ class TestChaosWorkerFailures:
         assert completed.returncode == 0, completed.stdout
         assert "workers_respawned" in completed.stdout
         assert output.read_bytes() == golden
+
+
+class TestResumeNeverRunsPastTheCut:
+    #: Saturates at 0.35: three of the six rates are kept.
+    CUT_RATES = "0.05,0.2,0.35,0.5,0.65,0.8"
+
+    def args(self, campaign, output):
+        args = sweep_args(campaign, output, jobs=1)
+        args[args.index(RATES)] = self.CUT_RATES
+        return args
+
+    def test_sigkill_mid_curve_then_resume_journals_only_the_prefix(
+            self, tmp_path):
+        gold_campaign, gold = tmp_path / "gold", tmp_path / "gold.json"
+        assert run_cli(self.args(gold_campaign, gold)).returncode == 0
+        kept = len(json.loads(gold.read_text())["points"])
+        assert kept == 3
+        campaign, output = tmp_path / "camp", tmp_path / "out.json"
+        rc = start_and_signal(self.args(campaign, output),
+                              campaign / "journal.jsonl", 1, signal.SIGKILL)
+        assert rc in (-signal.SIGKILL, 0)
+        resumed = run_cli([sys.executable, "-m", "repro.cli", "sweep",
+                           "--resume", str(campaign), "--jobs", "1"])
+        assert resumed.returncode == 0, resumed.stdout
+        assert output.read_bytes() == gold.read_bytes()
+        specs, _, _ = load_manifest(campaign)
+        # Keys by text: a SIGKILL may have torn one record mid-line.
+        journaled = set(re.findall(r'"key":"([0-9a-f]{16})"',
+                                   (campaign / "journal.jsonl").read_text()))
+        assert journaled == {spec.content_key() for spec in specs[:kept]}

@@ -11,16 +11,16 @@ import json
 
 import pytest
 
-import repro.harness.campaign as campaign_module
 from repro.config import SimulationConfig
-from repro.errors import SimulationError
 from repro.harness.campaign import CampaignConfig, CampaignEngine
-from repro.harness.runner import ExperimentSpec, latency_curve, spec_grid
+from repro.harness.runner import ExperimentSpec
 from repro.stats.results import results_from_json, results_to_json
+from repro.stats.sweep import curve_saturation_rate
 
 SIM = SimulationConfig(warmup_cycles=100, measure_cycles=500,
                        drain_cycles=400, deadlock_abort_cycles=600)
 RATES = [0.02, 0.05, 0.08, 0.11]
+CURVE = ExperimentSpec(design="spin_mesh", mesh_side=4, tdd=32, sim=SIM)
 
 
 def _points(specs, jobs):
@@ -33,8 +33,11 @@ def _points(specs, jobs):
 class TestPointIdentity:
     def test_jobs4_equals_jobs1_per_seed(self):
         """Identical SweepPoints per seed across --jobs 1 and --jobs 4."""
-        specs = spec_grid(["spin_mesh"], ["uniform"], RATES, seeds=(1, 2),
-                          mesh_side=4, tdd=32, sim=SIM)
+        specs = [spec
+                 for seed in (1, 2)
+                 for spec in ExperimentSpec(
+                     design="spin_mesh", seed=seed, mesh_side=4, tdd=32,
+                     sim=SIM).curve(RATES)]
         assert _points(specs, jobs=1) == _points(specs, jobs=4)
 
     def test_faulty_points_identical_across_backends(self):
@@ -44,97 +47,68 @@ class TestPointIdentity:
         specs = base.curve(RATES[:3])
         assert _points(specs, jobs=1) == _points(specs, jobs=3)
 
-    def test_latency_curve_jobs_parameter(self):
-        serial_points, serial_sat = latency_curve(
-            "spin_mesh", "uniform", RATES, SIM, mesh_side=4, tdd=32, jobs=1)
-        par_points, par_sat = latency_curve(
-            "spin_mesh", "uniform", RATES, SIM, mesh_side=4, tdd=32, jobs=4)
-        assert serial_points == par_points
-        assert serial_sat == par_sat
+    def test_curve_points_and_saturation_match_across_jobs(self):
+        specs = CURVE.curve(RATES)
+        serial = _curve(specs, jobs=1)
+        pooled = _curve(specs, jobs=4)
+        assert pooled.points == serial.points
+        assert (curve_saturation_rate(pooled.points)
+                == curve_saturation_rate(serial.points))
 
 
-class TestLatencyCurveWaves:
-    #: Saturates at 0.9 (index 2), the first rate of the second wave of 2.
+def _curve(specs, jobs, **config):
+    return CampaignEngine(
+        specs, config=CampaignConfig(jobs=jobs, **config)).run()
+
+
+def _dispatched(report):
+    return [r.spec.injection_rate for r in report.results if r is not None]
+
+
+class TestCurveCutAcrossJobs:
+    #: Saturates at 0.9 (index 2).
     CUT_RATES = [0.02, 0.04, 0.9, 0.95, 0.99]
 
+    @pytest.mark.parametrize("jobs", [2, 3, 4, 5])
     def test_cut_matches_serial_and_overruns_by_at_most_jobs_minus_1(
-            self, monkeypatch):
-        ran = []
-        real = campaign_module.CampaignEngine
+            self, jobs):
+        specs = CURVE.curve(self.CUT_RATES)
+        serial = _curve(specs, jobs=1)
+        pooled = _curve(specs, jobs=jobs)
+        assert len(serial.points) == 3 < len(self.CUT_RATES)
+        assert _dispatched(serial) == self.CUT_RATES[:3]
+        assert pooled.points == serial.points
+        assert pooled.clean and pooled.failed == []
+        overrun = len(_dispatched(pooled)) - len(pooled.points)
+        assert 0 <= overrun <= jobs - 1
 
-        def recording(specs, *args, **kwargs):
-            ran.extend(spec.injection_rate for spec in specs)
-            return real(specs, *args, **kwargs)
-
-        serial = latency_curve("spin_mesh", "uniform", self.CUT_RATES, SIM,
-                               mesh_side=4, tdd=32, jobs=1)
-        monkeypatch.setattr(campaign_module, "CampaignEngine", recording)
-        waved = latency_curve("spin_mesh", "uniform", self.CUT_RATES, SIM,
-                              mesh_side=4, tdd=32, jobs=2)
-        assert waved == serial
-        points, _ = waved
-        assert len(points) == 3 < len(self.CUT_RATES)
-        assert ran == self.CUT_RATES[:4]
-        assert len(ran) - len(points) <= 2 - 1
-
-    @staticmethod
-    def _record_waves(monkeypatch):
-        waves = []
-        real = campaign_module.CampaignEngine
-
-        def recording(specs, *args, **kwargs):
-            waves.append([spec.injection_rate for spec in specs])
-            return real(specs, *args, **kwargs)
-
-        monkeypatch.setattr(campaign_module, "CampaignEngine", recording)
-        return waves
-
-    @pytest.mark.parametrize("jobs", [3, 4, 5])
-    def test_overrun_is_the_rest_of_the_cut_wave(self, monkeypatch, jobs):
-        serial_points, serial_sat = latency_curve(
-            "spin_mesh", "uniform", self.CUT_RATES[:3], SIM, mesh_side=4,
-            tdd=32, jobs=1)
-        waves = self._record_waves(monkeypatch)
-        points, saturation = latency_curve(
-            "spin_mesh", "uniform", self.CUT_RATES, SIM, mesh_side=4,
-            tdd=32, jobs=jobs)
-        assert (points, saturation) == (serial_points, serial_sat)
-        # The cut lands in the first wave; the whole wave still ran.
-        assert waves == [self.CUT_RATES[:jobs]]
-        assert len(waves[0]) - len(points) <= jobs - 1
-
-    def test_unsaturated_curve_runs_every_wave(self, monkeypatch):
+    def test_unsaturated_curve_runs_every_rate(self):
         rates = [0.02, 0.04, 0.06]
-        serial = latency_curve("spin_mesh", "uniform", rates, SIM,
-                               mesh_side=4, tdd=32, jobs=1)
-        waves = self._record_waves(monkeypatch)
-        waved = latency_curve("spin_mesh", "uniform", rates, SIM,
-                              mesh_side=4, tdd=32, jobs=2)
-        assert waved == serial
-        assert len(waved[0]) == len(rates)
-        assert waves == [[0.02, 0.04], [0.06]]
+        serial = _curve(CURVE.curve(rates), jobs=1)
+        pooled = _curve(CURVE.curve(rates), jobs=2)
+        assert pooled.points == serial.points
+        assert _dispatched(pooled) == rates
+        assert len(pooled.points) == len(rates)
 
-    def test_serial_curve_starts_no_campaign(self, monkeypatch):
-        def no_campaign(*args, **kwargs):
-            raise AssertionError("jobs=1 must run in-process")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_latency_cap_is_honoured_at_every_jobs(self, jobs):
+        specs = CURVE.curve(RATES)
+        default = _curve(specs, jobs=1)
+        tight = _curve(specs, jobs=1, latency_cap=1.05)
+        assert len(tight.points) < len(default.points)
+        capped = _curve(specs, jobs=jobs, latency_cap=1.05)
+        assert capped.points == tight.points
+        assert len(_dispatched(capped)) - len(capped.points) <= jobs - 1
 
-        monkeypatch.setattr(campaign_module, "CampaignEngine", no_campaign)
-        points, _ = latency_curve("spin_mesh", "uniform", RATES[:2], SIM,
-                                  mesh_side=4, tdd=32, jobs=1)
-        assert [p.injection_rate for p in points] == RATES[:2]
-
-    def test_jobs_accept_the_same_latency_cap_as_serial(self):
-        # A campaign rejects latency_cap <= 1.0; a curve must not, at any jobs.
-        serial = latency_curve("spin_mesh", "uniform", RATES[:2], SIM,
-                               mesh_side=4, tdd=32, latency_cap=1.0, jobs=1)
-        waved = latency_curve("spin_mesh", "uniform", RATES[:2], SIM,
-                              mesh_side=4, tdd=32, latency_cap=1.0, jobs=2)
-        assert waved == serial
-
-    def test_failed_point_raises_simulation_error(self):
-        with pytest.raises(SimulationError, match="sweep point failed"):
-            latency_curve("spin_mesh", "nonexistent", RATES[:2], SIM,
-                          mesh_side=4, tdd=32, jobs=2)
+    def test_failed_point_lands_in_report_failed(self):
+        specs = ExperimentSpec(design="spin_mesh", pattern="nonexistent",
+                               mesh_side=4, tdd=32, sim=SIM).curve(RATES)
+        report = _curve(specs, jobs=2)
+        assert report.completed and not report.clean
+        assert report.failed and report.points == []
+        assert all("nonexistent" in r.error for r in report.failed)
+        # The failure ends the curve: nothing past the first window ran.
+        assert report.results[2:] == [None, None]
 
 
 class TestFileIdentity:

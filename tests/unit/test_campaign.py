@@ -7,6 +7,7 @@ chaos suite (tests/integration/test_campaign_resume.py, ``-m chaos``).
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -19,7 +20,6 @@ from repro.harness.campaign import (
     CampaignJournal,
     JOURNAL_NAME,
     MANIFEST_NAME,
-    assemble_curve,
     failed_record,
     load_manifest,
     ok_record,
@@ -29,6 +29,7 @@ from repro.harness.chaos import CHAOS_ENV, tear_journal_tail
 from repro.harness.runner import ExperimentSpec
 from repro.harness.supervision import RetryPolicy, SpecResult, run_attempt
 from repro.stats.results import results_to_json
+from repro.stats.sweep import curve_saturation_rate
 
 TINY = SimulationConfig(warmup_cycles=50, measure_cycles=200,
                         drain_cycles=150, deadlock_abort_cycles=300)
@@ -200,38 +201,157 @@ class TestConfigValidation:
         assert report.completed and report.clean
 
 
-class TestAssembleCurve:
-    def _results(self, specs):
-        return run_in_process(specs)
+class TestCurveCut:
+    """The engine groups specs into curves and cuts each as points land."""
 
-    def test_clean_full_prefix(self):
-        results = self._results(tiny_curve())
-        points, saturation, clean = assemble_curve(results)
-        assert clean
-        assert [p.injection_rate for p in points] == [0.02, 0.05, 0.08]
-        assert saturation == 0.08
+    #: Saturates at 0.9 (index 1): 0.95 is past the cut.
+    CUT_RATES = (0.02, 0.9, 0.95)
 
-    def test_missing_point_marks_dirty(self):
-        results = self._results(tiny_curve())
-        results[1] = None
-        points, _, clean = assemble_curve(results)
-        assert not clean
-        assert [p.injection_rate for p in points] == [0.02]
+    def test_unsaturated_curve_runs_every_rate(self):
+        report = CampaignEngine(tiny_curve()).run()
+        assert report.clean
+        assert all(r is not None and r.ok for r in report.results)
+        assert [p.injection_rate for p in report.points] == [0.02, 0.05, 0.08]
+        assert curve_saturation_rate(report.points) == 0.08
 
-    def test_failed_point_marks_dirty(self):
-        results = self._results(tiny_curve())
-        results[0] = SpecResult(results[0].spec, None, error="boom")
-        points, _, clean = assemble_curve(results)
-        assert not clean and points == []
+    def test_rates_past_the_cut_are_never_dispatched(self):
+        report = CampaignEngine(tiny_curve(self.CUT_RATES)).run()
+        assert report.completed and report.clean
+        assert len(report.points) == 2
+        assert report.results[2] is None
+        assert curve_saturation_rate(report.points) == 0.02
 
-    def test_saturated_curve_cut_ignores_tail(self):
-        # A wedged absurd-rate point saturates the cursor; later slots may
-        # even be empty without dirtying the artifact (they are past the cut).
-        specs = tiny_spec().curve([0.02, 0.9, 0.95])
-        results = self._results(specs[:2]) + [None]
-        points, _, clean = assemble_curve(results)
-        assert clean
-        assert len(points) == 2
+    @pytest.mark.parametrize("rates", [(0.6, 0.05), (0.05, 0.05),
+                                       (0.02, 0.08, 0.05)])
+    def test_rates_that_do_not_ascend_are_rejected(self, rates):
+        # Before the fix a descending list ran as a one-point "curve".
+        base = tiny_spec()
+        specs = [base.with_rate(rate) for rate in rates]
+        with pytest.raises(ConfigurationError, match="ascend") as info:
+            CampaignEngine(specs)
+        message = str(info.value)
+        assert base.design in message and "uniform" in message
+        assert repr(list(rates)) in message
+
+    def test_curves_of_other_specs_may_interleave(self):
+        # Rates only ascend within a curve; another seed is another curve.
+        specs = [tiny_spec(injection_rate=0.05),
+                 tiny_spec(injection_rate=0.02, seed=2),
+                 tiny_spec(injection_rate=0.08)]
+        report = CampaignEngine(specs).run()
+        assert report.clean and len(report.points) == 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_two_curves_cut_independently(self, jobs):
+        cut = tiny_curve(self.CUT_RATES)
+        full = tiny_spec(pattern="transpose").curve([0.02, 0.05, 0.08])
+        # Interleaved in spec order: each curve's rates still ascend.
+        specs = [spec for pair in zip(cut, full) for spec in pair]
+        report = CampaignEngine(specs,
+                                config=CampaignConfig(jobs=jobs)).run()
+        alone_cut = CampaignEngine(cut).run().points
+        alone_full = CampaignEngine(full).run().points
+        assert report.clean
+        assert [p for p in report.points if p.injection_rate > 0.08] \
+            == alone_cut[1:]
+        assert [report.results[i].point for i in (1, 3, 5)] == alone_full
+        kept = [report.results[i].point for i in (0, 2)]
+        assert kept == alone_cut
+        assert report.points == [kept[0], alone_full[0], kept[1],
+                                 alone_full[1], alone_full[2]]
+        if jobs == 1:
+            assert report.results[4] is None
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_permanent_failure_stops_only_its_curve(self, jobs):
+        broken = tiny_spec(pattern="nonexistent").curve([0.02, 0.05, 0.08])
+        healthy = tiny_curve()
+        report = CampaignEngine(broken + healthy,
+                                config=CampaignConfig(jobs=jobs)).run()
+        assert report.completed and not report.clean
+        # A pool may have started up to jobs - 1 more before it failed.
+        assert 1 <= len(report.failed) <= jobs
+        assert "nonexistent" in report.failed[0].error
+        assert report.results[2] is None
+        assert report.points == CampaignEngine(healthy).run().points
+
+    def test_failure_after_the_cut_keeps_the_curve_clean(self, monkeypatch):
+        from repro.harness import campaign as campaign_module
+        from repro.harness.supervision import run_attempt as real
+
+        def failing_past_cut(spec, attempt):
+            if spec.injection_rate == 0.95:
+                return SpecResult(spec, None, error="ValueError: boom")
+            return real(spec, attempt)
+
+        monkeypatch.setattr(campaign_module, "run_attempt",
+                            failing_past_cut)
+        report = CampaignEngine(tiny_curve(self.CUT_RATES)).run()
+        assert report.clean and report.failed == []
+
+    def test_resume_rederives_the_cut_from_the_journal(self, tmp_path):
+        specs = tiny_curve(self.CUT_RATES)
+        CampaignEngine(specs, directory=tmp_path).run()
+        journal = tmp_path / JOURNAL_NAME
+        first = journal.read_text().split("\n")[0] + "\n"
+        journal.write_text(first)
+        resumed = CampaignEngine(specs, directory=tmp_path).run()
+        assert resumed.clean and len(resumed.points) == 2
+        records, _ = CampaignJournal(tmp_path).load()
+        assert [r["key"] for r in records] \
+            == [s.content_key() for s in specs[:2]]
+
+    def test_replayed_point_past_the_cut_is_not_kept(self, tmp_path):
+        # A pool may have journaled a point past the cut before a kill.
+        specs = tiny_curve(self.CUT_RATES)
+        journal = CampaignJournal(tmp_path).open()
+        for spec in specs:
+            journal.append(ok_record(spec.content_key(), 0,
+                                     run_attempt(spec)))
+        journal.close()
+        resumed = CampaignEngine(specs, directory=tmp_path).run()
+        assert resumed.clean
+        assert resumed.counters.get("points_resumed") == 3
+        assert [p.injection_rate for p in resumed.points] == [0.02, 0.9]
+
+
+class TestStreamedCampaign:
+    def test_status_saturation_block_is_the_curves_verdict(self, tmp_path):
+        specs = tiny_curve(TestCurveCut.CUT_RATES)
+        CampaignEngine(specs, directory=tmp_path,
+                       config=CampaignConfig(stream=True)).run()
+        status = json.loads((tmp_path / "status.json").read_text())
+        assert status["campaign"]["saturation"] == {
+            "cut": True, "cut_rate": 0.9, "sustained_rate": 0.02}
+        # The rate past the cut never ran: pending, and no ETA for it.
+        assert status["points"][specs[2].content_key()]["status"] \
+            == "pending"
+        assert status["campaign"]["eta_seconds"] is None
+
+    def test_resumed_campaign_reports_the_replayed_verdict(self, tmp_path):
+        specs = tiny_curve(TestCurveCut.CUT_RATES)
+        config = CampaignConfig(stream=True)
+        CampaignEngine(specs, directory=tmp_path, config=config).run()
+        CampaignEngine(specs, directory=tmp_path, config=config).run()
+        status = json.loads((tmp_path / "status.json").read_text())
+        assert status["campaign"]["resumed"] == 2
+        assert status["campaign"]["saturation"]["cut_rate"] == 0.9
+
+    def test_second_campaign_on_one_directory_streams_every_point(
+            self, tmp_path, monkeypatch):
+        # A short relative directory keeps the socket at camp/stream.sock,
+        # so both planes bind the same path.
+        monkeypatch.chdir(tmp_path)
+        specs = tiny_curve()
+        for _ in range(2):
+            shutil.rmtree("camp", ignore_errors=True)
+            CampaignEngine(specs, directory="camp",
+                           config=CampaignConfig(stream=True)).run()
+            frames = [json.loads(line) for line in
+                      (tmp_path / "camp" / "stream.jsonl").read_text()
+                      .splitlines()]
+            assert sum(f["type"] == "point_start" for f in frames) \
+                == len(specs)
 
 
 class TestEngineSerial:
@@ -241,7 +361,7 @@ class TestEngineSerial:
         assert report.completed and report.clean
         baseline = run_in_process(specs)
         assert [p for p in report.points] == [r.point for r in baseline]
-        assert report.saturation_rate == 0.08
+        assert curve_saturation_rate(report.points) == 0.08
         assert report.failed == []
 
     def test_results_ordered_with_wall_times(self):

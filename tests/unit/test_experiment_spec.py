@@ -8,7 +8,7 @@ import pytest
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
-from repro.harness.runner import ExperimentSpec, latency_curve, spec_grid
+from repro.harness.runner import ExperimentSpec
 from repro.stats.sweep import simulate_point
 from repro.traffic.generator import PacketMix, SyntheticTraffic
 
@@ -119,10 +119,6 @@ class TestDerivation:
         with pytest.raises(ConfigurationError, match="ascending"):
             small_spec().curve(rates)
 
-    def test_latency_curve_rejects_an_empty_rate_list(self):
-        with pytest.raises(ConfigurationError, match="ascending"):
-            latency_curve("spin_mesh", "uniform", [], SHORT, mesh_side=4)
-
     def test_forked_seed_is_stable_and_distinct(self):
         spec = small_spec()
         replicate = spec.forked("rep0")
@@ -159,21 +155,3 @@ class TestSerialization:
     def test_sim_config_from_dict_rejects_unknown(self):
         with pytest.raises(ConfigurationError, match="SimulationConfig"):
             SimulationConfig.from_dict({"warmup_cycles": 1, "bogus": 2})
-
-
-class TestSpecGrid:
-    def test_rates_innermost_and_order_deterministic(self):
-        grid = spec_grid(["spin_mesh"], ["uniform", "transpose"],
-                         [0.02, 0.05], seeds=(1, 2), mesh_side=4, sim=SHORT)
-        assert len(grid) == 8
-        # rates innermost: each contiguous pair is one curve
-        assert [s.injection_rate for s in grid[:2]] == [0.02, 0.05]
-        assert grid[0].pattern == grid[1].pattern == "uniform"
-        assert grid[0].seed == grid[1].seed == 1
-        assert grid[2].seed == 2
-        assert grid[4].pattern == "transpose"
-
-    def test_common_kwargs_passed_through(self):
-        grid = spec_grid(["spin_mesh"], ["uniform"], [0.05], mesh_side=4,
-                         tdd=24, sim=SHORT)
-        assert grid[0].tdd == 24

@@ -184,6 +184,27 @@ class TestCampaignRollup:
         assert snap["campaign"]["eta_seconds"] == pytest.approx(20.0)
 
 
+class TestSaturationVerdict:
+    VERDICT = {"cut": True, "cut_rate": 0.3, "sustained_rate": 0.2}
+
+    def test_uncut_before_any_verdict(self):
+        agg = StreamAggregator(keys=["a"])
+        agg.point_done("a", True)
+        assert agg.snapshot()["campaign"]["saturation"] == {
+            "cut": False, "cut_rate": None, "sustained_rate": 0.0}
+
+    def test_reports_the_latest_engine_verdict(self):
+        agg = StreamAggregator(keys=["a", "b"])
+        agg.point_done("a", True, saturation=self.VERDICT)
+        agg.point_done("b", False, error_class="ValueError")
+        assert agg.snapshot()["campaign"]["saturation"] == self.VERDICT
+
+    def test_resume_carries_the_replayed_verdict(self):
+        agg = StreamAggregator(keys=["a", "b"])
+        agg.mark_resumed(["a", "b"], saturation=self.VERDICT)
+        assert agg.snapshot()["campaign"]["saturation"] == self.VERDICT
+
+
 class TestLiveStatusPlane:
     def test_status_file_written_and_updated(self, tmp_path):
         plane = LiveStatusPlane(tmp_path, keys=["k1"], rates=[0.1],
