@@ -451,7 +451,8 @@ class CampaignEngine:
             hang_after=self.config.hang_timeout or DEFAULT_HANG_AFTER,
             max_failures=self.config.max_failures,
         )
-        plane.start()
+        if not plane.start().enabled:
+            return None
         resumed = [i for i, r in enumerate(results) if r is not None]
         if resumed:
             plane.mark_resumed([self.keys[i] for i in resumed],
@@ -527,6 +528,12 @@ class CampaignEngine:
                     results: List[Optional[SpecResult]],
                     journal: Optional[CampaignJournal]) -> str:
         failures = len([r for r in results if r is not None and not r.ok])
+        shipper = None
+        if self._plane is not None:
+            from repro.telemetry.live import TelemetryShipper
+
+            shipper = TelemetryShipper(self._plane.ingest)
+            shipper.hello()
         for index in pending:
             if self._drain:
                 return self._interrupted()
@@ -535,7 +542,7 @@ class CampaignEngine:
             spec, key = self.specs[index], self.keys[index]
             attempt = 0
             while True:
-                result = run_attempt(spec, attempt)
+                result = run_attempt(spec, attempt, key, shipper)
                 if result.ok:
                     self._journal(journal, ok_record(key, attempt, result))
                     self._land(index, result, results)
@@ -566,8 +573,7 @@ class CampaignEngine:
                               hang_timeout=config.hang_timeout,
                               poll_interval=config.poll_interval,
                               counters=self.counters,
-                              stream=(self._plane.aggregator
-                                      if self._plane is not None else None))
+                              stream=self._plane)
         pool.start()
         status = "completed"
         failures = len([r for r in results if r is not None and not r.ok])
@@ -577,7 +583,7 @@ class CampaignEngine:
         retry_heap: List[Tuple[float, int]] = []  # backoff-waiting retries
         submitted: set = set()          # handed to the pool, result owed
         attempts: Dict[int, int] = {}
-        # A small submission window keeps the shared task queue nearly
+        # A small submission window keeps the workers' task queues nearly
         # empty, so draining or aborting stops promptly instead of letting
         # workers chew through a deep backlog of doomed tasks.
         window = config.jobs + 2
@@ -590,7 +596,7 @@ class CampaignEngine:
                            and len(submitted) < window):
                         _, index = heapq.heappop(retry_heap)
                         pool.submit(index, attempts[index],
-                                    self.specs[index])
+                                    self.specs[index], self.keys[index])
                         submitted.add(index)
                     while len(submitted) < window:
                         index = self._next_feed(feed)
@@ -598,7 +604,7 @@ class CampaignEngine:
                             break
                         attempts.setdefault(index, 0)
                         pool.submit(index, attempts[index],
-                                    self.specs[index])
+                                    self.specs[index], self.keys[index])
                         submitted.add(index)
                 if not submitted and (halted or not retry_heap):
                     break

@@ -15,12 +15,12 @@ attempts in worker processes and *recovers* from the failure modes a
   retrying it would burn the failure budget on a foregone conclusion.
 
 :class:`SupervisedPool` runs ``multiprocessing`` workers, each fed through
-its own private task queue.  The supervisor records which task it handed
-to which worker *at dispatch time*, so attribution never depends on a
-message from the worker itself — a worker that dies the instant it starts
-(before any queue feeder thread flushes a byte) is still charged with
-exactly the task it was holding, which is failed transiently while the
-worker is respawned.  Everything observable lands in a counters dict the
+its own private task queue and reporting on its own result pipe.  The
+supervisor records which task it handed to which worker *at dispatch
+time*, so attribution never depends on a message from the worker itself
+— a worker that dies the instant it starts (before any queue feeder
+thread flushes a byte) is still charged with exactly the task it was
+holding, which is failed transiently while the worker is respawned.  Everything observable lands in a counters dict the
 campaign engine reports as ``CampaignReport.counters``.
 
 Determinism note: supervision only decides *when* and *where* a spec runs,
@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 import queue as queue_module
+import select
 import signal
 import time
 import traceback
@@ -143,7 +145,9 @@ class SpecResult:
         return self.error is None and self.point is not None
 
 
-def run_attempt(spec: ExperimentSpec, attempt: int = 0) -> SpecResult:
+def run_attempt(spec: ExperimentSpec, attempt: int = 0,
+                key: Optional[str] = None,
+                shipper=None) -> SpecResult:
     """Execute one attempt of a spec in the calling process.
 
     The single execution path shared by serial campaigns and pool workers:
@@ -151,21 +155,22 @@ def run_attempt(spec: ExperimentSpec, attempt: int = 0) -> SpecResult:
     ``REPRO_CHAOS`` is set), then simulates, capturing any exception as a
     failed :class:`SpecResult`.
 
-    When live streaming is active (``REPRO_STREAM_SOCKET`` published by a
-    campaign's :class:`~repro.telemetry.live.LiveStatusPlane`), the
-    attempt is bracketed by ``point_start``/``point_end`` frames and a
-    progress sink is installed for the duration — all observation-only
-    and dropped rather than ever blocking the simulation.
+    ``key`` is the spec's content key; the campaign engine passes the one
+    it already holds, and a direct caller may leave it to be computed
+    here.  With a ``shipper`` (a
+    :class:`~repro.telemetry.live.TelemetryShipper`, given by a streamed
+    campaign), the attempt is bracketed by ``point_start``/``point_end``
+    frames and the shipper is the progress sink for the duration — all
+    observation-only and dropped rather than ever blocking the simulation.
     """
     from repro.harness.chaos import chaos_from_env
     from repro.telemetry import live
 
-    shipper = live.ensure_worker_shipper()
-    key = spec.content_key() if shipper is not None else None
+    if key is None:
+        key = spec.content_key()
     if shipper is not None:
-        total = (spec.sim.warmup_cycles + spec.sim.measure_cycles
-                 + spec.sim.drain_cycles)
-        shipper.point_start(key, spec.injection_rate, total, attempt)
+        shipper.point_start(key, spec.injection_rate, spec.sim.total_cycles,
+                            attempt)
         live.set_progress_sink(shipper)
     started = time.perf_counter()
     try:
@@ -173,7 +178,7 @@ def run_attempt(spec: ExperimentSpec, attempt: int = 0) -> SpecResult:
         if policy is not None:
             if shipper is not None:
                 shipper.event("chaos_consulted", attempt=attempt)
-            policy.inject(spec.content_key(), attempt)
+            policy.inject(key, attempt)
         _, point = spec.run()
     except Exception:
         result = SpecResult(spec, None,
@@ -193,10 +198,37 @@ def run_attempt(spec: ExperimentSpec, attempt: int = 0) -> SpecResult:
     return result
 
 
-def _worker_main(task_queue, result_queue) -> None:
+def _frame_sender(writer):
+    """A pool worker's frame transport: one all-or-nothing pipe write.
+
+    The frame is pickled, and a non-blocking pipe write of at most
+    ``PIPE_BUF`` bytes is atomic: it lands whole or raises
+    ``BlockingIOError`` (pipe full), which the shipper counts as a dropped
+    frame.  A frame too big for one such write is refused the same way,
+    so no frame is ever torn or blocks the worker.
+    """
+    fd = writer.fileno()
+    limit = select.PIPE_BUF - 4  # the Connection's 4-byte length header
+
+    def send(frame) -> None:
+        payload = pickle.dumps(("frame", frame), pickle.HIGHEST_PROTOCOL)
+        if len(payload) > limit:
+            raise BlockingIOError("frame does not fit one atomic write")
+        os.set_blocking(fd, False)
+        try:
+            writer.send_bytes(payload)
+        finally:
+            os.set_blocking(fd, True)
+
+    return send
+
+
+def _worker_main(task_queue, writer, stream: bool) -> None:
     """Worker loop: take from the private queue, run, report; ``None`` ends.
 
-    SIGINT is ignored so a terminal Ctrl-C drains through the supervisor's
+    Results (and, when ``stream`` is set, telemetry frames) go down
+    ``writer``, the write end of this worker's own result pipe.  SIGINT
+    is ignored so a terminal Ctrl-C drains through the supervisor's
     graceful path instead of killing workers mid-point.
     """
     try:
@@ -205,6 +237,12 @@ def _worker_main(task_queue, result_queue) -> None:
         pass
     pid = os.getpid()
     supervisor = os.getppid()
+    shipper = None
+    if stream:
+        from repro.telemetry.live import TelemetryShipper
+
+        shipper = TelemetryShipper(_frame_sender(writer), worker=pid)
+        shipper.hello()
     while True:
         try:
             task = task_queue.get(timeout=1.0)
@@ -213,9 +251,6 @@ def _worker_main(task_queue, result_queue) -> None:
             # workers notice the reparenting and exit on their own.
             if os.getppid() != supervisor:
                 return
-            from repro.telemetry import live
-
-            shipper = live.ensure_worker_shipper()
             if shipper is not None:
                 shipper.heartbeat()  # idle liveness for the status plane
             continue
@@ -223,9 +258,12 @@ def _worker_main(task_queue, result_queue) -> None:
             return
         if task is None:
             return
-        task_id, attempt, spec = task
-        result = run_attempt(spec, attempt)  # chaos may exit/hang here
-        result_queue.put(("result", pid, task_id, attempt, result))
+        task_id, attempt, spec, key = task
+        result = run_attempt(spec, attempt, key, shipper)  # chaos may exit
+        try:
+            writer.send(("result", pid, task_id, attempt, result))
+        except OSError:  # supervisor gone, or it closed our pipe
+            return
 
 
 class SupervisedPool:
@@ -247,6 +285,12 @@ class SupervisedPool:
       much work is committed (which is what makes graceful draining and
       failure-budget aborts prompt).
 
+    Each worker reports on its own result pipe, whose only write end it
+    holds: no lock is shared between workers, so a worker that dies
+    mid-write cannot starve the others, and its death shows up as EOF on
+    its pipe.  Results and (for a streamed campaign) telemetry frames
+    travel together on that pipe, in the order the worker sent them.
+
     Args:
         max_workers: Worker process count.
         hang_timeout: Seconds without completion after dispatch before a
@@ -254,13 +298,15 @@ class SupervisedPool:
         poll_interval: Supervisor polling granularity in seconds.
         counters: Optional dict that receives ``workers_respawned`` /
             ``workers_hung`` tallies (shared with the campaign engine).
-        stream: Optional :class:`~repro.telemetry.live.StreamAggregator`
-            receiving supervisor-side health notifications — dispatch
-            attribution (``worker_dispatched``), corpses (``worker_dead``)
-            and hangs (``worker_hung``).  Dispatch/death attribution is
-            supervisor-side on purpose: a worker that dies between
-            dispatch and its first heartbeat is still classified *dead*
-            (never hung) with its last-known point.
+        stream: Optional :class:`~repro.telemetry.live.LiveStatusPlane`.
+            When set, workers ship telemetry frames, which go to its
+            ``ingest``; its aggregator receives the supervisor-side health
+            notifications — dispatch attribution (``worker_dispatched``),
+            corpses (``worker_dead``) and hangs (``worker_hung``).
+            Dispatch/death attribution is supervisor-side on purpose: a
+            worker that dies between dispatch and its first heartbeat is
+            still classified *dead* (never hung) with its last-known
+            point.
     """
 
     def __init__(self, max_workers: int,
@@ -286,13 +332,14 @@ class SupervisedPool:
         self._workers: Dict[int, multiprocessing.process.BaseProcess] = {}
         #: pid -> that worker's private task queue
         self._worker_queues: Dict[int, object] = {}
+        #: pid -> read end of that worker's result pipe (until EOF)
+        self._readers: Dict[int, object] = {}
         #: pid -> (task_id, attempt, dispatch monotonic time)
         self._assignments: Dict[int, Tuple[int, int, float]] = {}
         #: task_id -> (attempt, spec) for everything submitted, unfinished
         self._tasks: Dict[int, Tuple[int, ExperimentSpec]] = {}
         #: submitted but not yet dispatched to any worker
         self._backlog: deque = deque()
-        self._result_queue = None
         self._started = False
 
     # ------------------------------------------------------------------
@@ -302,7 +349,6 @@ class SupervisedPool:
         """Spawn the workers; idempotent."""
         if self._started:
             return self
-        self._result_queue = self._context.Queue()
         for _ in range(self.max_workers):
             self._spawn_worker()
         self._started = True
@@ -334,14 +380,12 @@ class SupervisedPool:
         self._assignments.clear()
         self._tasks.clear()
         self._backlog.clear()
-        queues = list(self._worker_queues.values()) + [self._result_queue]
+        for reader in self._readers.values():
+            reader.close()
+        self._readers.clear()
+        for q in self._worker_queues.values():
+            self._close_queue(q)
         self._worker_queues.clear()
-        for q in queues:
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except (ValueError, OSError):  # pragma: no cover
-                pass
         self._started = False
 
     # ------------------------------------------------------------------
@@ -352,13 +396,13 @@ class SupervisedPool:
         """Submitted tasks that have not produced an event yet."""
         return len(self._tasks)
 
-    def submit(self, task_id: int, attempt: int,
-               spec: ExperimentSpec) -> None:
-        """Queue one attempt of one spec."""
+    def submit(self, task_id: int, attempt: int, spec: ExperimentSpec,
+               key: Optional[str] = None) -> None:
+        """Queue one attempt of one spec (``key``: its content key)."""
         if not self._started:
             raise ConfigurationError("pool is not started")
         self._tasks[task_id] = (attempt, spec)
-        self._backlog.append((task_id, attempt, spec))
+        self._backlog.append((task_id, attempt, spec, key))
         self._dispatch()
 
     def events(self, timeout: float = 0.2
@@ -368,24 +412,27 @@ class SupervisedPool:
         Returns ``(task_id, attempt, SpecResult)`` triples.  Failed
         results carry ``worker crashed`` / ``worker hung`` error text (the
         transient classes); the supervisor has already respawned the
-        worker by the time the event is returned.
+        worker by the time the event is returned.  Telemetry frames read
+        on the way go to the stream plane, whose ``status.json`` is
+        rewritten when due.
         """
+        # Imported here, not at the top: a serial campaign never needs it.
+        from multiprocessing.connection import wait as wait_connections
+
         out: List[Tuple[int, int, SpecResult]] = []
         deadline = time.monotonic() + timeout
         while True:
             block = max(0.0, min(self.poll_interval,
                                  deadline - time.monotonic()))
-            try:
-                message = self._result_queue.get(timeout=block)
-            except queue_module.Empty:
-                message = None
-            while message is not None:
-                self._handle(message, out)
-                try:
-                    message = self._result_queue.get_nowait()
-                except queue_module.Empty:
-                    message = None
+            owners = {reader: pid for pid, reader in self._readers.items()}
+            if owners:
+                for reader in wait_connections(list(owners), block):
+                    self._read(owners[reader], out)
+            else:
+                time.sleep(block)
             self._check_workers(out)
+            if self.stream is not None:
+                self.stream.refresh_status()
             self._dispatch()
             if out or time.monotonic() >= deadline:
                 return out
@@ -395,13 +442,18 @@ class SupervisedPool:
     # ------------------------------------------------------------------
     def _spawn_worker(self) -> None:
         task_queue = self._context.Queue()
+        reader, writer = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_worker_main,
-            args=(task_queue, self._result_queue),
+            args=(task_queue, writer, self.stream is not None),
             daemon=True)
         process.start()
+        # The worker now holds the only write end: no later sibling
+        # inherits it, and the worker's death is EOF on ``reader``.
+        writer.close()
         self._workers[process.pid] = process
         self._worker_queues[process.pid] = task_queue
+        self._readers[process.pid] = reader
 
     def _dispatch(self) -> None:
         """Hand backlog tasks to idle workers, recording the assignment.
@@ -417,11 +469,12 @@ class SupervisedPool:
                 return
             if pid in self._assignments:
                 continue
-            task_id, attempt, spec = self._backlog.popleft()
+            task = self._backlog.popleft()
+            task_id, attempt, _, key = task
             self._assignments[pid] = (task_id, attempt, time.monotonic())
             if self.stream is not None:
-                self.stream.worker_dispatched(pid, spec.content_key())
-            self._worker_queues[pid].put((task_id, attempt, spec))
+                self.stream.aggregator.worker_dispatched(pid, key)
+            self._worker_queues[pid].put(task)
 
     @staticmethod
     def _kill(process) -> None:
@@ -431,10 +484,41 @@ class SupervisedPool:
             process.terminate()
         process.join(timeout=1.0)
 
+    @staticmethod
+    def _close_queue(q) -> None:
+        try:
+            q.close()
+            q.cancel_join_thread()
+        except (ValueError, OSError):  # pragma: no cover
+            pass
+
     def _bump(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
 
+    def _read(self, pid: int, out) -> None:
+        """Handle every message worker ``pid``'s pipe holds right now.
+
+        EOF, a torn write or bytes that do not unpickle mean the worker is
+        gone (or going): its reader is closed.  Liveness itself still
+        comes from ``is_alive()`` in :meth:`_check_workers`.
+        """
+        reader = self._readers.get(pid)
+        while reader is not None:
+            try:
+                if not reader.poll():
+                    return
+                message = reader.recv()
+            except (EOFError, OSError, pickle.UnpicklingError):
+                reader.close()
+                del self._readers[pid]
+                return
+            self._handle(message, out)
+
     def _handle(self, message, out) -> None:
+        if message[0] == "frame":
+            if self.stream is not None:
+                self.stream.ingest(message[1])
+            return
         _, pid, task_id, attempt, result = message
         self._assignments.pop(pid, None)
         current = self._tasks.get(task_id)
@@ -448,6 +532,8 @@ class SupervisedPool:
         now = time.monotonic()
         for pid, process in list(self._workers.items()):
             dead = not process.is_alive()
+            if dead:
+                self._read(pid, out)  # keep a result sent just before death
             assignment = self._assignments.get(pid)
             hung = (not dead and self.hang_timeout is not None
                     and assignment is not None
@@ -457,23 +543,22 @@ class SupervisedPool:
             del self._workers[pid]
             self._assignments.pop(pid, None)
             stale_queue = self._worker_queues.pop(pid, None)
+            reader = self._readers.pop(pid, None)
+            if reader is not None:
+                reader.close()
             if self.stream is not None:
                 # Dead wins over hung: the supervisor saw the corpse, so a
                 # worker that died before its first heartbeat is reported
                 # dead with its last-known (dispatched) point.
                 if dead:
-                    self.stream.worker_dead(pid)
+                    self.stream.aggregator.worker_dead(pid)
                 else:
-                    self.stream.worker_hung(pid)
+                    self.stream.aggregator.worker_hung(pid)
             if hung:
                 self._kill(process)
                 self._bump("workers_hung")
             if stale_queue is not None:
-                try:
-                    stale_queue.close()
-                    stale_queue.cancel_join_thread()
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
+                self._close_queue(stale_queue)
             if assignment is not None:
                 task_id, attempt, since = assignment
                 current = self._tasks.get(task_id)
@@ -489,5 +574,5 @@ class SupervisedPool:
                                 SpecResult(current[1], None, error=error)))
             self._bump("workers_respawned")
             if self.stream is not None:
-                self.stream.worker_respawned()
+                self.stream.aggregator.worker_respawned()
             self._spawn_worker()

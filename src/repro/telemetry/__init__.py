@@ -15,8 +15,8 @@ simulator-observer hook, but *recording* instead of asserting.  Layers
   ``trace_event`` exporters plus the dependency-free trace validator.
 * :mod:`repro.telemetry.report` — ``repro-sim report`` analytics: span
   tables, hot links, wedge timeline, occupancy heatmap.
-* :mod:`repro.telemetry.live` — the live observability plane: streaming
-  worker frames, supervisor aggregation, rolling ``status.json``
+* :mod:`repro.telemetry.live` — the live observability plane: worker
+  frames, supervisor aggregation, rolling ``status.json``
   (docs/OBSERVE.md).
 * :mod:`repro.telemetry.watch` / :mod:`repro.telemetry.prometheus` —
   ``cli watch`` rendering and Prometheus text exposition over the live
@@ -35,12 +35,9 @@ from repro.telemetry.export import (
 from repro.telemetry.live import (
     STATUS_FORMAT,
     STREAM_FORMAT,
-    FrameDecoder,
     LiveStatusPlane,
     StreamAggregator,
     TelemetryShipper,
-    encode_frame,
-    ensure_worker_shipper,
     read_stream_log,
     stream_chrome_trace,
     stream_summary,
@@ -59,7 +56,6 @@ __all__ = [
     "STATUS_FORMAT",
     "STREAM_FORMAT",
     "Counter",
-    "FrameDecoder",
     "Gauge",
     "Histogram",
     "LiveStatusPlane",
@@ -73,8 +69,6 @@ __all__ = [
     "TraceReport",
     "build_records",
     "chrome_trace",
-    "encode_frame",
-    "ensure_worker_shipper",
     "read_jsonl",
     "read_stream_log",
     "stream_chrome_trace",

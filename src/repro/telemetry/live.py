@@ -3,24 +3,26 @@
 The post-hoc telemetry layers (:mod:`repro.telemetry.observer`,
 :mod:`repro.telemetry.export`) only become visible after a run finishes.
 This module is the *live* counterpart: workers ship small periodic frames
-— heartbeat, point progress, per-point counter deltas — across the fork
-boundary to the campaign supervisor, which merges them into a rolling
-``status.json`` next to the campaign journal, a pull snapshot API, and a
-Prometheus-style exposition (:mod:`repro.telemetry.prometheus`).
+— heartbeat, point progress, per-point counter deltas — to the campaign
+supervisor, which merges them into a rolling ``status.json`` next to the
+campaign journal, a pull snapshot API, and a Prometheus-style exposition
+(:mod:`repro.telemetry.prometheus`).
 
-Wire protocol (``repro.telemetry-stream/v1``)
----------------------------------------------
+Frames (``repro.telemetry-stream/v1``)
+--------------------------------------
 
-Frames travel over a Unix ``SOCK_STREAM`` socket whose path is published
-in the ``REPRO_STREAM_SOCKET`` environment variable (workers of
-:class:`~repro.harness.supervision.SupervisedPool` inherit it across
-``fork``).  Each frame is length-prefixed JSONL::
+A frame is a plain dict.  It travels one of two ways, one per execution
+path, and is never encoded on the way:
 
-    <decimal byte length> SP <compact JSON object> LF
+* ``--jobs 1``: the campaign engine hands :class:`TelemetryShipper` the
+  plane's :meth:`LiveStatusPlane.ingest` as its send, so frames reach the
+  aggregator in-process, in order, with no thread.
+* ``--jobs N``: each :class:`~repro.harness.supervision.SupervisedPool`
+  worker pickles its frames down its own result pipe, next to its
+  results; the pool's event loop feeds them to ``ingest``.
 
-The prefix lets the decoder distinguish a *torn* frame (bytes still in
-flight — wait for more) from a *corrupt* one (bad prefix or JSON —
-resync at the next newline and count it).  Frame types:
+Every accepted frame is appended to ``stream.jsonl`` as one compact JSON
+line.  Frame types:
 
 ``hello``        worker announces itself (carries the schema tag)
 ``heartbeat``    liveness only
@@ -30,8 +32,8 @@ resync at the next newline and count it).  Frame types:
 ``point_end``    point finished; carries the point's event-counter deltas
 
 Every frame carries ``worker`` (pid), ``seq`` (per-worker monotonic) and
-``t`` (wall seconds).  The aggregator tolerates torn frames, corrupt
-bytes, and out-of-order/stale sequence numbers per worker.
+``t`` (wall seconds).  The aggregator tolerates out-of-order and stale
+sequence numbers per worker.
 
 Determinism contract
 --------------------
@@ -41,7 +43,7 @@ Streaming is *observation only*: no frame ever feeds back into a
 artifact, so a streamed ``--jobs N`` sweep is byte-identical to a
 non-streamed ``--jobs 1`` sweep (proven by test, like the campaign
 counters in ``CampaignReport.counters``).  A worker that cannot send
-(full buffer, supervisor gone) drops the frame and keeps simulating —
+(full pipe, supervisor gone) drops the frame and keeps simulating —
 shipping never blocks or fails the simulation.
 """
 
@@ -49,9 +51,6 @@ from __future__ import annotations
 
 import json
 import os
-import select
-import socket
-import tempfile
 import threading
 import time
 from pathlib import Path
@@ -63,9 +62,6 @@ STREAM_FORMAT = "repro.telemetry-stream/v1"
 #: Version tag of the rolling status snapshot.
 STATUS_FORMAT = "repro.campaign-status/v1"
 
-#: Environment variable naming the supervisor's Unix socket.
-STREAM_SOCKET_ENV = "REPRO_STREAM_SOCKET"
-
 #: File names inside a campaign directory (next to the journal).
 STATUS_NAME = "status.json"
 STREAM_LOG_NAME = "stream.jsonl"
@@ -76,84 +72,6 @@ DEFAULT_HANG_AFTER = 10.0
 
 _COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
-#: Longest accepted decimal length prefix (1 MB frames are already absurd).
-_MAX_PREFIX_DIGITS = 8
-
-
-# ----------------------------------------------------------------------
-# Framing
-# ----------------------------------------------------------------------
-def encode_frame(frame: Dict[str, object]) -> bytes:
-    """Encode one frame as length-prefixed JSONL bytes."""
-    payload = json.dumps(frame, **_COMPACT).encode("utf-8")
-    return b"%d %s\n" % (len(payload), payload)
-
-
-class FrameDecoder:
-    """Incremental decoder tolerating torn, partial and corrupt frames.
-
-    Feed arbitrary byte chunks; complete frames come out in order.  A
-    frame split across chunks stays buffered until its remaining bytes
-    arrive.  A malformed prefix or JSON body skips to the next newline
-    (``frames_corrupt``) so one bad write cannot poison the stream.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = b""
-        self.frames_decoded = 0
-        self.frames_corrupt = 0
-
-    def feed(self, data: bytes) -> List[Dict[str, object]]:
-        """Consume ``data``; return every frame completed by it."""
-        self._buffer += data
-        frames: List[Dict[str, object]] = []
-        while True:
-            frame = self._next_frame()
-            if frame is None:
-                return frames
-            frames.append(frame)
-
-    def _next_frame(self) -> Optional[Dict[str, object]]:
-        buffer = self._buffer
-        while buffer:
-            space = buffer.find(b" ", 0, _MAX_PREFIX_DIGITS + 1)
-            if space < 0:
-                if len(buffer) > _MAX_PREFIX_DIGITS:
-                    buffer = self._resync(buffer)
-                    continue
-                break  # torn prefix: wait for more bytes
-            prefix = buffer[:space]
-            if not prefix.isdigit():
-                buffer = self._resync(buffer)
-                continue
-            length = int(prefix)
-            end = space + 1 + length
-            if len(buffer) < end + 1:
-                break  # torn body: wait for more bytes
-            body, tail = buffer[space + 1:end], buffer[end:end + 1]
-            if tail != b"\n":
-                buffer = self._resync(buffer)
-                continue
-            buffer = buffer[end + 1:]
-            try:
-                frame = json.loads(body.decode("utf-8"))
-                if not isinstance(frame, dict):
-                    raise ValueError("not an object")
-            except (ValueError, UnicodeDecodeError):
-                self.frames_corrupt += 1
-                continue
-            self._buffer = buffer
-            self.frames_decoded += 1
-            return frame
-        self._buffer = buffer
-        return None
-
-    def _resync(self, buffer: bytes) -> bytes:
-        """Skip a corrupt region up to (and including) the next newline."""
-        self.frames_corrupt += 1
-        newline = buffer.find(b"\n")
-        return b"" if newline < 0 else buffer[newline + 1:]
-
 
 # ----------------------------------------------------------------------
 # Worker side: the shipper
@@ -162,15 +80,15 @@ class TelemetryShipper:
     """Ships frames from a worker; never blocks, never raises.
 
     Args:
-        send: ``(bytes) -> None`` transport; may raise ``OSError`` /
-            ``BlockingIOError`` — both are swallowed (the frame is
-            dropped and counted, or the transport marked dead).
+        send: ``(frame dict) -> None`` transport; may raise
+            ``BlockingIOError`` (the frame is dropped and counted) or any
+            other ``OSError`` (the shipper goes quiet for good).
         worker: Worker identity in frames (defaults to the pid).
         interval: Minimum wall seconds between throttled frames
             (heartbeats and progress).
     """
 
-    def __init__(self, send: Callable[[bytes], None],
+    def __init__(self, send: Callable[[Dict[str, object]], None],
                  worker: Optional[int] = None,
                  interval: float = 0.2) -> None:
         self._send = send
@@ -191,20 +109,11 @@ class TelemetryShipper:
                  "t": round(time.time(), 6)}
         frame.update(fields)
         try:
-            self._send(encode_frame(frame))
+            self._send(frame)
         except BlockingIOError:
             self.frames_dropped += 1
         except OSError:
             self.alive = False  # supervisor gone: go quiet, keep running
-
-    def close(self) -> None:
-        self.alive = False
-        closer = getattr(self._send, "close", None)
-        if closer is not None:
-            try:
-                closer()
-            except OSError:  # pragma: no cover
-                pass
 
     # -- frame kinds -----------------------------------------------------
     def hello(self) -> None:
@@ -256,68 +165,8 @@ class TelemetryShipper:
                    spins=stats.events.get("spins", 0))
 
 
-class _SocketTransport:
-    """Non-blocking Unix-socket send for :class:`TelemetryShipper`."""
-
-    def __init__(self, path: str) -> None:
-        self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.settimeout(1.0)
-        self._sock.connect(path)
-        self._sock.setblocking(False)
-
-    def __call__(self, data: bytes) -> None:
-        self._sock.send(data)
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-# Process-global worker shipper + progress sink.  The shipper is keyed on
-# (pid, socket path) so forked children never reuse a parent's socket and
-# a finished campaign (env cleared) detaches cleanly.
-_WORKER_SHIPPER: Optional[tuple] = None
+# The per-point progress sink (installed around simulate_point).
 _PROGRESS_SINK: Optional[TelemetryShipper] = None
-
-
-def ensure_worker_shipper() -> Optional[TelemetryShipper]:
-    """The calling process's shipper, per ``REPRO_STREAM_SOCKET``.
-
-    Returns ``None`` when streaming is off (env unset) or the supervisor
-    socket cannot be reached — the worker then runs exactly as before.
-    """
-    global _WORKER_SHIPPER
-    path = os.environ.get(STREAM_SOCKET_ENV)
-    pid = os.getpid()
-    if not path:
-        if _WORKER_SHIPPER is not None:
-            _WORKER_SHIPPER[2].close()
-            _WORKER_SHIPPER = None
-        return None
-    if _WORKER_SHIPPER is not None:
-        cached_pid, cached_path, shipper = _WORKER_SHIPPER
-        if cached_pid == pid and cached_path == path and shipper.alive:
-            return shipper
-        shipper.close()
-        _WORKER_SHIPPER = None
-    try:
-        shipper = TelemetryShipper(_SocketTransport(path), worker=pid)
-    except OSError:
-        return None
-    _WORKER_SHIPPER = (pid, path, shipper)
-    shipper.hello()
-    return shipper
-
-
-def _detach_worker_shipper(path: Optional[str]) -> None:
-    """Close this process's shipper bound to ``path``: a later plane on
-    the same path must not inherit a connection to a stopped one."""
-    global _WORKER_SHIPPER
-    if _WORKER_SHIPPER is not None and _WORKER_SHIPPER[1] == path:
-        _WORKER_SHIPPER[2].close()
-        _WORKER_SHIPPER = None
 
 
 def set_progress_sink(sink: Optional[TelemetryShipper]) -> None:
@@ -336,17 +185,18 @@ def progress_sink() -> Optional[TelemetryShipper]:
 # ----------------------------------------------------------------------
 
 #: Point statuses only the authoritative engine callbacks may leave —
-#: advisory frames must never downgrade them (the listener thread can
-#: apply a frame after the engine already completed the point).
+#: advisory frames must never downgrade them (a frame can be read after
+#: the engine already completed its point).
 _TERMINAL = frozenset({"ok", "failed", "resumed"})
 
 
 class StreamAggregator:
     """Merges worker frames + supervisor notifications into one snapshot.
 
-    Thread-safe: frames arrive from the listener thread while the
-    campaign engine and :class:`~repro.harness.supervision.SupervisedPool`
-    notify dispatch/death/hang from the main thread.
+    Frames arrive through :meth:`feed_frames`; the campaign engine and
+    :class:`~repro.harness.supervision.SupervisedPool` notify completion,
+    dispatch, death and hangs.  Every method takes one lock, so callers
+    on any thread see a coherent snapshot.
 
     Worker-health classification (the supervision edge case): a worker
     that dies *between* dispatch and its first heartbeat is classified
@@ -370,7 +220,6 @@ class StreamAggregator:
         self._clock = clock
         self._lock = threading.Lock()
         self._started_at = clock()
-        self._decoders: Dict[object, FrameDecoder] = {}
         self._last_seq: Dict[int, int] = {}
         self._workers: Dict[int, Dict[str, object]] = {}
         self._points: Dict[str, Dict[str, object]] = {}
@@ -394,28 +243,14 @@ class StreamAggregator:
                 "error_class": None,
             }
 
-    # -- byte ingestion (listener thread) -------------------------------
-    def feed_bytes(self, conn_id: object, data: bytes
-                   ) -> List[Dict[str, object]]:
-        """Decode one connection's bytes; apply and return the frames."""
-        with self._lock:
-            decoder = self._decoders.setdefault(conn_id, FrameDecoder())
-            before = decoder.frames_corrupt
-            frames = decoder.feed(data)
-            corrupt = decoder.frames_corrupt - before
-            if corrupt:
-                self._bump("frames_corrupt", corrupt)
-            for frame in frames:
-                self._apply(frame)
-            return frames
-
+    # -- frames -----------------------------------------------------------
     def feed_frames(self, frames: Sequence[Dict[str, object]]) -> None:
-        """Apply already-decoded frames (tests, log replay)."""
+        """Apply worker frames in order."""
         with self._lock:
             for frame in frames:
                 self._apply(frame)
 
-    # -- supervisor notifications (main thread) --------------------------
+    # -- supervisor notifications ----------------------------------------
     def worker_dispatched(self, pid: int, key: str) -> None:
         with self._lock:
             worker = self._worker(pid)
@@ -513,9 +348,9 @@ class StreamAggregator:
             worker["flag"] = None
             point = self._points.get(key)
             # Frames are advisory: the engine's point_done()/mark_resumed()
-            # are authoritative, and the listener thread may apply a frame
-            # after the engine already finished the point — never downgrade
-            # a terminal status back to running.
+            # are authoritative, and a frame may be read after the engine
+            # already finished the point — never downgrade a terminal
+            # status back to running.
             if point is not None and point["status"] not in _TERMINAL:
                 point["status"] = "running"
                 point["worker"] = pid
@@ -545,10 +380,14 @@ class StreamAggregator:
                         self.registry.counter(f"stream_{name}").inc(
                             int(value))
             dropped = frame.get("frames_dropped")
-            if isinstance(dropped, int) and dropped:
-                self.counters["frames_dropped_by_workers"] = max(
-                    self.counters.get("frames_dropped_by_workers", 0),
-                    dropped)
+            if isinstance(dropped, int):
+                # Each worker reports its running total: keep the latest
+                # per worker and sum across workers.
+                worker["frames_dropped"] = dropped
+                total = sum(w.get("frames_dropped", 0)
+                            for w in self._workers.values())
+                if total:
+                    self.counters["frames_dropped_by_workers"] = total
         elif type_ == "event":
             name = frame.get("name")
             if isinstance(name, str):
@@ -643,19 +482,20 @@ class StreamAggregator:
 
 
 # ----------------------------------------------------------------------
-# The live status plane (listener thread + rolling status.json)
+# The live status plane (frame log + rolling status.json)
 # ----------------------------------------------------------------------
 class LiveStatusPlane:
-    """Owns the stream socket, the aggregator, and ``status.json``.
+    """Owns the aggregator, ``stream.jsonl`` and ``status.json``.
 
     Created by :class:`~repro.harness.campaign.CampaignEngine` when a
-    campaign directory is in play.  :meth:`start` binds a Unix socket,
-    publishes its path in ``REPRO_STREAM_SOCKET`` (inherited by forked
-    workers *and* reachable by the in-process serial path), and spawns a
-    background thread that drains connections, appends decoded frames to
-    ``stream.jsonl``, and atomically rewrites ``status.json`` every
-    ``status_interval`` seconds.  All failures are contained: a plane
-    that cannot start degrades to no-op observation, never a dead sweep.
+    campaign directory is in play.  :meth:`start` opens ``stream.jsonl``
+    and writes the first ``status.json``; it binds nothing and starts no
+    thread.  Frames arrive through :meth:`ingest` — straight from the
+    in-process shipper at ``--jobs 1``, from the pool's event loop at
+    ``--jobs N`` — and ``status.json`` is atomically rewritten at most
+    every ``status_interval`` seconds.  All failures are contained: a
+    plane that cannot start degrades to no-op observation, never a dead
+    sweep.
     """
 
     def __init__(self, directory: Union[str, Path],
@@ -672,200 +512,74 @@ class LiveStatusPlane:
             keys=keys, rates=rates, hang_after=hang_after,
             max_failures=max_failures)
         self.enabled = False
-        self.socket_path: Optional[str] = None
-        self._listener: Optional[socket.socket] = None
-        self._conns: Dict[int, socket.socket] = {}
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self._wake_r, self._wake_w = -1, -1
         self._log_handle = None
-        self._tmpdir: Optional[str] = None
-        self._previous_env: Optional[str] = None
+        # Monotonic time the next refresh is due.  The first is due at
+        # once, so the first dispatch or frame shows without a wait.
+        self._next_status = 0.0
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> "LiveStatusPlane":
-        """Bind, publish the env var, spawn the drain thread; contained."""
+        """Open the frame log and write the first status; contained."""
         if self.enabled:
             return self
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            self.socket_path = self._pick_socket_path()
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(self.socket_path)
-            listener.listen(64)
-            listener.setblocking(False)
-            self._listener = listener
-            self._wake_r, self._wake_w = os.pipe()
-            os.set_blocking(self._wake_r, False)
             if self.log_frames:
                 self._log_handle = open(
                     self.directory / STREAM_LOG_NAME, "a",
                     encoding="utf-8")
+            self.write_status("running")
         except OSError:
-            self._cleanup_io()
+            self._close_log()
             return self  # degrade: campaign runs unobserved
-        self._previous_env = os.environ.get(STREAM_SOCKET_ENV)
-        os.environ[STREAM_SOCKET_ENV] = self.socket_path
-        self._stop.clear()
-        self.write_status("running")
-        self._thread = threading.Thread(
-            target=self._drain_loop, name="repro-stream", daemon=True)
-        self._thread.start()
         self.enabled = True
         return self
 
     def stop(self, status: str = "completed") -> None:
-        """Stop draining, restore the env, write the final status."""
-        if self._previous_env is None:
-            os.environ.pop(STREAM_SOCKET_ENV, None)
-        else:
-            os.environ[STREAM_SOCKET_ENV] = self._previous_env
-        self._previous_env = None
-        if self._thread is not None:
-            self._stop.set()
-            try:
-                os.write(self._wake_w, b"x")
-            except OSError:  # pragma: no cover
-                pass
-            self._thread.join(timeout=5.0)
-            if not self._thread.is_alive():
-                self._drain_pending()
-            self._thread = None
-        _detach_worker_shipper(self.socket_path)
-        self._cleanup_io()
+        """Close the frame log and write the final status."""
+        self._close_log()
         self.enabled = False
         try:
             self.write_status(status)
         except OSError:  # pragma: no cover - disk gone
             pass
 
-    def _pick_socket_path(self) -> str:
-        path = str(self.directory / "stream.sock")
-        if len(path) > 90:
-            # AF_UNIX paths are capped (~108 bytes); fall back to a short
-            # tmp path when the campaign dir nests deep.
-            self._tmpdir = tempfile.mkdtemp(prefix="repro-stream-")
-            path = os.path.join(self._tmpdir, "s.sock")
-        if os.path.exists(path):
-            os.unlink(path)
-        return path
-
-    def _cleanup_io(self) -> None:
-        for conn in list(self._conns.values()):
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._conns.clear()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._listener = None
-        for fd in (self._wake_r, self._wake_w):
-            if fd >= 0:
-                try:
-                    os.close(fd)
-                except OSError:  # pragma: no cover
-                    pass
-        self._wake_r, self._wake_w = -1, -1
+    def _close_log(self) -> None:
         if self._log_handle is not None:
             try:
                 self._log_handle.close()
             except OSError:  # pragma: no cover
                 pass
             self._log_handle = None
-        if self.socket_path and os.path.exists(self.socket_path):
-            try:
-                os.unlink(self.socket_path)
-            except OSError:  # pragma: no cover
-                pass
-        if self._tmpdir is not None:
-            try:
-                os.rmdir(self._tmpdir)
-            except OSError:  # pragma: no cover
-                pass
-            self._tmpdir = None
 
-    # -- drain thread ----------------------------------------------------
-    def _drain_loop(self) -> None:
-        next_status = 0.0
-        while not self._stop.is_set():
-            readable = [self._listener, self._wake_r]
-            readable.extend(self._conns.values())
-            timeout = max(0.05, min(self.status_interval,
-                                    next_status - time.monotonic()))
-            try:
-                ready, _, _ = select.select(readable, [], [], timeout)
-            except (OSError, ValueError):  # pragma: no cover - teardown
-                break
-            for source in ready:
-                if source is self._listener:
-                    self._accept()
-                elif source == self._wake_r:
-                    try:
-                        os.read(self._wake_r, 4096)
-                    except OSError:  # pragma: no cover
-                        pass
-                else:
-                    self._read_conn(source)
-            now = time.monotonic()
-            if now >= next_status:
-                next_status = now + self.status_interval
-                try:
-                    self.write_status("running")
-                except OSError:  # pragma: no cover - disk gone
-                    pass
+    # -- frames ----------------------------------------------------------
+    def ingest(self, frame: Dict[str, object]) -> None:
+        """Apply one worker frame, log it, refresh ``status.json`` if due.
 
-    def _accept(self) -> None:
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except (BlockingIOError, OSError):
-                return
-            conn.setblocking(False)
-            self._conns[conn.fileno()] = conn
-
-    def _drain_pending(self) -> None:
-        """Read what was already sent when the drain thread stopped.
-
-        Workers send synchronously, so every frame of a finished point is
-        in a socket buffer by now — but a short campaign can end between
-        two wake-ups of the drain thread, before it accepted or read them.
+        The frame is taken as is: no encoding, no decoding.  I/O failures
+        are swallowed; a stopped plane ignores frames.
         """
-        self._accept()
-        for conn in list(self._conns.values()):
-            while self._read_conn(conn):
-                pass
-
-    def _read_conn(self, conn: socket.socket) -> bool:
-        """Consume one chunk; False once the connection has nothing more
-        (for now, or for good)."""
-        conn_id = conn.fileno()
-        try:
-            data = conn.recv(65536)
-        except BlockingIOError:
-            return False
-        except OSError:
-            data = b""
-        if not data:
-            self._conns.pop(conn_id, None)
+        if not self.enabled:
+            return
+        self.aggregator.feed_frames((frame,))
+        if self._log_handle is not None:
             try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-            return False
-        frames = self.aggregator.feed_bytes(conn_id, data)
-        if frames and self._log_handle is not None:
-            try:
-                for frame in frames:
-                    self._log_handle.write(
-                        json.dumps(frame, **_COMPACT) + "\n")
+                self._log_handle.write(json.dumps(frame, **_COMPACT) + "\n")
                 self._log_handle.flush()
-            except (OSError, ValueError):  # pragma: no cover
+            except (OSError, ValueError):  # pragma: no cover - disk gone
                 pass
-        return True
+        self.refresh_status()
+
+    def refresh_status(self) -> None:
+        """Rewrite ``status.json`` if ``status_interval`` has passed."""
+        now = time.monotonic()
+        if not self.enabled or now < self._next_status:
+            return
+        self._next_status = now + self.status_interval
+        try:
+            self.write_status("running")
+        except OSError:  # pragma: no cover - disk gone
+            pass
 
     # -- status ----------------------------------------------------------
     def write_status(self, status: str) -> None:

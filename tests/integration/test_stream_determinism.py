@@ -37,7 +37,6 @@ def cli_env(**overrides):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_CHAOS", None)
-    env.pop("REPRO_STREAM_SOCKET", None)
     env.update(overrides)
     return env
 
@@ -152,6 +151,52 @@ class TestStatusLifecycle:
         # Journal-replayed points show up as resumed in the final status.
         statuses = {p["status"] for p in final["points"].values()}
         assert statuses <= {"ok", "resumed"}
+
+    def test_status_refreshes_during_a_long_serial_point(self, tmp_path):
+        """At ``--jobs 1`` frames go in-process, with no timer thread:
+        the progress frames of a point still in flight must keep
+        rewriting ``status.json``."""
+        import signal
+
+        campaign = tmp_path / "camp"
+        # The settings above, with a measure window long enough for one
+        # point to span many 0.5 s status intervals.
+        args = [sys.executable, "-m", "repro.cli", "sweep",
+                "--design", "spin_mesh", "--pattern", "uniform",
+                "--rates", "0.02,0.04,0.06,0.08", "--mesh-side", "4",
+                "--tdd", "32", "--warmup", "200", "--measure", "400000",
+                "--drain", "1500", "--abort-cycles", "2000",
+                "--jobs", "1", "--campaign", str(campaign),
+                "--output", str(tmp_path / "out.json")]
+        proc = subprocess.Popen(args, env=cli_env(),
+                                stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        status_path = campaign / STATUS_NAME
+        mid_point = None
+        deadline = time.monotonic() + 60
+        try:
+            while time.monotonic() < deadline and proc.poll() is None:
+                try:
+                    payload = json.loads(status_path.read_text())
+                except (OSError, ValueError):
+                    payload = {}  # not written yet, or mid-replace
+                running = [p for p in payload.get("points", {}).values()
+                           if p["status"] == "running"
+                           and p["cycles_done"] > 0]
+                if running:
+                    mid_point = (payload, running[0])
+                    break
+                time.sleep(0.05)
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+        assert mid_point is not None, \
+            "status.json never showed a point in progress at --jobs 1"
+        payload, point = mid_point
+        assert payload["status"] == "running"
+        assert payload["campaign"]["done"] < 4
+        assert 0 < point["cycles_done"] < point["cycles_total"]
+        assert point["worker"] == proc.pid  # in-process: the sweep itself
 
 
 @pytest.mark.chaos

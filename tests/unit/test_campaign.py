@@ -279,10 +279,10 @@ class TestCurveCut:
         from repro.harness import campaign as campaign_module
         from repro.harness.supervision import run_attempt as real
 
-        def failing_past_cut(spec, attempt):
+        def failing_past_cut(spec, attempt, *rest):
             if spec.injection_rate == 0.95:
                 return SpecResult(spec, None, error="ValueError: boom")
-            return real(spec, attempt)
+            return real(spec, attempt, *rest)
 
         monkeypatch.setattr(campaign_module, "run_attempt",
                             failing_past_cut)
@@ -339,8 +339,8 @@ class TestStreamedCampaign:
 
     def test_second_campaign_on_one_directory_streams_every_point(
             self, tmp_path, monkeypatch):
-        # A short relative directory keeps the socket at camp/stream.sock,
-        # so both planes bind the same path.
+        # Both campaigns use the same short relative directory, as
+        # ``repro sweep --campaign camp`` run twice does.
         monkeypatch.chdir(tmp_path)
         specs = tiny_curve()
         for _ in range(2):
@@ -470,13 +470,13 @@ class TestEngineSerial:
         spec = tiny_spec()
         calls = []
 
-        def flaky(run_spec, attempt):
+        def flaky(run_spec, attempt, *rest):
             calls.append(attempt)
             if attempt < 2:
                 return SpecResult(run_spec, None,
                                   error="worker crashed: synthetic")
             from repro.harness.supervision import run_attempt as real
-            return real(run_spec, attempt)
+            return real(run_spec, attempt, *rest)
 
         monkeypatch.setattr(campaign_module, "run_attempt", flaky)
         monkeypatch.setattr(campaign_module.time, "sleep", lambda _s: None)
@@ -491,7 +491,7 @@ class TestEngineSerial:
 
         monkeypatch.setattr(
             campaign_module, "run_attempt",
-            lambda spec, attempt: SpecResult(
+            lambda spec, attempt, *rest: SpecResult(
                 spec, None, error="worker crashed: synthetic"))
         monkeypatch.setattr(campaign_module.time, "sleep", lambda _s: None)
         config = CampaignConfig(retry=RetryPolicy(retries=1, base=0.01))

@@ -136,9 +136,9 @@ class TestCampaignRollup:
         assert snap["campaign"]["failure_budget"]["burned"] == 1
 
     def test_late_frames_never_downgrade_terminal_status(self):
-        """The listener thread can apply a worker's point_start/progress
-        frame after the engine's authoritative point_done — the finished
-        point must stay finished in the snapshot."""
+        """A worker's point_start/progress frame applied after the
+        engine's authoritative point_done must not reopen the finished
+        point in the snapshot."""
         agg = StreamAggregator(keys=["a"], rates=[0.1])
         agg.point_done("a", True, point=_point(), wall_time=0.2)
         agg.feed_frames([
@@ -220,77 +220,66 @@ class TestLiveStatusPlane:
         status = load_status(tmp_path)
         assert status["status"] == "completed"
 
-    def test_env_var_roundtrip(self, tmp_path, monkeypatch):
-        import os
+    def test_start_binds_nothing_and_starts_no_thread(self, tmp_path):
+        import threading
 
-        from repro.telemetry.live import STREAM_SOCKET_ENV
-
-        monkeypatch.delenv(STREAM_SOCKET_ENV, raising=False)
+        threads = threading.active_count()
         plane = LiveStatusPlane(tmp_path, keys=["k1"])
         plane.start()
         try:
-            assert os.environ[STREAM_SOCKET_ENV] == plane.socket_path
+            assert plane.enabled
+            assert threading.active_count() == threads
+            assert sorted(p.name for p in tmp_path.iterdir()) \
+                == ["status.json", "stream.jsonl"]
         finally:
             plane.stop()
-        assert STREAM_SOCKET_ENV not in os.environ
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["status.json", "stream.jsonl"]
 
-    def test_worker_frames_reach_status_and_stream_log(self, tmp_path):
-        import time
+    def test_ingested_frames_reach_status_and_stream_log(self, tmp_path):
+        from repro.telemetry.live import TelemetryShipper
 
-        from repro.telemetry.live import _SocketTransport, TelemetryShipper
-
-        plane = LiveStatusPlane(tmp_path, keys=["k1"], rates=[0.1],
-                                status_interval=0.05)
+        plane = LiveStatusPlane(tmp_path, keys=["k1"], rates=[0.1])
         plane.start()
-        try:
-            shipper = TelemetryShipper(
-                _SocketTransport(plane.socket_path), worker=777)
-            shipper.hello()
-            shipper.point_start("k1", 0.1, 1000)
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                status = load_status(tmp_path)
-                if status and status.get("workers", {}).get("777"):
-                    break
-                time.sleep(0.05)
-            shipper.close()
-        finally:
-            plane.stop()
+        shipper = TelemetryShipper(plane.ingest, worker=777)
+        shipper.hello()
+        shipper.point_start("k1", 0.1, 1000)
+        # Logged as they arrive, before any stop().
+        frames = read_stream_log(tmp_path / "stream.jsonl")
+        assert [f["type"] for f in frames] == ["hello", "point_start"]
+        plane.stop()
         status = load_status(tmp_path)
         assert status["workers"]["777"]["points_done"] == 0
         assert status["points"]["k1"]["status"] == "running"
-        frames = read_stream_log(tmp_path / "stream.jsonl")
-        assert [f["type"] for f in frames] == ["hello", "point_start"]
+        assert status["counters"]["frames_received"] == 2
 
-    def test_stop_reads_what_the_drain_thread_never_got_to(self, tmp_path,
-                                                           monkeypatch):
-        """A campaign can finish between two wake-ups of the drain thread
-        (here: a thread that never reads at all); ``stop()`` must still log
-        every frame the workers had sent by then."""
-        from repro.telemetry.live import _SocketTransport, TelemetryShipper
-
-        plane = LiveStatusPlane(tmp_path, keys=["k1"], rates=[0.1])
-        monkeypatch.setattr(plane, "_drain_loop", plane._stop.wait)
+    def test_ingest_rewrites_status_only_when_due(self, tmp_path):
+        plane = LiveStatusPlane(tmp_path, keys=["k1"], rates=[0.1],
+                                status_interval=3600.0)
         plane.start()
-        shipper = TelemetryShipper(
-            _SocketTransport(plane.socket_path), worker=778)
-        shipper.hello()
-        shipper.point_start("k1", 0.1, 1000)
-        shipper.close()
+        plane.ingest(frame("hello", 5, 1))  # the first refresh is due
+        assert "5" in load_status(tmp_path)["workers"]
+        plane.ingest(frame("hello", 6, 1))
+        assert "6" not in load_status(tmp_path)["workers"]  # not due
         plane.stop()
-        frames = read_stream_log(tmp_path / "stream.jsonl")
-        assert [f["type"] for f in frames] == ["hello", "point_start"]
-        assert load_status(tmp_path)["workers"]["778"]
+        assert "6" in load_status(tmp_path)["workers"]
 
-    def test_long_directory_falls_back_to_tmp_socket(self, tmp_path):
-        deep = tmp_path / ("d" * 50) / ("e" * 50)
-        plane = LiveStatusPlane(deep, keys=["k1"])
+    def test_stopped_plane_ignores_frames(self, tmp_path):
+        plane = LiveStatusPlane(tmp_path, keys=["k1"])
         plane.start()
-        try:
-            assert plane.enabled
-            assert len(plane.socket_path) <= 108
-        finally:
-            plane.stop()
+        plane.stop()
+        plane.ingest(frame("hello", 5, 1))
+        assert read_stream_log(tmp_path / "stream.jsonl") == []
+        assert plane.aggregator.counters.get("frames_received", 0) == 0
+
+    def test_unwritable_directory_degrades_to_unobserved(self, tmp_path):
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        plane = LiveStatusPlane(blocker / "camp", keys=["k1"])
+        plane.start()
+        assert not plane.enabled
+        plane.ingest(frame("hello", 5, 1))  # no raise, no effect
+        plane.stop()
 
 
 class TestStreamLogTools:
