@@ -18,11 +18,12 @@ premise for why SPIN is needed at all).
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional, Set, Tuple
 
 from repro.network.packet import Packet
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Channel = Tuple[int, int]  # (source router, output port)
 
@@ -49,6 +50,8 @@ def channel_dependency_graph(network, routing=None,
     Returns:
         Directed graph over channels ``(router, outport)``.
     """
+    import networkx as nx
+
     routing = routing or network.routing
     topology = network.topology
     graph = nx.DiGraph()
@@ -83,11 +86,15 @@ def channel_dependency_graph(network, routing=None,
 
 def is_acyclic(graph: nx.DiGraph) -> bool:
     """Whether a CDG satisfies Dally's sufficient condition."""
+    import networkx as nx
+
     return nx.is_directed_acyclic_graph(graph)
 
 
 def cdg_cycles(graph: nx.DiGraph, limit: int = 10):
     """Up to ``limit`` elementary cycles of a CDG (diagnostics)."""
+    import networkx as nx
+
     cycles = []
     for cycle in nx.simple_cycles(graph):
         cycles.append(cycle)

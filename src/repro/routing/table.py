@@ -17,9 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Sequence, Set, Tuple
 
-import networkx as nx
-
-from repro.errors import RoutingError
+from repro.errors import ConfigurationError, RoutingError
 from repro.network.packet import Packet
 from repro.routing.base import RoutingAlgorithm
 
@@ -49,11 +47,12 @@ class UpDownRouting(RoutingAlgorithm):
 
     def _setup(self) -> None:
         topology = self.topology
-        graph = nx.Graph()
-        graph.add_nodes_from(range(topology.num_routers))
-        for link in topology.links():
-            graph.add_edge(link.src, link.dst)
-        depth = nx.single_source_shortest_path_length(graph, self.root)
+        if not 0 <= self.root < topology.num_routers:
+            raise ConfigurationError(
+                f"up*/down* root {self.root} is not a router "
+                f"(0..{topology.num_routers - 1})")
+        # Channels are bidirectional, so the outbound BFS is the undirected one.
+        depth = topology._bfs_hops(self.root)
 
         def rank(router: int) -> Tuple[int, int]:
             return depth[router], router

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TopologyError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: ``[router][target] -> productive ports``; ``None`` where not asked yet.
 ProductiveTable = List[Optional[List[Optional[Tuple[int, ...]]]]]
@@ -60,6 +61,8 @@ class Topology(ABC):
     def __init__(self) -> None:
         self._validated = False
         self._neighbor_cache: Dict[int, Dict[int, Tuple[int, int, int]]] = {}
+        #: Neighbouring routers of each router, for :meth:`_bfs_hops`.
+        self._adjacency: Tuple[Tuple[int, ...], ...] = ()
         self._distance_cache: Tuple[Tuple[int, ...], ...] = ()
         #: ``hops_to`` rows of topologies with a closed-form ``min_hops``.
         self._hop_rows: Dict[int, Tuple[int, ...]] = {}
@@ -196,33 +199,56 @@ class Topology(ABC):
             ports = row[target] = self._port_tuples.setdefault(ports, ports)
         return ports
 
-    def _distance_table(
-            self, graph: Optional[nx.DiGraph] = None
-    ) -> Tuple[Tuple[int, ...], ...]:
-        """The all-pairs BFS table, computed once (from ``graph`` when the
-        caller already built the router graph)."""
+    def _distance_table(self) -> Tuple[Tuple[int, ...], ...]:
+        """The all-pairs BFS table, computed once."""
         if not self._distance_cache:
-            self._distance_cache = self._all_pairs_hops(graph)
+            self._distance_cache = self._all_pairs_hops()
         return self._distance_cache
 
-    def _all_pairs_hops(
-            self, graph: Optional[nx.DiGraph] = None
-    ) -> Tuple[Tuple[int, ...], ...]:
-        if graph is None:
-            graph = self.to_networkx()
-        num = self.num_routers
-        table = [[-1] * num for _ in range(num)]
-        for src, lengths in nx.all_pairs_shortest_path_length(graph):
-            row = table[src]
-            for dst, hops in lengths.items():
-                row[dst] = hops
-        for src in range(num):
-            if min(table[src]) < 0:
+    def _all_pairs_hops(self) -> Tuple[Tuple[int, ...], ...]:
+        table = []
+        for src in range(self.num_routers):
+            row = self._bfs_hops(src)
+            if min(row) < 0:
                 raise TopologyError(f"router {src} cannot reach every router")
-        return tuple(map(tuple, table))
+            table.append(tuple(row))
+        return tuple(table)
+
+    def _bfs_hops(self, source: int) -> List[int]:
+        """Hop count from ``source`` to every router over outbound links
+        (``-1`` where unreachable)."""
+        adjacency = self._adjacency
+        if not adjacency:
+            adjacency = self._adjacency = tuple(
+                tuple(peer for peer, _, _ in self.neighbors(router).values())
+                for router in range(self.num_routers))
+        hops = [-1] * len(adjacency)
+        hops[source] = 0
+        unseen = len(adjacency) - 1
+        frontier = [source]
+        depth = 0
+        # Stop once every router is reached: on a low-diameter fabric the
+        # last frontier holds most routers and would find nothing new.
+        while frontier and unseen:
+            depth += 1
+            reached = []
+            for router in frontier:
+                for peer in adjacency[router]:
+                    if hops[peer] < 0:
+                        hops[peer] = depth
+                        reached.append(peer)
+            unseen -= len(reached)
+            frontier = reached
+        return hops
 
     def to_networkx(self) -> nx.DiGraph:
-        """Directed router graph (one edge per link direction)."""
+        """Directed router graph (one edge per link direction).
+
+        Imports :mod:`networkx` when called; nothing on the simulation
+        path calls it.
+        """
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(range(self.num_routers))
         for link in self.links():
@@ -236,8 +262,10 @@ class Topology(ABC):
         Verifies that every link has a reverse using the same port pair,
         ports are not double-booked, and the router graph is strongly
         connected.  A topology never changes, so a pass is remembered and
-        later calls return at once; the one router graph built here also
-        fills the BFS distance table of topologies that route by it.
+        later calls return at once.  With every link's reverse present, one
+        BFS from router 0 reaching every router proves strong connectivity.
+        The same call fills the BFS distance table of topologies that route
+        by it.
         """
         if self._validated:
             return
@@ -258,13 +286,12 @@ class Topology(ABC):
                 raise TopologyError(
                     f"link {link} has no symmetric reverse channel"
                 )
-        graph = self.to_networkx()
-        if not nx.is_strongly_connected(graph):
+        if min(self._bfs_hops(0)) < 0:
             raise TopologyError("router graph is not strongly connected")
         for node in range(self.num_nodes):
             router = self.router_of_node(node)
             if not 0 <= router < self.num_routers:
                 raise TopologyError(f"node {node} attached to bad router {router}")
         if type(self).min_hops is Topology.min_hops:
-            self._distance_table(graph)
+            self._distance_table()
         self._validated = True

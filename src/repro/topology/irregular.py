@@ -10,14 +10,15 @@ connectivity.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import TopologyError
 from repro.sim.rng import DeterministicRng
 from repro.topology.base import LinkSpec, Topology
 from repro.topology.mesh import MeshTopology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class IrregularTopology(Topology):
@@ -35,7 +36,16 @@ class IrregularTopology(Topology):
     name = "irregular"
 
     def __init__(self, graph: nx.Graph, link_latency=1) -> None:
+        import networkx as nx
+
         super().__init__()
+        if graph.is_directed():
+            raise TopologyError("graph must be undirected")
+        if graph.is_multigraph():
+            raise TopologyError("graph must not be a multigraph")
+        loop = next(nx.selfloop_edges(graph), None)
+        if loop is not None:
+            raise TopologyError(f"graph has a self-loop at {loop[0]}")
         nodes = sorted(graph.nodes)
         if nodes != list(range(len(nodes))):
             raise TopologyError("graph nodes must be 0..n-1")
@@ -110,6 +120,8 @@ def faulty_mesh(cols: int, rows: int, num_failed_links: int,
         TopologyError: If that many links cannot fail without disconnecting
             the network.
     """
+    import networkx as nx
+
     rng = rng or DeterministicRng(0)
     mesh = MeshTopology(cols, rows)
     graph = nx.Graph()
@@ -150,6 +162,15 @@ def random_regular_topology(num_routers: int, degree: int,
         degree: Channels per router.
         seed: Seed for the graph sampler; retried until connected.
     """
+    import networkx as nx
+
+    if not 0 <= degree < num_routers:
+        raise TopologyError(
+            f"degree {degree} must be in 0..{num_routers - 1} "
+            f"for {num_routers} routers")
+    if num_routers * degree % 2:
+        raise TopologyError(
+            f"num_routers * degree = {num_routers * degree} must be even")
     for attempt in range(100):
         graph = nx.random_regular_graph(degree, num_routers, seed=seed + attempt)
         if nx.is_connected(graph):

@@ -22,6 +22,7 @@ from repro.network.plan import FabricPlan
 from repro.network.router import EJECT_PORT_BASE, INJECT_PORT_BASE
 from repro.routing.adaptive import MinimalAdaptiveRouting
 from repro.sim import create_engine
+from repro.topology.base import Topology
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.mesh import MeshTopology
@@ -187,28 +188,33 @@ class TestSharingContract:
         # A directly constructed topology is private to its maker.
         assert MeshTopology(4, 4) is not first.topology
 
+    @staticmethod
+    def _count_searches(monkeypatch):
+        """Record the source of every BFS any topology runs."""
+        sources = []
+        real = Topology._bfs_hops
+        monkeypatch.setattr(
+            Topology, "_bfs_hops",
+            lambda self, source: sources.append(source) or real(self, source))
+        return sources
+
     def test_topology_validates_once(self, monkeypatch):
         topology = MeshTopology(3, 3)
-        graphs = []
-        real = MeshTopology.to_networkx
-        monkeypatch.setattr(
-            MeshTopology, "to_networkx",
-            lambda self: graphs.append(self) or real(self))
+        sources = self._count_searches(monkeypatch)
         for vcs in (1, 2, 1):
             _network(topology, vcs=vcs)
         topology.validate()
-        assert len(graphs) == 1
+        assert sources == [0]   # one connectivity search, ever
 
-    def test_validate_shares_its_graph_with_the_bfs_table(self, monkeypatch):
+    def test_validate_fills_the_bfs_table(self, monkeypatch):
         topology = DragonflyTopology(1, 2, 1)   # routes by the BFS table
-        graphs = []
-        real = DragonflyTopology.to_networkx
-        monkeypatch.setattr(
-            DragonflyTopology, "to_networkx",
-            lambda self: graphs.append(self) or real(self))
+        sources = self._count_searches(monkeypatch)
         topology.validate()
         assert topology.min_hops(0, topology.num_routers - 1) >= 1
-        assert len(graphs) == 1
+        assert topology.hops_to(1)[0] >= 1
+        # Connectivity from router 0, then one search per source, all
+        # inside validate(): the lookups above searched nothing.
+        assert sources == [0] + list(range(topology.num_routers))
 
 
 class TestImmutability:

@@ -4,11 +4,13 @@ import networkx as nx
 import pytest
 
 from repro.config import NetworkConfig
+from repro.errors import ConfigurationError
 from repro.network.network import Network
 from repro.network.packet import Packet
 from repro.routing.table import UpDownRouting
 from repro.sim.rng import DeterministicRng
 from repro.topology.irregular import IrregularTopology, faulty_mesh
+from repro.topology.ring import RingTopology
 
 
 def make_network(topology=None, seed=1):
@@ -128,3 +130,10 @@ class TestOnArbitraryGraphs:
             for dst in range(topology.num_routers):
                 if src != dst:
                     walk(network, src, dst)
+
+
+@pytest.mark.parametrize("root", [4, -1])
+def test_root_outside_the_fabric_is_rejected(root):
+    with pytest.raises(ConfigurationError, match=f"root {root}"):
+        Network(RingTopology(4), NetworkConfig(vcs_per_vnet=2),
+                UpDownRouting(1, root=root), seed=1)

@@ -12,6 +12,32 @@ from repro.topology.irregular import (
 )
 
 
+def _graph(kind, edges):
+    graph = kind()
+    graph.add_nodes_from(range(3))
+    graph.add_edges_from(edges)
+    return graph
+
+
+MALFORMED = {
+    "directed": (lambda: IrregularTopology(
+        _graph(nx.DiGraph, [(0, 1), (1, 2), (2, 0)])), "undirected"),
+    "multigraph": (lambda: IrregularTopology(
+        _graph(nx.MultiGraph, [(0, 1), (0, 1), (1, 2)])), "multigraph"),
+    "self_loop": (lambda: IrregularTopology(
+        _graph(nx.Graph, [(0, 0), (0, 1), (1, 2)])), "self-loop at 0"),
+    "odd_degree_sum": (lambda: random_regular_topology(5, 3), "must be even"),
+    "degree_too_high": (lambda: random_regular_topology(4, 4), "degree 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_raises_topology_error(case):
+    build, message = MALFORMED[case]
+    with pytest.raises(TopologyError, match=message):
+        build()
+
+
 class TestIrregularTopology:
     def test_wraps_arbitrary_graph(self):
         graph = nx.cycle_graph(5)
