@@ -54,7 +54,7 @@ from repro.harness.supervision import (
     error_class,
     run_attempt,
 )
-from repro.stats.results import atomic_write_text
+from repro.stats.results import atomic_write_text, canonical_json
 from repro.stats.sweep import SaturationCursor, SweepPoint
 
 #: Version tag of the campaign directory layout.
@@ -63,8 +63,6 @@ CAMPAIGN_SCHEMA = "repro.campaign/v1"
 #: File names inside a campaign directory.
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
-
-_COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +93,7 @@ class CampaignJournal:
         """Durably append one record (flush + fsync before returning)."""
         if self._handle is None:
             raise ConfigurationError("journal is not open for appending")
-        self._handle.write(json.dumps(record, **_COMPACT) + "\n")
+        self._handle.write(canonical_json(record) + "\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
@@ -181,8 +179,8 @@ def write_manifest(directory: Union[str, Path],
         "specs": [{"key": spec.content_key(), "spec": spec.to_dict()}
                   for spec in specs],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    return atomic_write_text(directory / MANIFEST_NAME, text)
+    return atomic_write_text(directory / MANIFEST_NAME,
+                             canonical_json(payload) + "\n")
 
 
 def load_manifest(directory: Union[str, Path]
@@ -217,8 +215,13 @@ def load_manifest(directory: Union[str, Path]
         raise ConfigurationError("campaign manifest carries no specs",
                                  path=str(path))
     specs: List[ExperimentSpec] = []
-    for entry in entries:
-        spec = ExperimentSpec.from_dict(entry["spec"])
+    for index, entry in enumerate(entries):
+        raw = entry.get("spec") if isinstance(entry, dict) else None
+        if not isinstance(raw, dict):
+            raise ConfigurationError(
+                "manifest spec entry must be an object holding a 'spec' "
+                "object and its 'key'", path=str(path), index=index)
+        spec = ExperimentSpec.from_dict(raw)
         if spec.content_key() != entry.get("key"):
             raise ConfigurationError(
                 "manifest spec key mismatch (corrupt manifest?)",

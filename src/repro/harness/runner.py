@@ -20,7 +20,6 @@ examples, parallel sweeps — measures through the identical code path.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
@@ -37,6 +36,7 @@ from repro.harness.configs import (
 )
 from repro.sim.engine_api import resolve_engine_name
 from repro.sim.rng import DeterministicRng
+from repro.stats.results import canonical_json
 from repro.stats.sweep import simulate_point
 from repro.traffic.generator import PacketMix, SyntheticTraffic
 from repro.traffic.patterns import make_pattern
@@ -234,8 +234,7 @@ class ExperimentSpec:
         """``(content_key(), curve key)`` from one serialization: the curve
         key is the canonical JSON without ``injection_rate``, shared by the
         specs of one latency curve."""
-        payload = json.dumps(self.to_dict(), sort_keys=True,
-                             separators=(",", ":"))
+        payload = canonical_json(self.to_dict())
         key = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
         # A number holds no comma, and injection_rate is never the last
         # key in sorted order, so the rate ends at the next comma.

@@ -29,6 +29,24 @@ from repro.stats.sweep import SweepPoint
 #: Version tag written into (and demanded from) every results file.
 RESULTS_SCHEMA = "repro.sweep-results/v1"
 
+#: The harness's one JSON form: sorted keys, no whitespace, ASCII escapes.
+#: CPython serves it from its C encoder — any ``indent`` would fall back
+#: to the pure-Python one, several times slower.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canonical_json(document: object) -> str:
+    """``document`` as one line of canonical JSON (no trailing newline).
+
+    The single form of every JSON artifact the harness writes (campaign
+    manifest, journal, ``status.json``, ``stream.jsonl``, results files)
+    and of the bytes a spec's content key hashes, so it must never change:
+    a different form would orphan every journal on disk.  Equal documents
+    give equal text.  Readers parse any JSON layout (``json.loads``), and
+    ``python -m json.tool`` pretty-prints the text for people.
+    """
+    return _CANONICAL.encode(document)
+
 
 def atomic_write_text(path: Union[str, Path], text: str) -> Path:
     """Durably replace ``path`` with ``text`` — all of it or none of it.
@@ -61,15 +79,15 @@ def results_to_json(points: List[SweepPoint],
                     meta: Optional[Dict[str, object]] = None) -> str:
     """Serialize points (plus optional metadata) to the canonical JSON text.
 
-    The text is fully deterministic for identical inputs: sorted keys,
-    fixed two-space indentation, trailing newline.
+    The text is fully deterministic for identical inputs: one line of
+    :func:`canonical_json` plus a trailing newline.
     """
     document = {
         "schema": RESULTS_SCHEMA,
         "meta": meta or {},
         "points": [point.to_dict() for point in points],
     }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return canonical_json(document) + "\n"
 
 
 def save_results(path: Union[str, Path], points: List[SweepPoint],
@@ -100,7 +118,12 @@ def results_from_json(text: str) -> Tuple[List[SweepPoint], Dict[str, object]]:
     raw_points = document.get("points")
     if not isinstance(raw_points, list):
         raise ConfigurationError("results file carries no points list")
-    points = [SweepPoint.from_dict(raw) for raw in raw_points]
+    points = []
+    for index, raw in enumerate(raw_points):
+        if not isinstance(raw, dict):
+            raise ConfigurationError("results point must be an object",
+                                     index=index, got=type(raw).__name__)
+        points.append(SweepPoint.from_dict(raw))
     meta = document.get("meta") or {}
     if not isinstance(meta, dict):
         raise ConfigurationError("results meta must be an object",

@@ -56,6 +56,8 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from repro.stats.results import atomic_write_text, canonical_json
+
 #: Version tag of the frame schema.
 STREAM_FORMAT = "repro.telemetry-stream/v1"
 
@@ -69,8 +71,6 @@ STREAM_LOG_NAME = "stream.jsonl"
 #: Default seconds without any frame after which a dispatched worker is
 #: *displayed* as hung (supervision kills on its own ``hang_timeout``).
 DEFAULT_HANG_AFTER = 10.0
-
-_COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
 
 # ----------------------------------------------------------------------
@@ -564,7 +564,7 @@ class LiveStatusPlane:
         self.aggregator.feed_frames((frame,))
         if self._log_handle is not None:
             try:
-                self._log_handle.write(json.dumps(frame, **_COMPACT) + "\n")
+                self._log_handle.write(canonical_json(frame) + "\n")
                 self._log_handle.flush()
             except (OSError, ValueError):  # pragma: no cover - disk gone
                 pass
@@ -584,12 +584,9 @@ class LiveStatusPlane:
     # -- status ----------------------------------------------------------
     def write_status(self, status: str) -> None:
         """Atomically rewrite ``status.json`` (crash leaves old or new)."""
-        from repro.stats.results import atomic_write_text
-
         payload = self.aggregator.snapshot(status)
         atomic_write_text(self.directory / STATUS_NAME,
-                          json.dumps(payload, indent=2, sort_keys=True)
-                          + "\n")
+                          canonical_json(payload) + "\n")
 
     # -- notification proxies (campaign engine) ---------------------------
     def point_done(self, key: str, ok: bool, point=None,

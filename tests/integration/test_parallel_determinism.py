@@ -11,11 +11,22 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.config import SimulationConfig
-from repro.harness.campaign import CampaignConfig, CampaignEngine
+from repro.harness.campaign import (
+    JOURNAL_NAME,
+    MANIFEST_NAME,
+    CampaignConfig,
+    CampaignEngine,
+)
 from repro.harness.runner import ExperimentSpec
-from repro.stats.results import results_from_json, results_to_json
+from repro.stats.results import (
+    canonical_json,
+    results_from_json,
+    results_to_json,
+)
 from repro.stats.sweep import curve_saturation_rate
+from repro.telemetry.live import STATUS_NAME
 
 SIM = SimulationConfig(warmup_cycles=100, measure_cycles=500,
                        drain_cycles=400, deadlock_abort_cycles=600)
@@ -130,8 +141,43 @@ class TestFileIdentity:
                                mesh_side=4, tdd=32, sim=SIM).curve(RATES[:2])
         points = _points(specs, jobs=1)
         text = results_to_json(points, {"rates": RATES[:2]})
-        # Stable key order and trailing newline: re-dumping the parsed
+        # One canonical line plus a newline: re-encoding the parsed
         # document reproduces the exact bytes.
-        redumped = json.dumps(json.loads(text), indent=2,
-                              sort_keys=True) + "\n"
-        assert text == redumped
+        assert text == canonical_json(json.loads(text)) + "\n"
+
+    @staticmethod
+    def _sweep(campaign, output):
+        args = ["sweep", "--design", "spin_mesh", "--rates", "0.02,0.05",
+                "--mesh-side", "4", "--tdd", "32", "--warmup", "100",
+                "--measure", "500", "--drain", "400", "--abort-cycles",
+                "600", "--jobs", "2", "--campaign", str(campaign),
+                "--output", str(output)]
+        assert main(args) == 0
+
+    def test_campaign_artifacts_are_canonical(self, tmp_path):
+        campaign = tmp_path / "camp"
+        self._sweep(campaign, tmp_path / "out.json")
+        for path in (campaign / MANIFEST_NAME, campaign / STATUS_NAME,
+                     tmp_path / "out.json"):
+            text = path.read_text()
+            assert text == canonical_json(json.loads(text)) + "\n", path
+        status = json.loads((campaign / STATUS_NAME).read_text())
+        assert status["campaign"]["ok"] == 2
+
+    def test_indented_manifest_resumes_to_identical_results(self, tmp_path,
+                                                            capsys):
+        gold = tmp_path / "gold.json"
+        self._sweep(tmp_path / "gold", gold)
+        campaign, output = tmp_path / "camp", tmp_path / "out.json"
+        self._sweep(campaign, output)
+        output.unlink()
+        # The layout written before the canonical form: an indented
+        # manifest, and a journal cut after its first record.
+        manifest = campaign / MANIFEST_NAME
+        manifest.write_text(json.dumps(json.loads(manifest.read_text()),
+                                       indent=2, sort_keys=True) + "\n")
+        journal = campaign / JOURNAL_NAME
+        journal.write_text(journal.read_text().split("\n")[0] + "\n")
+        assert main(["sweep", "--resume", str(campaign)]) == 0
+        assert "points_resumed=1" in capsys.readouterr().out
+        assert output.read_bytes() == gold.read_bytes()

@@ -81,6 +81,13 @@ class TestContentKey:
         clone = ExperimentSpec.from_dict(spec.to_dict())
         assert clone.content_key() == spec.content_key()
 
+    def test_key_is_pinned(self):
+        # Journals are filed under this key: a serialization change that
+        # moves it orphans every existing campaign directory.
+        spec = ExperimentSpec(design="spin_mesh", injection_rate=0.05,
+                              mesh_side=4, tdd=32)
+        assert spec.content_key() == "459242e1775639ba"
+
 
 class TestJournal:
     def _result(self, spec):
@@ -171,6 +178,20 @@ class TestManifest:
     def test_invalid_json_rejected(self, tmp_path):
         (tmp_path / MANIFEST_NAME).write_text("{not json")
         with pytest.raises(ConfigurationError, match="JSON"):
+            load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("entry", [
+        {"key": "459242e1775639ba"},
+        "459242e1775639ba",
+        {"key": "459242e1775639ba", "spec": ["spin_mesh"]},
+    ], ids=["key-only", "bare-string", "spec-not-object"])
+    def test_malformed_entry_rejected_with_index(self, tmp_path, entry):
+        write_manifest(tmp_path, tiny_curve(), {})
+        path = tmp_path / MANIFEST_NAME
+        payload = json.loads(path.read_text())
+        payload["specs"][1] = entry
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="index=1"):
             load_manifest(tmp_path)
 
 

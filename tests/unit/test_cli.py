@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -233,3 +235,14 @@ class TestSweepCampaign:
     def test_resume_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="manifest"):
             main(["sweep", "--resume", str(tmp_path / "nowhere")])
+
+    def test_resume_malformed_manifest_entry_rejected(self, tmp_path):
+        campaign = tmp_path / "camp"
+        assert main(self.SMALL + ["--rates", "0.02,0.05",
+                                  "--campaign", str(campaign)]) == 0
+        manifest = campaign / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        del payload["specs"][0]["spec"]
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="index=0"):
+            main(["sweep", "--resume", str(campaign)])

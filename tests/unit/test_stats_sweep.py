@@ -1,11 +1,14 @@
 """Unit tests for statistics collection and injection sweeps."""
 
+import json
+
 import pytest
 
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
 from repro.network.packet import Packet
 from repro.stats.collectors import LatencySummary, NetworkStats
+from repro.stats.results import RESULTS_SCHEMA, results_from_json
 from repro.stats.sweep import (
     SaturationCursor,
     SweepPoint,
@@ -280,3 +283,15 @@ class TestSweepPoint:
         data["latency_p75"] = 12.0
         with pytest.raises(ConfigurationError, match="unknown SweepPoint"):
             SweepPoint.from_dict(data)
+
+
+class TestResultsFile:
+    @pytest.mark.parametrize("raw", [5, None, [1, 2]],
+                             ids=["number", "null", "list"])
+    def test_non_object_point_rejected_with_index(self, raw):
+        good = SweepPoint(0.1, 10.0, 20.0, 0.1, 1.0, False, 10).to_dict()
+        text = json.dumps({"schema": RESULTS_SCHEMA, "meta": {},
+                           "points": [good, raw]})
+        with pytest.raises(ConfigurationError,
+                           match=r"point must be an object.*index=1"):
+            results_from_json(text)
