@@ -8,8 +8,11 @@ centralized reference: an omniscient controller that
 1. periodically runs the exact wait-graph oracle,
 2. extracts one cyclic dependency chain from the deadlocked set by
    following ``current_request`` edges,
-3. rotates it immediately (the network-wide synchronized move is free when
-   a single entity orchestrates it).
+3. hands it to :meth:`Network.rotate` immediately (the network-wide
+   synchronized move is free when a single entity orchestrates it).
+
+It only triggers the move; the move itself, its checks and its counting
+are the network's, shared with the distributed executor.
 
 It is useful as an upper bound when evaluating the distributed
 implementation's coordination overheads (see the ablation benchmark), for
@@ -58,7 +61,7 @@ class CentralizedSpinPlane:
             return
         ring = self._extract_ring(deadlocked, cycle)
         if ring:
-            self._rotate(ring, cycle)
+            self._spin(ring, cycle)
 
     # ------------------------------------------------------------------
     # Ring extraction
@@ -114,47 +117,17 @@ class CentralizedSpinPlane:
     # ------------------------------------------------------------------
     # Rotation
     # ------------------------------------------------------------------
-    def _rotate(self, ring: List[Tuple[object, int]], now: int) -> None:
+    def _spin(self, ring: List[Tuple[object, int]], now: int) -> None:
+        """Rotate the ring if it is whole and movable, else skip the period."""
         network = self.network
-        config = network.config
         count = len(ring)
-        # Sanity: contiguous and fully movable, else skip this period.
-        for i, (vc, outport) in enumerate(ring):
-            router = network.routers[vc.router]
+        for vc, _outport in ring:
             if vc.frozen or not vc.fully_arrived(now):
                 return
-            if not router.out_links[outport].is_free(now):
-                return
-            neighbor, dst_inport = router.out_neighbors[outport]
-            nxt = ring[(i + 1) % count][0]
-            if (neighbor.id, dst_inport) != (nxt.router, nxt.inport):
-                return
-        packets = [vc.packet for vc, _ in ring]
-        for vc, outport in ring:
-            router = network.routers[vc.router]
-            packet = vc.release(now)
-            router.out_links[outport].occupy(now, packet.length)
-            router.port_busy[vc.inport] = now + packet.length - 1
-            network.note_vc_released(router, vc)
-        for i, (vc, outport) in enumerate(ring):
-            router = network.routers[vc.router]
-            packet = packets[i]
-            target = ring[(i + 1) % count][0]
-            link = router.out_links[outport]
-            was_min = network.topology.min_hops(vc.router,
-                                                packet.routing_target)
-            target.free_at = min(target.free_at, now)
-            target.reserve(packet, now, link.latency, config.router_latency)
-            packet.hops += 1
-            packet.spins += 1
-            if network.topology.min_hops(target.router,
-                                         packet.routing_target) >= was_min:
-                packet.misroutes += 1
-            packet.current_request = None
-            network.routing.on_hop(packet, router, outport)
-            network.stats.count("flit_hops", packet.length)
-            network.note_vc_reserved(network.routers[target.router], target)
-        network.note_movement()
+        moves = [(vc, outport, ring[(i + 1) % count][0])
+                 for i, (vc, outport) in enumerate(ring)]
+        if network.ring_defect(moves, now) is not None:
+            return
+        network.rotate(moves, now)
         self.spins_performed += 1
         network.stats.count("centralized_spins")
-        network.stats.count("spin_hops", count)

@@ -1,16 +1,17 @@
-"""The spin: synchronized one-hop rotation of a frozen dependency ring.
+"""The spin executor: triggers the synchronized rotation of a frozen ring.
 
 At the agreed spin cycle every frozen VC of a recovery pushes its packet out
 of the requested output port *simultaneously*; each packet lands in the VC
 that its downstream neighbour vacates in the same cycle, so no free buffer
 is needed anywhere — the central insight of the paper.
 
-The executor performs the rotation atomically once per (initiator,
-spin-cycle) group, after validating that the frozen entries still form the
-closed chain the move SM arranged (DESIGN.md §3 "spin safety guard").  An
-invalid group — a hole left by a dropped kill_move, a busy output link, a
-duplicated link — is aborted: every entry unfreezes and its router returns
-to detection.  This guarantees the datapath no-loss/no-overwrite invariant
+The executor does not move packets itself: once per (initiator, spin-cycle)
+group it checks that the frozen entries still form the closed chain the
+move SM arranged (:meth:`Network.ring_defect`, DESIGN.md §3 "spin safety
+guard") and hands the ring to :meth:`Network.rotate`.  An invalid group — a
+hole left by a dropped kill_move, a busy output link, a link the ring
+crosses twice — is aborted: every entry unfreezes and its router returns to
+detection.  This guarantees the datapath no-loss/no-overwrite invariant
 under arbitrary SM races; the paper's own kill_move protocol makes aborts
 rare, and the property tests exercise both paths.
 """
@@ -50,21 +51,18 @@ class SpinExecutor:
         if not groups:
             return 0
         performed = 0
-        links_used = set()
         for source in sorted(groups):
             entries = [
                 vc for vc in groups[source]
                 if vc.frozen and vc.freeze_source == source
                 and vc.freeze_spin_cycle == now and vc.packet is not None
             ]
-            if self._spin_group(source, entries, links_used, now):
+            if self._spin_group(entries, now):
                 performed += 1
         return performed
 
-    def _spin_group(self, source: int, entries: List[VirtualChannel],
-                    links_used: set, now: int) -> bool:
+    def _spin_group(self, entries: List[VirtualChannel], now: int) -> bool:
         network = self.framework.network
-        stats = self.framework.stats
         if len(entries) < 2:
             self._abort(entries, now, "undersized")
             return False
@@ -73,26 +71,14 @@ class SpinExecutor:
         if indices != list(range(len(entries))):
             self._abort(entries, now, "broken_chain")
             return False
-        # Verify the ring is closed and every output link is usable.
         count = len(entries)
-        for i, vc in enumerate(entries):
-            router = network.routers[vc.router]
-            outport = vc.freeze_outport
-            neighbor_entry = router.out_neighbors.get(outport)
-            if neighbor_entry is None:
-                self._abort(entries, now, "bad_port")
-                return False
-            neighbor, dst_inport = neighbor_entry
-            target = entries[(i + 1) % count]
-            if neighbor.id != target.router or dst_inport != target.inport:
-                self._abort(entries, now, "broken_chain")
-                return False
-            link_key = (vc.router, outport)
-            if link_key in links_used or not router.out_links[outport].is_free(now):
-                self._abort(entries, now, "link_busy")
-                return False
-        for vc in entries:
-            links_used.add((vc.router, vc.freeze_outport))
+        moves = [(vc, vc.freeze_outport, entries[(i + 1) % count])
+                 for i, vc in enumerate(entries)]
+        # A link an earlier group of this cycle spun across is busy now.
+        defect = network.ring_defect(moves, now)
+        if defect is not None:
+            self._abort(entries, now, defect)
+            return False
 
         if self.framework.collect_ground_truth:
             self._classify_ground_truth(entries, now)
@@ -104,48 +90,25 @@ class SpinExecutor:
             was = initiators.get(vc.router, False)
             initiators[vc.router] = was or vc.freeze_path_index == 0
 
-        self._rotate(entries, now)
-        stats.count("spins")
-        stats.count("spin_hops", len(entries))
+        self._rotate(moves, now)
+        self.framework.stats.count("spins")
         injector = getattr(network, "fault_injector", None)
         if injector is not None and injector.faults_fired > 0:
             # A recovery completed on a fabric that has seen injected
             # faults — the headline robustness metric (docs/FAULTS.md).
-            stats.count("recoveries_after_fault")
+            self.framework.stats.count("recoveries_after_fault")
         for router_id, was_initiator in initiators.items():
             self.framework.controllers[router_id].on_spin_complete(
                 now, was_initiator)
         return True
 
-    def _rotate(self, entries: List[VirtualChannel], now: int) -> None:
-        network = self.framework.network
-        routing = network.routing
-        config = network.config
-        count = len(entries)
-        # Capture per-entry context before release() clears the freeze state.
-        packets = [vc.packet for vc in entries]
-        outports = [vc.freeze_outport for vc in entries]
-        initiator = entries[0].freeze_source
-        for vc, outport in zip(entries, outports):
-            router = network.routers[vc.router]
-            packet = vc.release(now)
-            router.out_links[outport].occupy(now, packet.length)
-            router.port_busy[vc.inport] = now + packet.length - 1
-            network.note_vc_released(router, vc)
-        for i, vc in enumerate(entries):
-            router = network.routers[vc.router]
-            outport = outports[i]
-            packet = packets[i]
-            target = entries[(i + 1) % count]
-            link = router.out_links[outport]
-            was_min = network.topology.min_hops(vc.router, packet.routing_target)
-            # The slot frees exactly as its resident drains: the simultaneity
-            # of the spin is what makes this safe (paper Sec. III).
-            target.free_at = now
-            target.reserve(packet, now, link.latency, config.router_latency)
-            packet.hops += 1
-            packet.spins += 1
-            if packet.spins > self.framework.params.max_spins:
+    def _rotate(self, moves: list, now: int) -> None:
+        """:meth:`Network.rotate` the ring, then hold the ``max_spins`` valve."""
+        initiator = moves[0][0].freeze_source
+        packets = self.framework.network.rotate(moves, now)
+        limit = self.framework.params.max_spins
+        for (vc, _outport, _target), packet in zip(moves, packets):
+            if packet.spins > limit:
                 # Simulation-only safety valve (SpinParams.max_spins): the
                 # theory bounds the spins one deadlock needs, so exceeding
                 # the valve indicates a simulator or protocol bug.
@@ -155,15 +118,6 @@ class SpinExecutor:
                     cycle=now, router=vc.router, packet=packet.uid,
                     spins=packet.spins, fsm_state=controller.state.name,
                     initiator=initiator)
-            now_min = network.topology.min_hops(target.router,
-                                                packet.routing_target)
-            if now_min >= was_min:
-                packet.misroutes += 1
-            packet.current_request = None
-            routing.on_hop(packet, router, outport)
-            network.stats.count("flit_hops", packet.length)
-            network.note_vc_reserved(network.routers[target.router], target)
-        network.note_movement()
 
     def _classify_ground_truth(self, entries: List[VirtualChannel],
                                now: int) -> None:

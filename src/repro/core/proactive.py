@@ -15,12 +15,16 @@ This implementation:
   buffer along the walk is distinct);
 * designates VC 0 of each walk-arrival input port as the *drain chain*;
 * when the network has made no forward progress for ``stall_threshold``
-  cycles, synchronously rotates every movable occupant of the chain one
-  step along the walk (same simultaneity argument as the reactive spin:
-  each packet lands in the buffer its successor vacates);
+  cycles, hands every movable occupant of the chain to
+  :meth:`Network.rotate` for one step along the walk (same simultaneity
+  argument as the reactive spin: each packet lands in the buffer its
+  successor vacates, or in an idle one);
 * rotated packets may be misrouted (the walk ignores their destinations);
   fully adaptive routing re-steers them afterwards, and the misroute is
   charged to the packet like any non-minimal hop.
+
+The plane only decides when and which occupants move; the move and its
+counting are the network's, shared with the reactive executor.
 
 Cost trade-off vs the reactive framework (measured in the ablation bench):
 no probe traffic and no per-loop coordination latency, but spins touch
@@ -201,40 +205,10 @@ class ProactiveSpinPlane:
         moving = [i for i in range(count) if movable[i]]
         if not moving:
             return
-        # Capture packets, then vacate, then land — all at ``now``.
-        packets = {i: self._chain_vc(i).packet for i in moving}
-        config = network.config
-        for i in moving:
-            router_id, _inport, outport = chain[i]
-            router = network.routers[router_id]
-            vc = self._chain_vc(i)
-            packet = vc.release(now)
-            router.out_links[outport].occupy(now, packet.length)
-            router.port_busy[vc.inport] = now + packet.length - 1
-            network.note_vc_released(router, vc)
-        for i in moving:
-            router_id, _inport, outport = chain[i]
-            router = network.routers[router_id]
-            packet = packets[i]
-            target_vc = self._chain_vc((i + 1) % count)
-            link = router.out_links[outport]
-            was_min = network.topology.min_hops(router_id,
-                                                packet.routing_target)
-            target_vc.free_at = min(target_vc.free_at, now)
-            target_vc.reserve(packet, now, link.latency,
-                              config.router_latency)
-            packet.hops += 1
-            packet.spins += 1
-            now_min = network.topology.min_hops(target_vc.router,
-                                                packet.routing_target)
-            if now_min >= was_min:
-                packet.misroutes += 1
-            packet.current_request = None
-            network.routing.on_hop(packet, router, outport)
-            network.stats.count("flit_hops", packet.length)
-            network.note_vc_reserved(network.routers[target_vc.router],
-                                     target_vc)
-        network.note_movement()
+        # Idle targets keep their earlier free_at; vacated ones free now.
+        network.rotate([(self._chain_vc(i), chain[i][2],
+                         self._chain_vc((i + 1) % count)) for i in moving],
+                       now)
         self.drains_performed += 1
         self.packets_drained += len(moving)
         network.stats.count("proactive_drains")

@@ -200,6 +200,80 @@ class Network:
         self.stats.record_creation(packet, now)
         return packet
 
+    def ring_defect(self, moves, now: int) -> Optional[str]:
+        """Why the closed ring ``moves`` cannot spin at ``now``, or None.
+
+        ``moves`` is a :meth:`rotate` list whose targets close the ring.
+        The first defect in ring order wins: ``bad_port`` (no link at the
+        out port), ``broken_chain`` (the link does not end at the target's
+        input port) or ``link_busy`` (the link is dead, still streaming, or
+        already taken by an earlier move of this ring — a link carries one
+        flit per cycle, so a ring may cross each link once).
+        """
+        routers = self.routers
+        taken = set()
+        for vc, outport, target in moves:
+            router = routers[vc.router]
+            neighbor_entry = router.out_neighbors.get(outport)
+            if neighbor_entry is None:
+                return "bad_port"
+            neighbor, dst_inport = neighbor_entry
+            if neighbor.id != target.router or dst_inport != target.inport:
+                return "broken_chain"
+            key = (vc.router, outport)
+            if key in taken or not router.out_links[outport].is_free(now):
+                return "link_busy"
+            taken.add(key)
+        return None
+
+    def rotate(self, moves, now: int) -> List[Packet]:
+        """Move every packet of ``moves`` one hop at once (the spin).
+
+        ``moves`` is an ordered list of ``(vc, outport, target_vc)``: the
+        packet in ``vc`` leaves through ``outport`` and lands in
+        ``target_vc``.  Every VC is released before any target is
+        reserved, so a packet may land in the buffer another move vacates
+        in the same cycle — no free buffer is needed (paper Sec. III).  A
+        target that no move vacates must already be idle.  The caller
+        checks that the move is legal (:meth:`ring_defect`).
+
+        The one out-of-datapath packet mover of the control planes: it
+        fires the per-VC events and counts what a flit hop counts, plus
+        ``spin_hops``.  Returns the moved packets in ``moves`` order.
+        """
+        routers = self.routers
+        packets = []
+        for vc, outport, _target in moves:
+            router = routers[vc.router]
+            packet = vc.release(now)
+            router.out_links[outport].occupy(now, packet.length)
+            router.port_busy[vc.inport] = now + packet.length - 1
+            self.note_vc_released(router, vc)
+            packets.append(packet)
+        min_hops = self.topology.min_hops
+        router_latency = self.config.router_latency
+        flits = 0
+        for (vc, outport, target), packet in zip(moves, packets):
+            router = routers[vc.router]
+            was_min = min_hops(vc.router, packet.routing_target)
+            # A vacated target was released above (its free_at is later
+            # than now): the slot frees exactly as its resident drains.
+            target.free_at = min(target.free_at, now)
+            target.reserve(packet, now, router.out_links[outport].latency,
+                           router_latency)
+            packet.hops += 1
+            packet.spins += 1
+            if min_hops(target.router, packet.routing_target) >= was_min:
+                packet.misroutes += 1
+            packet.current_request = None
+            self.routing.on_hop(packet, router, outport)
+            flits += packet.length
+            self.note_vc_reserved(routers[target.router], target)
+        self.stats.count("flit_hops", flits)
+        self.stats.count("spin_hops", len(moves))
+        self.note_movement()
+        return packets
+
     def wake_router(self, router_id: int) -> None:
         """Control work changed what this router's allocation would do —
         it froze or thawed a VC — without a VC event.

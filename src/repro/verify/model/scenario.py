@@ -152,10 +152,10 @@ class _PhantomSpin(_Intervention):
         executor = network.spin.executor
         tracker = self
 
-        def unfreeze_only(entries, now):
+        def unfreeze_only(moves, now):
             if tracker.fired_at is None:
                 tracker.fired_at = now
-            for vc in entries:
+            for vc, _outport, _target in moves:
                 vc.clear_freeze()
 
         executor._rotate = unfreeze_only

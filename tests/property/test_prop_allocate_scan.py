@@ -15,20 +15,28 @@ grant counts, every ``_rr`` pointer, the whole datapath state, the SPIN
 controllers and the routing RNG state.
 
 The same harness holds the ``fast`` engine to the ``reference`` one while
-packets are planted mid-run: a plant reaches the SoA mirrors, sleeping
-routers and the SPIN schedule only through its per-VC event.
+packets are planted mid-run, and while the centralized and proactive planes
+spin a planted ring through ``Network.rotate``: a plant or a spin reaches
+the SoA mirrors, sleeping routers and the SPIN schedule only through its
+per-VC events.
 """
 
 import functools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import SpinParams
+from repro.config import NetworkConfig, SpinParams
+from repro.core.centralized import CentralizedSpinPlane
+from repro.core.proactive import ProactiveSpinPlane
 from repro.harness.configs import build_network
+from repro.network.network import Network
 from repro.network.router import is_ejection_port
+from repro.routing.adaptive import MinimalAdaptiveRouting
 from repro.sim import create_engine
 from repro.sim.engine import Simulator
+from repro.topology.mesh import MeshTopology
 from repro.traffic.generator import SyntheticTraffic
 from repro.traffic.patterns import make_pattern
 
@@ -379,4 +387,48 @@ def test_the_spin_scenario_really_spins():
              for exhaustive in (False, True)]
     run_side_by_side(*sides, cycles=SPIN_CYCLES)
     assert sides[0].network.stats.events.get("spins", 0) >= 1
+    assert sides[0].network.stats.packets_delivered == 4
+
+
+#: Long enough for either plane to spin the planted square and for the
+#: traffic that queued behind it to drain.
+PLANE_CYCLES = 200
+
+
+def _plane_side(engine, plane, seed, rate):
+    control = (CentralizedSpinPlane(check_period=8) if plane == "centralized"
+               else ProactiveSpinPlane(stall_threshold=16, period=8))
+    network = Network(MeshTopology(4, 4), NetworkConfig(vcs_per_vnet=1),
+                      MinimalAdaptiveRouting(seed),
+                      control_planes=(control,), seed=seed)
+    craft_square_deadlock(network)
+    pattern = make_pattern("uniform", network.topology.num_nodes, 4)
+    traffic = SyntheticTraffic(network, pattern, rate, seed=seed,
+                               stop_at=80)
+    return Side(network, [traffic], False, engine)
+
+
+@given(plane=st.sampled_from(["centralized", "proactive"]),
+       seed=st.integers(0, 10_000), rate=st.floats(0.0, 0.08))
+@settings(max_examples=10, deadline=None)
+def test_fast_equals_reference_through_plane_spins(plane, seed, rate):
+    """The centralized and proactive planes move packets through
+    ``Network.rotate`` outside ``allocate``; the SoA core sees the moves
+    only through the per-VC events, every cycle."""
+    sides = [_plane_side(engine, plane, seed, rate)
+             for engine in ("fast", "reference")]
+    run_side_by_side(*sides, cycles=PLANE_CYCLES)
+    assert sides[0].simulator.engine_path == "soa"
+
+
+@pytest.mark.parametrize("plane,counter", [
+    ("centralized", "centralized_spins"), ("proactive", "proactive_drains")])
+def test_the_plane_scenarios_really_spin(plane, counter):
+    sides = [_plane_side(engine, plane, seed=5, rate=0.0)
+             for engine in ("fast", "reference")]
+    run_side_by_side(*sides, cycles=PLANE_CYCLES)
+    assert sides[0].simulator.engine_path == "soa"
+    events = sides[0].network.stats.events
+    assert events.get(counter, 0) >= 1
+    assert events["spin_hops"] >= 1
     assert sides[0].network.stats.packets_delivered == 4

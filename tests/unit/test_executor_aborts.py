@@ -87,18 +87,22 @@ class TestAbortPaths:
 
 class TestLinkDedup:
     def test_two_groups_sharing_a_link_cannot_both_spin(self):
-        # Construct two fake frozen groups that both claim the same link in
+        # Construct two fake frozen groups that both claim the same links in
         # the same cycle; the executor must abort the second.
         network, packets, sim = frozen_network(m=6)
         entries = sorted(frozen_entries(network),
                          key=lambda vc: vc.freeze_path_index)
         spin_cycle = entries[0].freeze_spin_cycle
-        # Two real groups cannot share occupied VCs, so verify the
-        # executor's per-cycle links_used bookkeeping directly.
+        source = entries[0].freeze_source
+        outports = [vc.freeze_outport for vc in entries]
         executor = network.spin.executor
-        links_used = set()
-        ok_first = executor._spin_group(
-            entries[0].freeze_source, list(entries), links_used, spin_cycle)
-        assert ok_first
-        # All ring links are now marked used for this cycle.
-        assert len(links_used) == 6
+        assert executor._spin_group(list(entries), spin_cycle)
+        # Two real groups cannot share occupied VCs, so refreeze the rotated
+        # ring as a second group of the same cycle: every link it needs
+        # carries the first group's packets now.
+        for index, (vc, outport) in enumerate(zip(entries, outports)):
+            vc.freeze(outport, source, spin_cycle, index)
+        assert not executor._spin_group(list(entries), spin_cycle)
+        events = network.stats.events
+        assert events["spins_aborted_link_busy"] == 1
+        assert events["spin_hops"] == 6
