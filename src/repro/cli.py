@@ -442,7 +442,6 @@ def cmd_model_check(args) -> int:
     """Exhaustively model-check the SPIN control plane on a tiny design."""
     import json
 
-    from repro.telemetry import MetricsRegistry
     from repro.verify.model import ModelChecker
     from repro.verify.model.designs import DESIGNS
     from repro.verify.model.transitions import MUTATIONS
@@ -463,20 +462,12 @@ def cmd_model_check(args) -> int:
         mutation=args.mutation,
     )
 
-    registry = MetricsRegistry()
-    states_counter = registry.counter("model_check_states")
-    visited_gauge = registry.gauge("model_check_visited")
-    frontier_gauge = registry.gauge("model_check_frontier")
-    depth_gauge = registry.gauge("model_check_depth")
-    ticks = [0]
+    reports = peak_frontier = 0
 
     def progress(visited: int, frontier: int, depth: int) -> None:
-        states_counter.inc(visited - states_counter.value)
-        tick = ticks[0]
-        ticks[0] = tick + 1
-        visited_gauge.record(tick, visited)
-        frontier_gauge.record(tick, frontier)
-        depth_gauge.record(tick, depth)
+        nonlocal reports, peak_frontier
+        reports += 1
+        peak_frontier = max(peak_frontier, frontier)
         if not args.quiet:
             print(f"  ... visited={visited} frontier={frontier} "
                   f"depth={depth}", file=sys.stderr)
@@ -528,8 +519,8 @@ def cmd_model_check(args) -> int:
         payload["design"] = args.design
         payload["scheme"] = args.scheme
         payload["telemetry"] = {
-            "progress_reports": ticks[0],
-            "peak_frontier": frontier_gauge.maximum(),
+            "progress_reports": reports,
+            "peak_frontier": peak_frontier,
         }
         with open(args.output, "w", encoding="ascii") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)

@@ -130,12 +130,12 @@ class NetworkConfig:
 class SpinParams:
     """Parameters of the SPIN deadlock-recovery framework (paper Sec. IV).
 
+    ``Network(spin=None)`` runs without SPIN.  The SM-loss watchdog
+    constants live in :mod:`repro.core.controller` (docs/FAULTS.md).
+
     Attributes:
-        enabled: Whether SPIN controllers are attached to the routers.
         tdd: Deadlock-detection threshold in cycles.  The paper's default is
             128; smaller values are convenient for unit tests.
-        epoch_factor: The rotating-priority epoch is ``epoch_factor * tdd``
-            cycles (Sec. IV-C1 chooses 4).
         probe_move_enabled: Enables the probe_move optimization for deadlocks
             that need multiple spins (Sec. IV-B4).  Exposed for ablation.
         strict_priority_drop: If true, a probe is dropped at *any* router
@@ -143,68 +143,27 @@ class SpinParams:
             of Sec. IV-C1).  The default drops probes only on output-link
             contention, matching the paper's "common case" discussion.  See
             DESIGN.md substitution note 5.
-        sync_slack: Extra cycles added on top of ``2 x loop_delay`` when
-            scheduling the spin cycle.  0 reproduces the paper's formula.
-        probe_path_factor: A probe whose recorded path exceeds
-            ``probe_path_factor x num_routers`` hops is dropped.  Any simple
-            dependency chain visits a router at most once per input port, and
-            the paper's figure-8 case at most twice, so 2 covers every
-            resolvable loop; the cap exists to shoot down *orbiting* probes
-            (rho-shaped dependency walks) which otherwise win link contention
-            for their whole orbit and starve other recoveries.
         max_spins: Safety valve for simulation only — abort the run if one
             deadlock needs more than this many spins (the theory bounds the
             number of spins, so hitting this indicates a bug, not a policy).
-        watchdog_enabled: Hardening against *lost* special messages (faulty
-            control wiring, runtime link failures — see docs/FAULTS.md):
-            every SM round trip an initiator starts is covered by a
-            watchdog timeout derived from the theorem's loop-delay bound;
-            on expiry the SM is retried a bounded number of times with
-            exponential backoff, after which the FSM degrades gracefully
-            back to detection/OFF instead of hanging.
-        watchdog_margin: Extra cycles added on top of the loop-delay bound
-            when arming a watchdog (absorbs SM queueing jitter).
-        max_sm_retries: Retries per lost SM round trip before the watchdog
-            gives up and the FSM resets.
-        backoff_factor: Multiplier applied to the watchdog timeout after
-            each retry (exponential backoff).
     """
 
-    enabled: bool = True
     tdd: int = 128
-    epoch_factor: int = 4
     probe_move_enabled: bool = True
     strict_priority_drop: bool = False
-    sync_slack: int = 0
-    probe_path_factor: int = 2
     max_spins: int = 10_000
-    watchdog_enabled: bool = True
-    watchdog_margin: int = 16
-    max_sm_retries: int = 3
-    backoff_factor: int = 2
 
     def __post_init__(self) -> None:
         if self.tdd < 1:
             raise ConfigurationError("tdd must be >= 1")
-        if self.epoch_factor < 1:
-            raise ConfigurationError("epoch_factor must be >= 1")
-        if self.sync_slack < 0:
-            raise ConfigurationError("sync_slack must be >= 0")
-        if self.probe_path_factor < 1:
-            raise ConfigurationError("probe_path_factor must be >= 1")
         if self.max_spins < 1:
             raise ConfigurationError("max_spins must be >= 1")
-        if self.watchdog_margin < 0:
-            raise ConfigurationError("watchdog_margin must be >= 0")
-        if self.max_sm_retries < 0:
-            raise ConfigurationError("max_sm_retries must be >= 0")
-        if self.backoff_factor < 1:
-            raise ConfigurationError("backoff_factor must be >= 1")
 
     @property
     def epoch_length(self) -> int:
-        """Length of one rotating-priority epoch in cycles."""
-        return self.epoch_factor * self.tdd
+        """Length of one rotating-priority epoch: ``4 x tdd`` cycles, the
+        value Sec. IV-C1 chooses."""
+        return 4 * self.tdd
 
 
 @dataclass

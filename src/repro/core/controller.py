@@ -17,7 +17,7 @@ the synchronized movement itself is performed by
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.core.fsm import FREEZABLE_STATES, SpinState
 from repro.core.messages import (
@@ -28,6 +28,38 @@ from repro.core.messages import (
 )
 from repro.network.router import is_ejection_port
 from repro.network.vc import VirtualChannel
+
+#: SM-loss watchdog (docs/FAULTS.md): extra cycles on top of the loop-delay
+#: bound when arming a watchdog (absorbs SM queueing jitter), retries per
+#: lost SM round trip before the FSM resets, and the timeout's multiplier
+#: per retry (exponential backoff).
+WATCHDOG_MARGIN = 16
+MAX_SM_RETRIES = 3
+BACKOFF_FACTOR = 2
+
+
+class _MoveFamily(NamedTuple):
+    """One kind of the move family (move, probe_move): the initiator state
+    its own SM returns into, and its ``<kind>s_<outcome>`` counter names."""
+
+    state: SpinState
+    sent: str
+    returned: str
+    stale: str
+    dropped_busy: str
+    dropped_priority: str
+    dropped_malformed: str
+    dropped_no_dependency: str
+
+
+#: A probe_move is the move of the next spin (paper Sec. IV-B4): both
+#: kinds take one handler, which differs only in these fields.
+MOVE_FAMILIES = {
+    kind: _MoveFamily(state, *(f"{kind}s_{outcome}"
+                               for outcome in _MoveFamily._fields[1:]))
+    for kind, state in (("move", SpinState.MOVE),
+                        ("probe_move", SpinState.PROBE_MOVE))
+}
 
 
 class SpinController:
@@ -210,15 +242,12 @@ class SpinController:
                              vnet=vnet)
         self.framework.send_sm(self.router.id, outport, probe, now)
         self.framework.on_probe_sent(self.router.id, now)
-        if self.params.watchdog_enabled:
-            # Arm the SM-loss watchdog (docs/FAULTS.md): the round trip is
-            # bounded by the theorem's loop-delay bound; exponential backoff
-            # keeps retries of a persistently-lossy path cheap.
-            timeout = (self.framework.sm_rtt_bound
-                       * self.params.backoff_factor ** retries
-                       + self.params.watchdog_margin)
-            self.probe_pending = (inport, outport, vnet, now + timeout,
-                                  retries)
+        # Arm the SM-loss watchdog (docs/FAULTS.md): the round trip is
+        # bounded by the theorem's loop-delay bound; exponential backoff
+        # keeps retries of a persistently-lossy path cheap.
+        timeout = (self.framework.sm_rtt_bound * BACKOFF_FACTOR ** retries
+                   + WATCHDOG_MARGIN)
+        self.probe_pending = (inport, outport, vnet, now + timeout, retries)
 
     def _check_probe_watchdog(self, now: int) -> None:
         """Retry (bounded) a probe whose round trip outlived its bound.
@@ -226,7 +255,7 @@ class SpinController:
         The rotating detection pointer is the natural re-probe mechanism in
         fault-free operation; the watchdog is the backstop for *lost* SMs —
         it re-probes the same dependency promptly instead of waiting a full
-        ``tdd`` rotation, and gives up after ``max_sm_retries`` so a truly
+        ``tdd`` rotation, and gives up after ``MAX_SM_RETRIES`` so a truly
         dead control path degrades back to plain detection.
         """
         pending = self.probe_pending
@@ -235,7 +264,7 @@ class SpinController:
         inport, outport, vnet, _, retries = pending
         self.probe_pending = None
         self.framework.stats.count("watchdog_fires")
-        if retries >= self.params.max_sm_retries:
+        if retries >= MAX_SM_RETRIES:
             self.framework.stats.count("watchdog_gave_up")
             return
         if self._freezable_vc(inport, outport, vnet, now) is None:
@@ -251,27 +280,17 @@ class SpinController:
         keep VCs frozen for a spin that will never happen (the FROZEN escape
         in :meth:`tick` eventually unsticks them, but slowly).  Retrying the
         kill is cheap and idempotent: unfreezing an already-thawed VC is a
-        no-op.  After ``max_sm_retries`` the initiator resets regardless —
+        no-op.  After ``MAX_SM_RETRIES`` the initiator resets regardless —
         its own state must not hang on a dead control path.
         """
         self.framework.stats.count("watchdog_fires")
-        if (
-            self.params.watchdog_enabled
-            and self.kill_retries < self.params.max_sm_retries
-            and self.loop_path
-        ):
+        if self.kill_retries < MAX_SM_RETRIES and self.loop_path:
             self.kill_retries += 1
             self.framework.stats.count("sm_retries")
             self.framework.stats.count("kill_move_retries")
-            self.deadline = now + (
-                (self.loop_delay + self.params.sync_slack + 1)
-                * self.params.backoff_factor ** self.kill_retries)
-            kill = KillMoveMessage(sender=self.router.id, send_cycle=now,
-                                   path=self.loop_path, hop_index=1,
-                                   vnet=self.probe_vnet)
-            self.framework.send_sm(self.router.id, self.probe_outport, kill,
-                                   now)
-            self.framework.stats.count("kill_moves_sent")
+            self.deadline = now + ((self.loop_delay + 1)
+                                   * BACKOFF_FACTOR ** self.kill_retries)
+            self._send_kill(now)
             return
         self.framework.stats.count("watchdog_resets")
         self._finish_recovery(now)
@@ -280,30 +299,31 @@ class SpinController:
         self.loop_path = probe.path
         self.loop_delay = now - probe.send_cycle
         self.state = SpinState.MOVE
-        self.deadline = now + self.loop_delay + self.params.sync_slack + 1
-        self.spin_cycle = now + 2 * self.loop_delay + self.params.sync_slack
-        move = MoveMessage(sender=self.router.id, send_cycle=now,
-                           path=self.loop_path, spin_cycle=self.spin_cycle,
-                           hop_index=1, vnet=self.probe_vnet)
-        self.framework.send_sm(self.router.id, self.probe_outport, move, now)
-        self.framework.stats.count("moves_sent")
+        self._send_move(now, MoveMessage)
 
     def _emit_probe_move(self, now: int) -> None:
         self.probe_move_send_at = None
-        self.spin_cycle = now + 2 * self.loop_delay + self.params.sync_slack
-        self.deadline = now + self.loop_delay + self.params.sync_slack + 1
-        probe_move = ProbeMoveMessage(
-            sender=self.router.id, send_cycle=now, path=self.loop_path,
-            spin_cycle=self.spin_cycle, hop_index=1, vnet=self.probe_vnet)
-        self.framework.send_sm(self.router.id, self.probe_outport,
-                               probe_move, now)
-        self.framework.stats.count("probe_moves_sent")
+        self._send_move(now, ProbeMoveMessage)
+
+    def _send_move(self, now: int, message) -> None:
+        """Send a move-family SM round the loop, arranging the spin for
+        ``2 x loop_delay`` cycles from now (the paper's formula)."""
+        self.deadline = now + self.loop_delay + 1
+        self.spin_cycle = now + 2 * self.loop_delay
+        move = message(sender=self.router.id, send_cycle=now,
+                       path=self.loop_path, spin_cycle=self.spin_cycle,
+                       hop_index=1, vnet=self.probe_vnet)
+        self.framework.send_sm(self.router.id, self.probe_outport, move, now)
+        self.framework.stats.count(MOVE_FAMILIES[message.kind].sent)
 
     def _start_kill(self, now: int) -> None:
         """The move/probe_move was dropped somewhere: cancel the spin."""
         self.state = SpinState.KILL_MOVE
         self.kill_retries = 0
-        self.deadline = now + self.loop_delay + self.params.sync_slack + 1
+        self.deadline = now + self.loop_delay + 1
+        self._send_kill(now)
+
+    def _send_kill(self, now: int) -> None:
         kill = KillMoveMessage(sender=self.router.id, send_cycle=now,
                                path=self.loop_path, hop_index=1,
                                vnet=self.probe_vnet)
@@ -316,17 +336,7 @@ class SpinController:
             self.is_deadlock = False
             self.latched_source = None
             self._unfreeze_own(self.router.id)
-        self.loop_path = ()
-        self.spin_cycle = None
-        self.probe_move_send_at = None
-        self.probe_inport = None
-        self.probe_outport = None
-        self.pointer = None
-        self.pointed_uid = None
-        self.probe_pending = None
-        self.kill_retries = 0
-        self.state = SpinState.DD
-        self._point_at_next_active_vc(now)
+        self._reset_to_detection(now)
 
     def _unfreeze_own(self, source: int) -> None:
         for inport, vcs in self.router.all_inports():
@@ -338,14 +348,13 @@ class SpinController:
     # SM reception
     # ------------------------------------------------------------------
     def on_sm(self, sm, inport: int, now: int) -> None:
-        if sm.kind == "probe":
+        kind = sm.kind
+        if kind == "probe":
             self._on_probe(sm, inport, now)
-        elif sm.kind == "move":
-            self._on_move(sm, inport, now)
-        elif sm.kind == "probe_move":
-            self._on_probe_move(sm, inport, now)
-        elif sm.kind == "kill_move":
+        elif kind == "kill_move":
             self._on_kill_move(sm, inport, now)
+        elif kind in MOVE_FAMILIES:
+            self._on_move(sm, MOVE_FAMILIES[kind], inport, now)
 
     # --- probe ---------------------------------------------------------
     def _on_probe(self, probe: ProbeMessage, inport: int, now: int) -> None:
@@ -418,32 +427,35 @@ class SpinController:
             framework.send_sm(self.router.id, outport,
                               probe.forked(outport), now)
 
-    # --- move ----------------------------------------------------------
-    def _on_move(self, move: MoveMessage, inport: int, now: int) -> None:
+    # --- move and probe_move --------------------------------------------
+    def _on_move(self, move, family: _MoveFamily, inport: int,
+                 now: int) -> None:
         if move.sender == self.router.id and not move.path:
-            self._on_own_move_returned(move, inport, now)
+            self._on_own_move_returned(move, family, now)
             return
+        stats = self.framework.stats
         if self.is_deadlock and self.latched_source != move.sender:
-            self.framework.stats.count("moves_dropped_busy")
+            stats.count(family.dropped_busy)
             return
         if self._yields_to_rival_initiator(move.sender, now):
-            self.framework.stats.count("moves_dropped_priority")
+            stats.count(family.dropped_priority)
             return
         if not move.path:
-            self.framework.stats.count("moves_dropped_malformed")
+            stats.count(family.dropped_malformed)
             return
         vc = self._freezable_vc(inport, move.first_port, move.vnet, now)
         if vc is None:
-            self.framework.stats.count("moves_dropped_no_dependency")
+            # For a probe_move: the previous spin resolved the chain.
+            stats.count(family.dropped_no_dependency)
             return
         self._freeze(vc, move, now)
         self.framework.send_sm(self.router.id, move.first_port,
                                move.advanced(), now)
 
-    def _on_own_move_returned(self, move: MoveMessage, inport: int,
+    def _on_own_move_returned(self, move, family: _MoveFamily,
                               now: int) -> None:
-        if self.state is not SpinState.MOVE or move.spin_cycle != self.spin_cycle:
-            self.framework.stats.count("moves_stale")
+        if self.state is not family.state or move.spin_cycle != self.spin_cycle:
+            self.framework.stats.count(family.stale)
             return
         if self.is_deadlock and self.latched_source != self.router.id:
             self._start_kill(now)
@@ -460,7 +472,7 @@ class SpinController:
         self.framework.executor.register(vc)
         self.state = SpinState.FORWARD_PROGRESS
         self.deadline = self.spin_cycle
-        self.framework.stats.count("moves_returned")
+        self.framework.stats.count(family.returned)
 
     def _yields_to_rival_initiator(self, sender: int, now: int) -> bool:
         """Symmetry breaker between concurrent recovery initiators.
@@ -504,56 +516,6 @@ class SpinController:
             self.state = SpinState.FROZEN
             self.deadline = move.spin_cycle
         self.framework.executor.register(vc)
-
-    # --- probe_move ------------------------------------------------------
-    def _on_probe_move(self, probe_move: ProbeMoveMessage, inport: int,
-                       now: int) -> None:
-        if probe_move.sender == self.router.id and not probe_move.path:
-            self._on_own_probe_move_returned(probe_move, now)
-            return
-        if self.is_deadlock and self.latched_source != probe_move.sender:
-            self.framework.stats.count("probe_moves_dropped_busy")
-            return
-        if self._yields_to_rival_initiator(probe_move.sender, now):
-            self.framework.stats.count("probe_moves_dropped_priority")
-            return
-        if not probe_move.path:
-            self.framework.stats.count("probe_moves_dropped_malformed")
-            return
-        vc = self._freezable_vc(inport, probe_move.first_port,
-                                probe_move.vnet, now)
-        if vc is None:
-            # The dependency chain is gone: the previous spin resolved it.
-            self.framework.stats.count("probe_moves_dropped_no_dependency")
-            return
-        self._freeze(vc, probe_move, now)
-        self.framework.send_sm(self.router.id, probe_move.first_port,
-                               probe_move.advanced(), now)
-
-    def _on_own_probe_move_returned(self, probe_move: ProbeMoveMessage,
-                                    now: int) -> None:
-        if (
-            self.state is not SpinState.PROBE_MOVE
-            or probe_move.spin_cycle != self.spin_cycle
-        ):
-            self.framework.stats.count("probe_moves_stale")
-            return
-        if self.is_deadlock and self.latched_source != self.router.id:
-            self._start_kill(now)
-            return
-        vc = self._freezable_vc(self.probe_inport, self.probe_outport,
-                                self.probe_vnet, now)
-        if vc is None:
-            self._start_kill(now)
-            return
-        self.is_deadlock = True
-        self.latched_source = self.router.id
-        vc.freeze(self.probe_outport, self.router.id, self.spin_cycle,
-                  path_index=0)
-        self.framework.executor.register(vc)
-        self.state = SpinState.FORWARD_PROGRESS
-        self.deadline = self.spin_cycle
-        self.framework.stats.count("probe_moves_returned")
 
     # --- kill_move -------------------------------------------------------
     def _on_kill_move(self, kill: KillMoveMessage, inport: int,

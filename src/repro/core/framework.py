@@ -145,7 +145,10 @@ class SpinFramework:
         ]
         self._due = [0] * num_routers
         self.dirty_all()
-        self.max_probe_path = self.params.probe_path_factor * num_routers
+        # Probe path cap: every resolvable loop visits a router at most
+        # twice (the figure-8 case); longer paths are orbiting rho-walk
+        # probes, which would starve other recoveries (DESIGN.md).
+        self.max_probe_path = 2 * num_routers
         # Watchdog round-trip bound (docs/FAULTS.md): the longest loop a
         # probe can confirm has at most max_probe_path hops, each costing
         # one link traversal plus one router pipeline — the theorem's

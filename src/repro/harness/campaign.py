@@ -254,7 +254,6 @@ class CampaignConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     max_failures: Optional[int] = None
     hang_timeout: Optional[float] = None
-    poll_interval: float = 0.05
     latency_cap: float = 4.0
     stream: bool = True
 
@@ -574,7 +573,6 @@ class CampaignEngine:
         config = self.config
         pool = SupervisedPool(max_workers=config.jobs,
                               hang_timeout=config.hang_timeout,
-                              poll_interval=config.poll_interval,
                               counters=self.counters,
                               stream=self._plane)
         pool.start()

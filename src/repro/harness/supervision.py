@@ -58,6 +58,9 @@ DETERMINISTIC = "deterministic"
 #: not a property of the spec itself.
 _TRANSIENT_PREFIXES = ("worker crashed", "worker hung", "timeout", "not run")
 
+#: Supervisor polling granularity in seconds.
+POLL_INTERVAL = 0.05
+
 
 def classify_failure(error: Optional[str]) -> str:
     """Classify a :class:`SpecResult` error as transient or deterministic.
@@ -295,7 +298,6 @@ class SupervisedPool:
         max_workers: Worker process count.
         hang_timeout: Seconds without completion after dispatch before a
             worker is declared hung (``None`` disables hang detection).
-        poll_interval: Supervisor polling granularity in seconds.
         counters: Optional dict that receives ``workers_respawned`` /
             ``workers_hung`` tallies (shared with the campaign engine).
         stream: Optional :class:`~repro.telemetry.live.LiveStatusPlane`.
@@ -311,7 +313,6 @@ class SupervisedPool:
 
     def __init__(self, max_workers: int,
                  hang_timeout: Optional[float] = None,
-                 poll_interval: float = 0.05,
                  counters: Optional[Dict[str, int]] = None,
                  stream=None) -> None:
         if max_workers < 1:
@@ -320,12 +321,8 @@ class SupervisedPool:
         if hang_timeout is not None and hang_timeout <= 0:
             raise ConfigurationError("hang_timeout must be positive",
                                      hang_timeout=hang_timeout)
-        if poll_interval <= 0:
-            raise ConfigurationError("poll_interval must be positive",
-                                     poll_interval=poll_interval)
         self.max_workers = max_workers
         self.hang_timeout = hang_timeout
-        self.poll_interval = poll_interval
         self.counters = counters if counters is not None else {}
         self.stream = stream
         self._context = multiprocessing.get_context()
@@ -422,7 +419,7 @@ class SupervisedPool:
         out: List[Tuple[int, int, SpecResult]] = []
         deadline = time.monotonic() + timeout
         while True:
-            block = max(0.0, min(self.poll_interval,
+            block = max(0.0, min(POLL_INTERVAL,
                                  deadline - time.monotonic()))
             owners = {reader: pid for pid, reader in self._readers.items()}
             if owners:

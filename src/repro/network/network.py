@@ -31,9 +31,9 @@ class Network:
         topology: The router/channel structure.
         config: Datapath parameters.
         routing: A routing algorithm instance (bound to this network here).
-        spin: SPIN parameters; pass None (or ``SpinParams(enabled=False)``)
-            to run without the SPIN control plane — e.g. for deadlock
-            avoidance baselines, or to demonstrate unrecovered deadlocks.
+        spin: SPIN parameters; pass None to run without the SPIN control
+            plane — e.g. for deadlock avoidance baselines, or to
+            demonstrate unrecovered deadlocks.
         control_planes: Additional control planes (e.g. Static Bubble); each
             must provide ``bind(network)`` and ``phase_control(cycle)``.
         seed: Seed for the network-local RNG (adaptive tie-breaks etc.).
@@ -94,7 +94,7 @@ class Network:
 
         self.spin = None
         self.control_planes = list(control_planes)
-        if spin is not None and spin.enabled:
+        if spin is not None:
             from repro.core.framework import SpinFramework
 
             self.spin = SpinFramework(spin)

@@ -4,11 +4,10 @@ The observability counterpart of :mod:`repro.verify` — same zero-cost
 simulator-observer hook, but *recording* instead of asserting.  Layers
 (see docs/TELEMETRY.md):
 
-* :mod:`repro.telemetry.registry` — typed metric families (counters,
-  gauges, histograms) keyed by component.
 * :mod:`repro.telemetry.spans` — SPIN control-plane span reconstruction
   from FSM transitions (detection/recovery latency per episode).
-* :mod:`repro.telemetry.observer` — the per-cycle recorder; enabled via
+* :mod:`repro.telemetry.observer` — the per-cycle recorder and its
+  summary :class:`Histogram`; enabled via
   ``ExperimentSpec(telemetry=True)``, ``--telemetry``, or the
   ``REPRO_TELEMETRY`` environment variable.
 * :mod:`repro.telemetry.export` — JSONL event log and Chrome
@@ -43,10 +42,10 @@ from repro.telemetry.live import (
     stream_summary,
 )
 from repro.telemetry.observer import (
+    Histogram,
     TelemetryConfig,
     TelemetryObserver,
 )
-from repro.telemetry.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.report import TraceReport
 from repro.telemetry.spans import SpanTracer, SpinSpan
 
@@ -55,11 +54,8 @@ __all__ = [
     "JSONL_FORMAT",
     "STATUS_FORMAT",
     "STREAM_FORMAT",
-    "Counter",
-    "Gauge",
     "Histogram",
     "LiveStatusPlane",
-    "MetricsRegistry",
     "SpanTracer",
     "SpinSpan",
     "StreamAggregator",

@@ -8,7 +8,7 @@ Two on-disk formats carry a recorded run out of the process
   deterministic order: ``sample`` records (the observer's metric samples),
   ``span`` records (closed :class:`~repro.telemetry.spans.SpinSpan`
   dicts), ``hop``/``deliver`` records (only under ``packet_traces``), and
-  one final ``summary`` record (registry counter totals + histogram
+  one final ``summary`` record (credit-stall total + histogram
   summaries).  This is the format ``repro-sim report`` consumes.
 * ``repro.chrome-trace/v1`` — Chrome ``trace_event`` JSON (object form:
   ``{"traceEvents": [...], "metadata": {...}}``), loadable in Perfetto or
@@ -76,20 +76,16 @@ def build_records(observer, meta: Optional[Dict[str, object]] = None
 
 
 def summary_record(observer) -> Dict[str, object]:
-    """The closing ``summary`` record: registry roll-up of the run."""
-    registry = observer.registry
-    histograms: Dict[str, object] = {}
-    for family in registry.families("histogram"):
-        table = registry.family("histogram", family)
-        histograms[family] = {
-            repr(key): histogram.to_dict()
-            for key, histogram in sorted(table.items(),
-                                         key=lambda item: repr(item[0]))
-        }
+    """The closing ``summary`` record: roll-up of the run.  Each histogram
+    is network-wide, under the component key ``"None"``."""
+    stalls = observer.credit_stalls
     return {
         "type": "summary",
-        "counters": registry.counter_totals(),
-        "histograms": histograms,
+        "counters": {"credit_stalls": stalls} if stalls else {},
+        "histograms": {
+            family: {"None": histogram.to_dict()}
+            for family, histogram in sorted(observer.histograms.items())
+        },
         "samples": len(observer.samples),
         "spans": len(observer.spans),
         "hops": len(observer.hops),

@@ -50,6 +50,7 @@ shipping never blocks or fails the simulation.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -209,14 +210,11 @@ class StreamAggregator:
                  rates: Optional[Sequence[float]] = None,
                  hang_after: Optional[float] = DEFAULT_HANG_AFTER,
                  max_failures: Optional[int] = None,
-                 registry=None,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        from repro.telemetry.registry import MetricsRegistry
-
         self.hang_after = hang_after
         self.max_failures = max_failures
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
+        #: ``stream_<event>`` -> sum of the point_end event tallies.
+        self.stream_totals: Dict[str, int] = {}
         self._clock = clock
         self._lock = threading.Lock()
         self._started_at = clock()
@@ -375,10 +373,14 @@ class StreamAggregator:
             worker["points_done"] = worker.get("points_done", 0) + 1
             events = frame.get("events")
             if isinstance(events, dict):
+                totals = self.stream_totals
                 for name, value in events.items():
-                    if isinstance(value, (int, float)):
-                        self.registry.counter(f"stream_{name}").inc(
-                            int(value))
+                    # A frame is worker input: a negative, non-finite or
+                    # non-numeric tally is skipped, never raised.
+                    if isinstance(value, (int, float)) \
+                            and 0 <= value < math.inf:
+                        key = f"stream_{name}"
+                        totals[key] = totals.get(key, 0) + int(value)
             dropped = frame.get("frames_dropped")
             if isinstance(dropped, int):
                 # Each worker reports its running total: keep the latest
@@ -476,7 +478,7 @@ class StreamAggregator:
                 "workers": workers,
                 "points": points,
                 "counters": dict(sorted(self.counters.items())),
-                "stream_totals": self.registry.counter_totals(),
+                "stream_totals": dict(sorted(self.stream_totals.items())),
             }
             return payload
 

@@ -9,12 +9,12 @@ schedule it always was.  When enabled it records three things:
 * **metric samples** — every ``sample_interval`` cycles, per-router VC
   occupancy and stalled-VC counts, per-link flit/SM utilization deltas,
   NIC backlog, packets in flight, frozen VCs, and the delta of every
-  ``network.stats`` event counter, all folded into a
-  :class:`~repro.telemetry.registry.MetricsRegistry` and kept as compact
-  JSON-safe sample records for the exporters;
+  ``network.stats`` event counter, kept as compact JSON-safe sample
+  records for the exporters (plus a running credit-stall total and an
+  occupancy :class:`Histogram` for the closing ``summary`` record);
 * **SPIN spans** — the :class:`~repro.telemetry.spans.SpanTracer` runs
   every cycle (it needs consecutive FSM states) and streams closed spans
-  into the registry's detection/recovery-latency histograms;
+  into detection/recovery-latency histograms;
 * **per-packet hop traces** — optional (``packet_traces=True``): wraps
   ``network.routing.on_hop`` and ``network.deliver`` at attach time,
   exactly the oracle's wrapping idiom.
@@ -33,16 +33,69 @@ records metrics and spans; ``full`` adds per-packet hop traces; an integer
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import SpanTracer, SpinSpan
 
 #: Hard cap on retained hop-trace records (full traces of a saturated run
 #: would otherwise dwarf the simulation itself).
 MAX_HOP_RECORDS = 200_000
+
+#: Default histogram bin edges for cycle-latency distributions (powers of
+#: two: SPIN latencies span detection thresholds of 8..128+ cycles).
+LATENCY_BINS = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+
+
+class Histogram:
+    """A fixed-edge histogram of observed values.
+
+    ``edges`` are the *upper* bounds of the finite bins; one overflow bin
+    catches everything beyond the last edge.  ``counts[i]`` tallies values
+    ``v`` with ``edges[i-1] < v <= edges[i]``.
+    """
+
+    __slots__ = ("edges", "counts", "observations", "total", "minimum",
+                 "maximum")
+
+    def __init__(self, edges: Iterable[float] = LATENCY_BINS) -> None:
+        self.edges = tuple(sorted(edges))
+        if not self.edges:
+            raise ConfigurationError("histogram needs at least one edge")
+        self.counts = [0] * (len(self.edges) + 1)
+        self.observations = 0
+        self.total = 0.0
+        self.minimum: Optional[float] = None
+        self.maximum: Optional[float] = None
+
+    def observe(self, value: float) -> None:
+        """Count one observation into its bin."""
+        self.counts[bisect_left(self.edges, value)] += 1
+        self.observations += 1
+        self.total += value
+        self.minimum = value if self.minimum is None else min(self.minimum,
+                                                              value)
+        self.maximum = value if self.maximum is None else max(self.maximum,
+                                                              value)
+
+    def mean(self) -> float:
+        """Mean observed value (0.0 when empty)."""
+        if not self.observations:
+            return 0.0
+        return self.total / self.observations
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-safe summary of this histogram."""
+        return {
+            "edges": list(self.edges),
+            "counts": list(self.counts),
+            "observations": self.observations,
+            "mean": self.mean(),
+            "min": self.minimum,
+            "max": self.maximum,
+        }
 
 
 @dataclass
@@ -51,23 +104,18 @@ class TelemetryConfig:
 
     Attributes:
         sample_interval: Cycles between metric samples (1 = every cycle).
-        metrics: Record per-component metric samples.
-        spans: Trace SPIN control-plane episodes (needs a SPIN network to
-            produce anything; harmless otherwise).
+            SPIN control-plane episodes are traced on every cycle of a
+            SPIN network.
         packet_traces: Record one event per packet hop and delivery.
             Off by default — hop traces are the one telemetry stream whose
             volume scales with traffic, and their uids are process-local.
-        gauge_capacity: Retained samples per gauge series.
         max_samples: Stop recording new sample records beyond this many
-            (the registry keeps aggregating; only the exporter stream is
-            capped).
+            (the summary totals keep aggregating; only the exporter stream
+            is capped).
     """
 
     sample_interval: int = 64
-    metrics: bool = True
-    spans: bool = True
     packet_traces: bool = False
-    gauge_capacity: int = 4096
     max_samples: int = 100_000
 
     def __post_init__(self) -> None:
@@ -96,7 +144,10 @@ class TelemetryObserver:
                  config: Optional[TelemetryConfig] = None) -> None:
         self.network = network
         self.config = config or TelemetryConfig()
-        self.registry = MetricsRegistry(self.config.gauge_capacity)
+        #: Summary distributions by family name, created on first use.
+        self.histograms: Dict[str, Histogram] = {}
+        #: Stalled-VC sightings summed over every sample.
+        self.credit_stalls = 0
         #: JSON-safe metric sample records, in cycle order.
         self.samples: List[Dict[str, object]] = []
         #: Closed spans, in close order (open ones close via finalize()).
@@ -107,7 +158,7 @@ class TelemetryObserver:
         self._attached = False
         self._finalized = False
         self._tracer: Optional[SpanTracer] = None
-        if self.config.spans and network.spin is not None:
+        if network.spin is not None:
             self._tracer = SpanTracer(network.spin)
             self._tracer.on_span_close = self._on_span_close
         # Delta baselines.
@@ -156,7 +207,7 @@ class TelemetryObserver:
     def phase_collect(self, cycle: int) -> None:
         if self._tracer is not None:
             self._tracer.observe(cycle)
-        if self.config.metrics and cycle % self.config.sample_interval == 0:
+        if cycle % self.config.sample_interval == 0:
             self._sample(cycle)
 
     def finalize(self, cycle: int) -> None:
@@ -166,10 +217,15 @@ class TelemetryObserver:
         self._finalized = True
         if self._tracer is not None:
             self._tracer.finish(cycle)
-        if (self.config.metrics
-                and (not self.samples
-                     or self.samples[-1]["cycle"] != cycle)):
+        if not self.samples or self.samples[-1]["cycle"] != cycle:
             self._sample(cycle)
+
+    def _observe(self, family: str, value: float,
+                 edges: Iterable[float] = LATENCY_BINS) -> None:
+        histogram = self.histograms.get(family)
+        if histogram is None:
+            histogram = self.histograms[family] = Histogram(edges)
+        histogram.observe(value)
 
     # ------------------------------------------------------------------
     # Sampling
@@ -177,7 +233,6 @@ class TelemetryObserver:
     def _sample(self, cycle: int) -> None:
         network = self.network
         stats = network.stats
-        registry = self.registry
         now = network.now
 
         counts = (stats.packets_created, stats.packets_injected,
@@ -205,10 +260,7 @@ class TelemetryObserver:
                             # waiting on a credit/grant — a credit stall.
                             stuck += 1
             stalled.append(stuck)
-            registry.gauge("router_occupancy", router.id).record(
-                cycle, active)
-            if stuck:
-                registry.counter("credit_stalls", router.id).inc(stuck)
+            self.credit_stalls += stuck
 
         links: List[list] = []
         for key in sorted(network.links):
@@ -222,9 +274,6 @@ class TelemetryObserver:
             sm_delta = current[2] - mark[2]
             if flit_delta or sm_delta:
                 links.append([key[0], key[1], flit_delta, sm_delta])
-                registry.gauge("link_flits", key).record(cycle, flit_delta)
-                if sm_delta:
-                    registry.gauge("link_sms", key).record(cycle, sm_delta)
 
         events: Dict[str, int] = {}
         for name in sorted(stats.events):
@@ -238,13 +287,9 @@ class TelemetryObserver:
 
         in_flight = sum(occupancy)
         backlog = network.total_backlog()
-        registry.gauge("in_flight").record(cycle, in_flight)
-        registry.gauge("nic_backlog").record(cycle, backlog)
-        registry.gauge("frozen_vcs").record(cycle, frozen)
-        registry.histogram(
-            "router_occupancy",
-            edges=(0, 1, 2, 4, 8, 16, 32)).observe(max(occupancy) if
-                                                   occupancy else 0)
+        self._observe("router_occupancy",
+                      max(occupancy) if occupancy else 0,
+                      edges=(0, 1, 2, 4, 8, 16, 32))
 
         stats.count("telemetry_samples")
         if len(self.samples) >= self.config.max_samples:
@@ -271,27 +316,23 @@ class TelemetryObserver:
     def _on_span_close(self, span: SpinSpan) -> None:
         self.spans.append(span)
         stats = self.network.stats
-        registry = self.registry
         if span.kind == "frozen":
             stats.count("telemetry_frozen_spans")
             if span.recovery_latency is not None:
-                registry.histogram("frozen_residency").observe(
-                    span.recovery_latency)
+                self._observe("frozen_residency", span.recovery_latency)
             return
         stats.count("telemetry_spans")
         if span.outcome is not None:
             stats.count(f"telemetry_spans_{span.outcome}")
         stats.count("telemetry_span_spins", len(span.spin_cycles))
         stats.count("telemetry_detection_cycles", span.detection_latency)
-        registry.histogram("detection_latency").observe(
-            span.detection_latency)
-        registry.histogram("span_spins",
-                           edges=(0, 1, 2, 4, 8, 16)).observe(
-            len(span.spin_cycles))
+        self._observe("detection_latency", span.detection_latency)
+        self._observe("span_spins", len(span.spin_cycles),
+                      edges=(0, 1, 2, 4, 8, 16))
         latency = span.recovery_latency
         if latency is not None:
             stats.count("telemetry_recovery_cycles", latency)
-            registry.histogram("recovery_latency").observe(latency)
+            self._observe("recovery_latency", latency)
 
 
 #: Environment gate attaching an observer to every run that has none.

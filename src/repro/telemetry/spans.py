@@ -152,7 +152,7 @@ class SpanTracer:
     Drive it with :meth:`observe` once per cycle (the telemetry observer
     does); closed spans accumulate on :attr:`spans`, still-open ones on
     :attr:`open_spans`.  ``on_span_close`` (if set) fires for every closed
-    span — the observer uses it to stream spans into the metrics registry
+    span — the observer uses it to stream spans into its histograms
     and the event log without a second pass.
     """
 

@@ -40,6 +40,9 @@ INVARIANTS: Dict[str, str] = {
     "teleport":
         "a resident packet only ever moves one hop along an existing link "
         "(or from its NIC queue into the attached router)",
+    "link_capacity":
+        "at most one packet enters a router input port over its link per "
+        "cycle (a link carries one packet at a time)",
     "duplicate_delivery":
         "no packet is delivered twice",
     "misdelivery":

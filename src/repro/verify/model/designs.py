@@ -47,8 +47,6 @@ class Design:
     tdd: int
     link_latency: int = 1
     router_latency: int = 1
-    sync_slack: int = 0
-    probe_path_factor: int = 2
 
     # -- abstract side --------------------------------------------------
     def model_config(self, **overrides) -> ModelConfig:
@@ -69,15 +67,15 @@ class Design:
     def sm_rtt_bound(self) -> int:
         """``SpinFramework.sm_rtt_bound`` for this fabric: the loop's
         routers all sit on the planted loop, so ``num_routers ==
-        loop_size``."""
-        return (self.probe_path_factor * self.loop_size) * self.hop_cost
+        loop_size`` and a probe path is capped at ``2 * loop_size``."""
+        return 2 * self.loop_size * self.hop_cost
 
     def weights(self) -> ActionWeights:
         return ActionWeights(
             detect=self.tdd,
             deliver=self.hop_cost,
             watchdog=self.sm_rtt_bound,
-            spin=2 * self.loop_delay + self.sync_slack,
+            spin=2 * self.loop_delay,
         )
 
     def persistence_bound(self) -> int:
@@ -87,8 +85,7 @@ class Design:
     def spin_params(self):
         from repro.config import SpinParams
 
-        return SpinParams(tdd=self.tdd, sync_slack=self.sync_slack,
-                          probe_path_factor=self.probe_path_factor)
+        return SpinParams(tdd=self.tdd)
 
     def build_network(self, seed: int = 3):
         """A fresh network with the design's loop deadlock planted: each

@@ -140,7 +140,7 @@ class ActionWeights:
     (each router's successive probes are at least a detection period
     apart), ``deliver`` one SM hop, ``watchdog`` the SM round-trip bound
     its timeout is derived from, ``spin`` the synchronized-countdown
-    window ``2 * loop_delay + sync_slack``.
+    window ``2 * loop_delay``.
     """
 
     detect: int

@@ -6,8 +6,7 @@ deadlocked loop with abstracted time:
 
 * ``detect@i``       — ``_tick_detection`` firing and ``_send_probe``;
 * ``deliver <sm>@i`` — one SM hop: ``phase_control`` delivery plus the
-  receiving handler (``_on_probe`` / ``_on_move`` / ``_on_probe_move`` /
-  ``_on_kill_move``);
+  receiving handler (``_on_probe`` / ``_on_move`` / ``_on_kill_move``);
 * ``drop <sm>@i``    — adversarial bufferless loss (link contention, a
   fault, or a strict-priority drop), budgeted by ``drops_left``;
 * ``watchdog@i``     — a counter timeout (``tick``); enabled only once the
@@ -69,8 +68,6 @@ class ModelConfig:
         initiators: How many loop routers get a detection budget; 1 is the
             liveness/bound mode (the rotating priority's surviving winner,
             pinned), None arms everyone (the safety race mode).
-        max_probe_hops: Probe path cap (``framework.max_probe_path``);
-            defaults to ``2 * loop_size`` like ``probe_path_factor=2``.
         mutation: Name from :data:`MUTATIONS`, or None for the faithful
             protocol.
     """
@@ -80,12 +77,9 @@ class ModelConfig:
     drop_budget: int = 0
     probe_move_enabled: bool = False
     initiators: int = None
-    max_probe_hops: int = 0
     mutation: str = None
 
     def __post_init__(self):
-        if self.max_probe_hops == 0:
-            object.__setattr__(self, "max_probe_hops", 2 * self.loop_size)
         if self.mutation is not None and self.mutation not in MUTATIONS:
             raise ValueError(f"unknown mutation {self.mutation!r}; "
                              f"known: {sorted(MUTATIONS)}")
@@ -245,8 +239,9 @@ def _deliver_probe(state: GlobalState, probe: Message, config: ModelConfig
         return
     # _forward_probe: a non-home router (or a home router that has moved
     # on from DD — the controller falls through to forwarding) relays the
-    # probe along the dependency, subject to the path-length cap.
-    if probe.hops >= config.max_probe_hops:
+    # probe along the dependency, subject to the path-length cap
+    # (``framework.max_probe_path``: twice the routers, all on the loop).
+    if probe.hops >= 2 * config.loop_size:
         yield "len-drop", state
         return
     if state.resolved:
@@ -264,16 +259,16 @@ def _deliver_move_family(state: GlobalState, message: Message,
     if i == origin:
         yield from _move_returned(state, message, config)
         return
-    # _on_move / _on_probe_move at a non-initiator hop:
+    # _on_move at a non-initiator hop (either kind):
     if router.latched not in (NOBODY, origin):
-        yield "busy", state                   # moves_dropped_busy
+        yield "busy", state                   # <kind>s_dropped_busy
         return
     if router.fsm in (SpinState.MOVE, SpinState.PROBE_MOVE,
                       SpinState.KILL_MOVE):
         # Rival initiator: the rotating priority decides — explore both.
-        yield "yield", state                  # moves_dropped_priority
+        yield "yield", state                  # <kind>s_dropped_priority
     if state.resolved or router.frozen_by != NOBODY:
-        yield "no-dep", state                 # moves_dropped_no_dependency
+        yield "no-dep", state                 # <kind>s_dropped_no_dependency
         return
     frozen = replace(router, frozen_by=origin, latched=origin)
     if router.fsm in FREEZABLE_STATES \
@@ -290,7 +285,7 @@ def _move_returned(state: GlobalState, message: Message,
     expected = (SpinState.MOVE if message.kind == "move"
                 else SpinState.PROBE_MOVE)
     if router.fsm is not expected:
-        yield "stale", state                  # moves_stale / spin mismatch
+        yield "stale", state                  # <kind>s_stale / spin mismatch
         return
     latched = replace(router, fsm=SpinState.FORWARD_PROGRESS,
                       frozen_by=i, latched=i)

@@ -13,6 +13,8 @@ history-dependent invariants:
 * **teleport detection** — between consecutive censuses a resident packet
   moves at most one hop along an existing link (or from its NIC queue into
   the attached router);
+* **link capacity** — between consecutive censuses at most one packet
+  enters a router input port over its link;
 * **delivery soundness** — no packet delivered twice, none delivered to a
   foreign NIC;
 * **FSM transition legality** — per-router SPIN state deltas checked against
@@ -82,14 +84,10 @@ class OracleConfig:
             (teleport, FSM transitions) disable themselves automatically
             when the interval exceeds 1.
         deadlock_check_interval: Cycles between ground-truth wait-graph
-            evaluations (they walk the whole network).
-        deadlock_bound: Max cycles one packet may stay truly deadlocked
-            without hop progress.  ``None`` auto-derives from the attached
-            recovery theory (see :meth:`InvariantOracle.deadlock_bound`);
-            pass ``0`` to flag any deadlock confirmed by two consecutive
-            evaluations, or a negative value to disable the check.
-        overdue_slack: Max cycles a frozen VC may outlive its spin cycle.
-            ``None`` auto-derives from the SPIN watchdog bounds.
+            evaluations (they walk the whole network).  How long one
+            packet may stay truly deadlocked, and a frozen VC outlive its
+            spin cycle, is derived from the attached recovery theory (see
+            :attr:`InvariantOracle.deadlock_bound`).
         journal: Record per-delivery signatures for the differential
             conformance runner (:mod:`repro.verify.differential`).
         max_violations: Stop checking after this many recorded violations
@@ -101,8 +99,6 @@ class OracleConfig:
     mode: str = "raise"
     check_interval: int = 1
     deadlock_check_interval: int = 64
-    deadlock_bound: Optional[int] = None
-    overdue_slack: Optional[int] = None
     journal: bool = False
     max_violations: int = 1000
     checks: Optional[frozenset] = None
@@ -193,9 +189,6 @@ class InvariantOracle:
         recognized — without one, a persistent deadlock is a legitimate
         outcome (that is what Fig. 2 demonstrates), not a simulator bug.
         """
-        if self.config.deadlock_bound is not None:
-            bound = self.config.deadlock_bound
-            return None if bound < 0 else bound
         network = self.network
         spin_bound = self._recovery_latency_bound()
         if spin_bound is not None:
@@ -215,8 +208,6 @@ class InvariantOracle:
         return None
 
     def _auto_overdue_slack(self) -> int:
-        if self.config.overdue_slack is not None:
-            return self.config.overdue_slack
         bound = self._recovery_latency_bound()
         if bound is None:
             return _STATIC_BUBBLE_BOUND
@@ -331,8 +322,8 @@ class InvariantOracle:
         if self._census_cycle is not None:
             if "packet_conservation" in enabled:
                 found.extend(self._check_conservation(census, cycle))
-            if "teleport" in enabled and consecutive:
-                found.extend(self._check_teleport(census, cycle))
+            if consecutive:
+                found.extend(self._check_teleport(census, cycle, enabled))
         self._census = census
         self._census_cycle = cycle
         if "fsm_transition" in enabled:
@@ -360,9 +351,14 @@ class InvariantOracle:
                     invariant="packet_conservation", packet=uid,
                     cycle=cycle, last_seen=location)
 
-    def _check_teleport(self, census, cycle: int):
+    def _check_teleport(self, census, cycle: int, enabled):
+        """Teleport and link capacity: every move since the last census
+        is one hop, and each input port's link carried at most one."""
         previous = self._census
         neighbors = self._neighbors
+        teleport = "teleport" in enabled
+        capacity = "link_capacity" in enabled
+        entered: Dict[Tuple[int, int], int] = {}
         for uid, (location, _, _) in census.items():
             before = previous.get(uid)
             if before is None or before[0] == location:
@@ -373,11 +369,20 @@ class InvariantOracle:
                 if prev_loc[0] == "vc":
                     legal = (prev_loc[1] == router
                              or router in neighbors.get(prev_loc[1], ()))
+                    if capacity and prev_loc[1] != router:
+                        port = (router, location[2])
+                        if port in entered:
+                            yield InvariantViolation(
+                                "two packets crossed one link in one cycle",
+                                invariant="link_capacity", router=router,
+                                inport=location[2], cycle=cycle,
+                                packet=uid, other=entered[port])
+                        entered[port] = uid
                 else:  # nic -> vc: must enter the NIC's own router
                     legal = self._nic_router.get(prev_loc[1]) == router
             else:
                 legal = False  # packets never re-enter a NIC queue
-            if not legal:
+            if teleport and not legal:
                 yield InvariantViolation(
                     "packet moved more than one hop in one cycle",
                     invariant="teleport", packet=uid, cycle=cycle,

@@ -17,6 +17,11 @@ import networkx as nx
 import pytest
 
 from repro.config import NetworkConfig, SimulationConfig, SpinParams
+from repro.core.controller import (
+    BACKOFF_FACTOR,
+    MAX_SM_RETRIES,
+    WATCHDOG_MARGIN,
+)
 from repro.deadlock.waitgraph import has_deadlock
 from repro.faults import FaultInjector, parse_fault_spec
 from repro.network.network import Network
@@ -183,7 +188,7 @@ class TestSmLossWatchdog:
         spin = network.spin
         # Watchdog timeout: the theorem-derived SM round-trip bound plus
         # margin; give the whole recovery 3x that on top of detection.
-        bound = spin.sm_rtt_bound + spin.params.watchdog_margin
+        bound = spin.sm_rtt_bound + WATCHDOG_MARGIN
         assert bound < tdd  # the watchdog must beat the tDD rotation
         deadline = tdd + 3 * bound + 8 * m
         done = sim.run_until(
@@ -237,21 +242,18 @@ class TestSmLossWatchdog:
         network, packets, sim = _ring_with_faults(
             "sm_drop:kind=probe", m=m, tdd=tdd)
         spin = network.spin
-        params = spin.params
         chain = sum(
-            spin.sm_rtt_bound * params.backoff_factor ** r
-            + params.watchdog_margin
-            for r in range(params.max_sm_retries + 1))
+            spin.sm_rtt_bound * BACKOFF_FACTOR ** r + WATCHDOG_MARGIN
+            for r in range(MAX_SM_RETRIES + 1))
         assert chain < tdd  # the budget must exhaust before rotation
         sim.run(tdd * 3)
         events = dict(network.stats.events)
         assert network.stats.packets_delivered == 0  # nothing can recover
         assert events.get("watchdog_gave_up", 0) >= 1
         retries = events.get("probe_retries", 0)
-        max_retries = network.spin.params.max_sm_retries
         fires = events.get("watchdog_fires", 0)
         # Retries are bounded per round trip, never one per fire forever.
-        assert retries <= fires * max_retries
+        assert retries <= fires * MAX_SM_RETRIES
 
 
 @pytest.mark.faults

@@ -68,3 +68,43 @@ class TestTelemetryDeterminism:
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
         _, gated = _spec(telemetry=False).run()
         assert flagged == gated
+
+
+def _scenario_records_digest(name, interval):
+    """sha256 of the canonical JSONL of one golden scenario's telemetry
+    records (no packet traces: their uids are process-local)."""
+    import hashlib
+    import json
+
+    from repro.sim.engine import Simulator
+    from repro.telemetry import (
+        TelemetryConfig,
+        TelemetryObserver,
+        build_records,
+    )
+    from repro.verify.golden import SCENARIOS
+
+    scenario = SCENARIOS[name]
+    network, traffic = scenario.builder()
+    simulator = Simulator()
+    if traffic is not None:
+        simulator.register(traffic)
+    simulator.register(network)
+    observer = TelemetryObserver(
+        network, TelemetryConfig(sample_interval=interval)).attach(simulator)
+    simulator.run(scenario.cycles)
+    observer.finalize(simulator.cycle)
+    digest = hashlib.sha256()
+    for record in build_records(observer, {"scenario": name}):
+        digest.update(json.dumps(record, sort_keys=True,
+                                 separators=(",", ":")).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+class TestPinnedRecords:
+    def test_square_deadlock_records_are_pinned(self):
+        # Samples, spans and the summary's histograms and counters of one
+        # planted recovery; a refactor of the observer must not move them.
+        assert _scenario_records_digest("mesh4_square_deadlock", 4) == (
+            "2f8d48a406ebac37db04c0e95d696f6b7fc02c225c8da7303a3766b4db3c6ca1")

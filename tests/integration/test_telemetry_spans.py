@@ -95,6 +95,6 @@ class TestDeadlockSpanReconstruction:
 
     def test_detection_histogram_populated(self, recorded):
         _, observer = recorded
-        histogram = observer.registry.histogram("detection_latency")
+        histogram = observer.histograms["detection_latency"]
         assert histogram.observations >= 1
         assert histogram.minimum == 12

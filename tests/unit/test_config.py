@@ -71,14 +71,6 @@ class TestSpinParams:
         with pytest.raises(ConfigurationError):
             SpinParams(tdd=0)
 
-    def test_rejects_bad_epoch_factor(self):
-        with pytest.raises(ConfigurationError):
-            SpinParams(epoch_factor=0)
-
-    def test_rejects_negative_slack(self):
-        with pytest.raises(ConfigurationError):
-            SpinParams(sync_slack=-1)
-
     def test_default_matches_paper(self):
         assert SpinParams().tdd == 128
         assert SpinParams().probe_move_enabled

@@ -174,6 +174,20 @@ class TestCampaignRollup:
         assert totals["stream_spins"] == 5
         assert totals["stream_probes_sent"] == 7
 
+    def test_bad_event_values_are_skipped_not_raised(self):
+        # A frame is worker input: a negative or non-numeric tally must
+        # not end the campaign (the plane never takes a sweep down).
+        agg = StreamAggregator(keys=["a", "b"])
+        agg.feed_frames([
+            frame("point_end", 1, 1, key="a", ok=True, wall_time=0.2,
+                  events={"spins": -1, "probes_sent": "7",
+                          "flit_hops": None, "moves_sent": 2}),
+            frame("point_end", 1, 2, key="b", ok=True, wall_time=0.2,
+                  events={"spins": 3}),
+        ])
+        totals = agg.snapshot()["stream_totals"]
+        assert totals == {"stream_moves_sent": 2, "stream_spins": 3}
+
     def test_eta_appears_once_throughput_exists(self):
         clock = FakeClock()
         agg = StreamAggregator(keys=["a", "b", "c"], clock=clock)

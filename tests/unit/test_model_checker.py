@@ -163,6 +163,27 @@ class TestCli:
         assert payload["complete"] is True
         assert payload["telemetry"]["progress_reports"] >= 1
 
+    def test_peak_frontier_is_the_peak_of_every_report(self, monkeypatch,
+                                                       tmp_path):
+        from repro.cli import main
+        from repro.verify.model import ModelChecker
+
+        real_run = ModelChecker.run
+
+        def run(self, *args, progress=None, **kwargs):
+            # A long exploration whose widest frontier comes first.
+            for tick in range(5000):
+                progress(0, 6818 if tick == 0 else 1, 0)
+            return real_run(self, *args, progress=progress, **kwargs)
+
+        monkeypatch.setattr(ModelChecker, "run", run)
+        artifact = tmp_path / "summary.json"
+        assert main(["model-check", "--design", "ring3", "--quiet",
+                     "--output", str(artifact)]) == 0
+        telemetry = json.loads(artifact.read_text())["telemetry"]
+        assert telemetry["progress_reports"] > 5000
+        assert telemetry["peak_frontier"] == 6818
+
     def test_model_check_mutation_fails(self, capsys):
         from repro.cli import main
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import SpinParams
 from repro.core.fsm import SpinState
-from repro.core.messages import MoveMessage, ProbeMessage
+from repro.core.messages import MoveMessage, ProbeMessage, ProbeMoveMessage
 from repro.sim.engine import Simulator
 from repro.topology.ring import CLOCKWISE, COUNTER_CLOCKWISE
 
@@ -217,3 +217,109 @@ class TestInitiatorTimeouts:
         sim.run(3)
         assert controller.state in (SpinState.KILL_MOVE, SpinState.DD)
         assert network.stats.events.get("kill_moves_sent", 0) >= 1
+
+
+@pytest.mark.parametrize("message, expected_state, other_state", [
+    (MoveMessage, SpinState.MOVE, SpinState.PROBE_MOVE),
+    (ProbeMoveMessage, SpinState.PROBE_MOVE, SpinState.MOVE),
+], ids=["move", "probe_move"])
+class TestMoveFamily:
+    """move and probe_move share one rule (paper Sec. IV-B4): every
+    outcome counts under its own kind's ``<kind>s_<outcome>`` name."""
+
+    @staticmethod
+    def _deadlocked_network():
+        network = spin_network(m=6, tdd=8)
+        craft_ring_deadlock(network)
+        sim = Simulator()
+        sim.register(network)
+        sim.run(3)
+        return network
+
+    @staticmethod
+    def _assert_counted(network, message, outcome):
+        events = network.stats.events
+        kind = message.kind
+        other = "probe_move" if kind == "move" else "move"
+        assert events.get(f"{kind}s_{outcome}", 0) == 1
+        assert not any(name.startswith(f"{other}s_") for name in events)
+
+    def test_dropped_busy(self, message, expected_state, other_state):
+        network = self._deadlocked_network()
+        controller = network.spin.controllers[1]
+        controller.on_sm(message(sender=0, send_cycle=3, path=(CLOCKWISE,),
+                                 spin_cycle=40, hop_index=1),
+                         COUNTER_CLOCKWISE, now=3)
+        controller.on_sm(message(sender=3, send_cycle=3, path=(CLOCKWISE,),
+                                 spin_cycle=44, hop_index=1),
+                         COUNTER_CLOCKWISE, now=3)
+        self._assert_counted(network, message, "dropped_busy")
+        vc = network.routers[1].inports[COUNTER_CLOCKWISE][0]
+        assert vc.freeze_source == 0
+
+    def test_dropped_priority(self, message, expected_state, other_state):
+        network = self._deadlocked_network()
+        controller = network.spin.controllers[5]
+        # An active initiator yields only to a rival that outranks it;
+        # sender 0 ranks below router 5 in epoch 0.
+        controller.state = SpinState.KILL_MOVE
+        controller.on_sm(message(sender=0, send_cycle=3, path=(CLOCKWISE,),
+                                 spin_cycle=40, hop_index=1),
+                         COUNTER_CLOCKWISE, now=3)
+        self._assert_counted(network, message, "dropped_priority")
+        assert not network.routers[5].inports[COUNTER_CLOCKWISE][0].frozen
+
+    def test_dropped_malformed(self, message, expected_state, other_state):
+        network = self._deadlocked_network()
+        controller = network.spin.controllers[1]
+        controller.on_sm(message(sender=0, send_cycle=3, path=(),
+                                 spin_cycle=40, hop_index=1),
+                         COUNTER_CLOCKWISE, now=3)
+        self._assert_counted(network, message, "dropped_malformed")
+        assert not controller.is_deadlock
+
+    def test_dropped_no_dependency(self, message, expected_state,
+                                   other_state):
+        network = self._deadlocked_network()
+        controller = network.spin.controllers[1]
+        controller.on_sm(message(sender=0, send_cycle=3,
+                                 path=(COUNTER_CLOCKWISE,), spin_cycle=40),
+                         COUNTER_CLOCKWISE, now=3)
+        self._assert_counted(network, message, "dropped_no_dependency")
+        assert not controller.is_deadlock
+
+    def _own_initiator(self, state):
+        network = self._deadlocked_network()
+        controller = network.spin.controllers[0]
+        controller.state = state
+        controller.loop_path = (CLOCKWISE,) * 5
+        controller.loop_delay = 6
+        controller.probe_inport = COUNTER_CLOCKWISE
+        controller.probe_outport = CLOCKWISE
+        controller.spin_cycle = 40
+        controller.deadline = 100
+        return network, controller
+
+    def test_stale(self, message, expected_state, other_state):
+        # The initiator waits for the *other* kind: its own SM of this
+        # kind coming home is stale, even with a matching spin cycle.
+        network, controller = self._own_initiator(other_state)
+        controller.on_sm(message(sender=0, send_cycle=3, path=(),
+                                 spin_cycle=40, hop_index=6),
+                         COUNTER_CLOCKWISE, now=3)
+        self._assert_counted(network, message, "stale")
+        assert controller.state is other_state
+
+    def test_returned(self, message, expected_state, other_state):
+        network, controller = self._own_initiator(expected_state)
+        controller.on_sm(message(sender=0, send_cycle=3, path=(),
+                                 spin_cycle=40, hop_index=6),
+                         COUNTER_CLOCKWISE, now=3)
+        self._assert_counted(network, message, "returned")
+        vc = network.routers[0].inports[COUNTER_CLOCKWISE][0]
+        assert vc.frozen
+        assert vc.freeze_source == 0
+        assert vc.freeze_path_index == 0
+        assert controller.state is SpinState.FORWARD_PROGRESS
+        assert controller.deadline == 40
+        assert controller.is_deadlock and controller.latched_source == 0

@@ -7,6 +7,7 @@ from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 from repro.stats.sweep import simulate_point
 from repro.telemetry.observer import (
+    Histogram,
     TelemetryConfig,
     TelemetryObserver,
     telemetry_config,
@@ -34,11 +35,37 @@ def _uniform_traffic(network, rate=0.1, stop_at=200, seed=1):
                             stop_at=stop_at)
 
 
+class TestHistogram:
+    def test_binning_and_overflow(self):
+        histogram = Histogram(edges=(10, 20))
+        for value in (5, 10, 11, 25, 100):
+            histogram.observe(value)
+        assert histogram.counts == [2, 1, 2]  # <=10, <=20, overflow
+        assert histogram.observations == 5
+        assert histogram.minimum == 5
+        assert histogram.maximum == 100
+        assert histogram.mean() == pytest.approx((5 + 10 + 11 + 25 + 100) / 5)
+
+    def test_to_dict_roundtrip_fields(self):
+        histogram = Histogram(edges=(1, 2))
+        histogram.observe(1)
+        data = histogram.to_dict()
+        assert data["edges"] == [1, 2]
+        assert data["counts"] == [1, 0, 0]
+        assert data["observations"] == 1
+
+    def test_empty_mean(self):
+        assert Histogram(edges=(1,)).mean() == 0.0
+
+    def test_needs_edges(self):
+        with pytest.raises(ConfigurationError):
+            Histogram(edges=())
+
+
 class TestTelemetryConfig:
     def test_defaults(self):
         config = TelemetryConfig()
         assert config.sample_interval == 64
-        assert config.metrics and config.spans
         assert not config.packet_traces
 
     def test_validation(self):
