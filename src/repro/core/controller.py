@@ -100,11 +100,12 @@ class SpinController:
         self.probe_pending: Optional[Tuple[int, int, int, int, int]] = None
         self.kill_retries = 0
 
-        # Round-robin scan ring over the network VCs and per-(inport, vnet)
-        # VC rows (cached: the router's inports are fixed after fabric
-        # construction).
-        self._vc_ring: Optional[list] = None
-        self._vc_pos: Optional[dict] = None
+        # The detection ring (``FabricPlan.rings``: the network input VCs'
+        # scan slots in (port, index) order, twice over) and the pointer's
+        # position on it.  Per-(inport, vnet) VC rows are cached: the
+        # router's inports are fixed after fabric construction.
+        self._ring = framework.network.plan.rings[router.id]
+        self._ring_at = 0
         self._vnet_rows: dict = {}
 
     # ------------------------------------------------------------------
@@ -113,7 +114,7 @@ class SpinController:
     def tick(self, now: int) -> None:
         state = self.state
         if state is SpinState.OFF:
-            if self.router.active_vcs:
+            if self.router.occupied:
                 self._point_at_next_active_vc(now)
             return
         if state is SpinState.DD:
@@ -194,36 +195,25 @@ class SpinController:
                 if inport in router.inports else ())
         return row
 
-    def _network_vcs(self):
-        for inport in sorted(self.router.inports):
-            for vc in self.router.inports[inport]:
-                yield vc
-
     def _point_at_next_active_vc(self, now: int) -> None:
-        """Advance the pointer round-robin to the next occupied VC."""
-        vcs = self._vc_ring
-        if vcs is None:
-            vcs = self._vc_ring = list(self._network_vcs())
-            self._vc_pos = {(vc.inport, vc.index): i
-                            for i, vc in enumerate(vcs)}
-        if not vcs:
+        """Advance the pointer round-robin to the next occupied VC (the
+        ring's next slot set in the router's occupancy mask)."""
+        ring = self._ring
+        count = len(ring) >> 1
+        start = 0 if self.pointer is None else self._ring_at + 1
+        occupied = self.router.occupied
+        for at in range(start, start + count):
+            if occupied >> ring[at] & 1:
+                break
+        else:
             self._go_off()
             return
-        start = 0
-        if self.pointer is not None:
-            pos = self._vc_pos.get(self.pointer)
-            if pos is not None:
-                start = pos + 1
-        count = len(vcs)
-        for offset in range(count):
-            vc = vcs[(start + offset) % count]
-            if vc.packet is not None:
-                self.pointer = (vc.inport, vc.index)
-                self.pointed_uid = vc.packet.uid
-                self.state = SpinState.DD
-                self.deadline = now + self.params.tdd
-                return
-        self._go_off()
+        self._ring_at = at if at < count else at - count
+        vc = self.router._scan[ring[at]]
+        self.pointer = (vc.inport, vc.index)
+        self.pointed_uid = vc.packet.uid
+        self.state = SpinState.DD
+        self.deadline = now + self.params.tdd
 
     def _go_off(self) -> None:
         self.state = SpinState.OFF

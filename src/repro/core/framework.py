@@ -200,7 +200,7 @@ class SpinFramework:
             off = SpinState.OFF
             ticked = 0
             for controller in controllers:
-                if controller.state is off and not controller.router.active_vcs:
+                if controller.state is off and not controller.router.occupied:
                     continue
                 controller.tick(cycle)
                 ticked += 1

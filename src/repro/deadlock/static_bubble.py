@@ -104,7 +104,7 @@ class StaticBubbleControlPlane:
 
     def phase_control(self, cycle: int) -> None:
         for router in self.network.routers:
-            if router.active_vcs == 0:
+            if not router.occupied:
                 self._pointers[router.id] = None
                 continue
             self._tick_router(router, cycle)

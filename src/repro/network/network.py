@@ -17,7 +17,12 @@ from repro.network.link import Link
 from repro.network.nic import NetworkInterface
 from repro.network.packet import Packet
 from repro.network.plan import FabricPlan
-from repro.network.router import EJECT_PORT_BASE, Router
+from repro.network.router import (
+    EJECT_PORT_BASE,
+    INJECT_PORT_BASE,
+    NEVER,
+    Router,
+)
 from repro.network.vc import VirtualChannel
 from repro.sim.rng import DeterministicRng
 from repro.stats.collectors import NetworkStats
@@ -81,6 +86,16 @@ class Network:
         #: Cycle of the most recent flit movement (wedge detection).
         self.last_movement = 0
         self._allocation_offset = 0
+        #: Nodes whose NIC may hold a queued packet (a superset: a NIC
+        #: leaves it when ``phase_inject`` finds its queues empty), kept
+        #: while no engine sink is attached.
+        self.backlogged = set()
+        #: ``VirtualChannel.freeze_epoch`` at the last ``phase_allocate``:
+        #: a freeze or thaw since then wakes every router.
+        self.freeze_epoch = VirtualChannel.freeze_epoch
+        #: A :class:`repro.sim.profile.PhaseProfiler` for the object
+        #: datapath's run/skip counts (set by the engine), or None.
+        self.profiler = None
 
         #: Attached runtime fault injector (see :mod:`repro.faults`), if any.
         self.fault_injector = None
@@ -112,21 +127,49 @@ class Network:
             plane.phase_control(cycle)
 
     def phase_inject(self, cycle: int) -> None:
-        for nic in self.nics:
+        backlogged = self.backlogged
+        if not backlogged:
+            return
+        nics = self.nics
+        skipped = 0
+        # Node order; a NIC whose last attempt failed sleeps until its
+        # inject port frees or a release at the port wakes it.
+        for node in sorted(backlogged):
+            nic = nics[node]
+            if cycle < nic.wake:
+                skipped += 1
+                continue
+            nic.try_inject(cycle)
             for queue in nic.queues:
                 if queue:
-                    nic.try_inject(cycle)
                     break
+            else:
+                backlogged.discard(node)
+        if self.profiler is not None:
+            self.profiler.count_control("nic_attempts_skipped", skipped)
 
     def phase_allocate(self, cycle: int) -> None:
         routers = self.routers
+        count = len(routers)
         offset = self._allocation_offset
-        # Rotating start; a router that holds no packet has nothing to
-        # allocate (a grant earlier in this walk may still wake it).
-        for router in routers[offset:] + routers[:offset]:
-            if router.active_vcs:
+        epoch = VirtualChannel.freeze_epoch
+        if epoch != self.freeze_epoch:
+            # A freeze or thaw: any router may have a VC that became ready.
+            self.freeze_epoch = epoch
+            for router in routers:
+                router.wake = 0
+        ran = 0
+        # Rotating start (``routers[i]`` for ``i`` from ``offset - count``
+        # wraps to ``offset``); a router sleeps until its ``wake``.
+        for i in range(offset - count, offset):
+            router = routers[i]
+            if cycle >= router.wake:
                 router.allocate(cycle)
-        self._allocation_offset = (offset + 1) % len(routers)
+                ran += 1
+        self._allocation_offset = (offset + 1) % count
+        if self.profiler is not None:
+            self.profiler.count_control("router_cycles_run", ran)
+            self.profiler.count_control("router_cycles_skipped", count - ran)
 
     def phase_collect(self, cycle: int) -> None:
         self.now = cycle + 1
@@ -152,7 +195,12 @@ class Network:
         return self.plan.eject_of[node]
 
     def note_vc_reserved(self, router: Router, vc: VirtualChannel) -> None:
-        router.active_vcs += 1
+        occupied = router.occupied
+        router.occupied = occupied | vc.bit
+        ready = vc.ready_at
+        if not occupied or ready < router.wake:
+            # The new packet cannot compete before ``ready_at``.
+            router.wake = ready
         spin = self.spin
         if spin is not None:
             # Reschedule the router's SPIN controller (inlined: this runs
@@ -162,12 +210,34 @@ class Network:
             self.engine_sink.vc_reserved(router, vc)
 
     def note_vc_released(self, router: Router, vc: VirtualChannel) -> None:
-        router.active_vcs -= 1
+        occupied = router.occupied ^ vc.bit
+        router.occupied = occupied
+        if not occupied:
+            router.wake = NEVER
+        inport = vc.inport
+        if inport >= INJECT_PORT_BASE:
+            # An injection VC drains: its NIC may inject from ``free_at``.
+            node = self.topology.nodes_of_router(router.id)[
+                inport - INJECT_PORT_BASE]
+            nic = self.nics[node]
+            if vc.free_at < nic.wake:
+                nic.wake = vc.free_at
         spin = self.spin
         if spin is not None:
             spin.dirty[router.id] = 1
         if self.engine_sink is not None:
             self.engine_sink.vc_released(router, vc)
+
+    def wake_all(self) -> None:
+        """Drop every router's and NIC's sleep and collect the backlogged
+        NICs: each runs at its next phase and re-derives its wake time (an
+        engine hands the schedule back to these phases)."""
+        for router in self.routers:
+            router.wake = 0
+        for nic in self.nics:
+            nic.wake = 0
+            if nic.backlog():
+                self.backlogged.add(nic.node)
 
     def plant_packet(self, router_id: int, inport: int, dst_router: int, *,
                      vnet: int = 0, vc_index: int = 0, length: int = 1,
@@ -279,8 +349,10 @@ class Network:
         it froze or thawed a VC — without a VC event.
 
         The seam between the control planes and an engine that lets blocked
-        routers sleep; the reference schedule allocates every occupied
-        router every cycle and needs no waking.
+        routers sleep.  The object datapath's own sleep needs no call: a
+        router there sleeps only while none of its unfrozen VCs is ready,
+        and ``phase_allocate`` wakes every router after any freeze or thaw
+        (``VirtualChannel.freeze_epoch``).
         """
         if self.engine_sink is not None:
             self.engine_sink.router_woken(router_id)
@@ -342,7 +414,7 @@ class Network:
     def occupied_vcs(self):
         """All (router, inport, vc) triples whose VC holds a packet."""
         for router in self.routers:
-            if router.active_vcs == 0:
+            if not router.occupied:
                 continue
             for inport, vcs in router.all_inports():
                 for vc in vcs:

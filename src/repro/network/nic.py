@@ -13,7 +13,7 @@ from collections import deque
 from typing import Deque, List, Optional
 
 from repro.network.packet import Packet
-from repro.network.router import INJECT_PORT_BASE
+from repro.network.router import INJECT_PORT_BASE, NEVER
 
 
 class NetworkInterface:
@@ -35,14 +35,24 @@ class NetworkInterface:
         self.packets_received = 0
         #: Peak injection-queue backlog observed.
         self.peak_backlog = 0
+        #: First cycle ``Network.phase_inject`` tries this NIC again: set
+        #: by ``try_inject`` to when its inject port or a VC it may use
+        #: frees; reset by ``enqueue`` and lowered by a release at the port.
+        self.wake = 0
 
     def enqueue(self, packet: Packet) -> None:
         """Queue a freshly created packet for injection."""
         self.queues[packet.vnet].append(packet)
         self.packets_created += 1
         network = self.network
-        if network is not None and network.engine_sink is not None:
-            network.engine_sink.nic_backlogged(self.node)
+        if network is not None:
+            sink = network.engine_sink
+            if sink is None:
+                # Try to inject at the next ``Network.phase_inject``.
+                network.backlogged.add(self.node)
+                self.wake = 0
+            else:
+                sink.nic_backlogged(self.node)
         backlog = sum(len(q) for q in self.queues)
         if backlog > self.peak_backlog:
             self.peak_backlog = backlog
@@ -56,42 +66,54 @@ class NetworkInterface:
 
         Vnet queues are served round-robin; a packet enters the first idle
         VC (among the classes its routing algorithm permits) of this NIC's
-        injection port.
+        injection port.  Sets :attr:`wake`: no attempt before it can
+        succeed unless a VC at the port is released or a packet is queued.
+        A failed attempt changes nothing else.
 
         Returns:
             The injected packet, or None.
         """
-        router = self.network.routers[self.router_id]
-        if now <= router.port_busy[self.inject_port]:
+        network = self.network
+        router = network.routers[self.router_id]
+        port_busy = router.port_busy
+        busy = port_busy[self.inject_port]
+        if now <= busy:
+            self.wake = busy + 1
             return None
-        num_vnets = len(self.queues)
+        wake = NEVER
+        queues = self.queues
+        num_vnets = len(queues)
         for offset in range(num_vnets):
             vnet = (self._next_vnet + offset) % num_vnets
-            queue = self.queues[vnet]
+            queue = queues[vnet]
             if not queue:
                 continue
             packet = queue[0]
-            vc = self._pick_injection_vc(router, packet, now)
+            choices = network.routing.injection_vc_choices(packet)
+            vcs = router.vnet_slice(self.inject_port, packet.vnet)
+            vc = None
+            for idx in choices:
+                candidate = vcs[idx]
+                if candidate.packet is None:
+                    if now >= candidate.free_at:
+                        vc = candidate
+                        break
+                    if candidate.free_at < wake:
+                        wake = candidate.free_at
             if vc is None:
                 continue
             queue.popleft()
             self._next_vnet = (vnet + 1) % num_vnets
-            self.network.routing.on_inject(packet, now)
+            network.routing.on_inject(packet, now)
             vc.reserve(packet, now, link_latency=1,
                        router_latency=router.config.router_latency)
-            router.port_busy[self.inject_port] = now + packet.length - 1
+            port_busy[self.inject_port] = now + packet.length - 1
+            self.wake = now + packet.length
             packet.inject_cycle = now
-            self.network.note_vc_reserved(router, vc)
-            self.network.stats.record_injection(packet, now)
+            network.note_vc_reserved(router, vc)
+            network.stats.record_injection(packet, now)
             return packet
-        return None
-
-    def _pick_injection_vc(self, router, packet: Packet, now: int):
-        choices = self.network.routing.injection_vc_choices(packet)
-        vcs = router.vnet_slice(self.inject_port, packet.vnet)
-        for idx in choices:
-            if vcs[idx].is_idle(now):
-                return vcs[idx]
+        self.wake = wake
         return None
 
     def receive(self, packet: Packet, now: int) -> None:

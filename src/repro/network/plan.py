@@ -47,8 +47,13 @@ class FabricPlan:
         topology: The validated topology (itself immutable).
         num_vnets: Virtual networks per port.
         vcs_per_vnet: VCs per virtual network.
-        vc_slots: ``(index, vnet)`` of each VC behind a port (vnet-major).
+        port_slots: Per port position in a router's scan, ``(index, vnet,
+            bit)`` of each VC behind the port (vnet-major); ``bit`` is the
+            VC's bit in its router's occupancy mask (``Router.occupied``):
+            ``1 << i`` for the ``i``-th VC of the scan.
         net_ports: Per router, its network input ports in scan order.
+        in_ports: Per router, all its input ports in scan order: the
+            network ports, then the injection ports in local-index order.
         local_counts: Per router, how many terminals attach to it.
         nic_places: Per terminal node, its ``(router, local index)``.
         r_lo: First VC id of each router; ``r_lo[num_routers]`` is the
@@ -66,13 +71,18 @@ class FabricPlan:
         inj_port: Injection port of each terminal node at its router.
         inj_rid: Router of each terminal node.
         inj_vids: Per terminal node, its injection port's VC ids per vnet.
+        rings: Per router, the scan slots of its network input VCs in
+            (port, index) order, listed twice so that a walk from any
+            position is one range: the SPIN detection pointer's
+            round-robin ring over ``Router.occupied``.
     """
 
     topology: Topology
     num_vnets: int
     vcs_per_vnet: int
-    vc_slots: Tuple[Tuple[int, int], ...]
+    port_slots: Tuple[Tuple[Tuple[int, int, int], ...], ...]
     net_ports: Tuple[Tuple[int, ...], ...]
+    in_ports: Tuple[Tuple[int, ...], ...]
     local_counts: Tuple[int, ...]
     nic_places: Tuple[Tuple[int, int], ...]
     r_lo: Tuple[int, ...]
@@ -85,6 +95,7 @@ class FabricPlan:
     inj_port: Tuple[int, ...]
     inj_rid: Tuple[int, ...]
     inj_vids: Tuple[VidRows, ...]
+    rings: Tuple[Tuple[int, ...], ...]
 
     @classmethod
     def of(cls, topology: Topology, config: NetworkConfig) -> "FabricPlan":
@@ -122,6 +133,11 @@ class FabricPlan:
             for local, node in enumerate(topology.nodes_of_router(rid)):
                 nic_places[node] = (rid, local)
 
+        in_ports = tuple(
+            (*net_ports[rid],
+             *(INJECT_PORT_BASE + local
+               for local in range(len(topology.nodes_of_router(rid)))))
+            for rid in range(count))
         r_lo = [0] * (count + 1)
         vc_inport: List[int] = []
         up_rid: List[int] = []
@@ -149,6 +165,16 @@ class FabricPlan:
                             lo + (vnet + 1) * vcs_per_vnet))
                 for vnet in range(num_vnets))
 
+        # The detection ring of a router visits its network ports in port
+        # order; a port's VCs sit in scan order behind its first slot.
+        rings = []
+        for ports in net_ports:
+            ring = tuple(
+                first + index
+                for _, first in sorted((port, position * port_vcs)
+                                       for position, port in enumerate(ports))
+                for index in range(port_vcs))
+            rings.append(ring + ring)
         down = tuple(
             MappingProxyType({
                 outport: (neighbor, inport, vid_rows(neighbor, inport))
@@ -157,9 +183,13 @@ class FabricPlan:
             for rid in range(count))
         return cls(
             topology=topology, num_vnets=num_vnets, vcs_per_vnet=vcs_per_vnet,
-            vc_slots=tuple((index, index // vcs_per_vnet)
-                           for index in range(port_vcs)),
+            port_slots=tuple(
+                tuple((index, index // vcs_per_vnet,
+                       1 << (position * port_vcs + index))
+                      for index in range(port_vcs))
+                for position in range(max(map(len, in_ports)))),
             net_ports=tuple(map(tuple, net_ports)),
+            in_ports=in_ports,
             local_counts=tuple(len(topology.nodes_of_router(rid))
                                for rid in range(count)),
             nic_places=tuple(nic_places),
@@ -179,4 +209,5 @@ class FabricPlan:
             inj_rid=tuple(rid for rid, _ in nic_places),
             inj_vids=tuple(vid_rows(rid, INJECT_PORT_BASE + local)
                            for rid, local in nic_places),
+            rings=tuple(rings),
         )

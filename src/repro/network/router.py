@@ -32,6 +32,8 @@ from repro.network.vc import VirtualChannel
 INJECT_PORT_BASE = 1000
 #: First port index used for router->NIC ejection ports.
 EJECT_PORT_BASE = 2000
+#: Wake time meaning "never, until a VC event or a thaw".
+NEVER = 1 << 60
 
 
 def is_ejection_port(port: int) -> bool:
@@ -55,39 +57,44 @@ class Router:
         self.id = router_id
         self.config = config
         self.network = network
-        slots = plan.vc_slots
-        scan: List[VirtualChannel] = []
-
-        def make_ports(ports) -> Dict[int, List[VirtualChannel]]:
-            made = {}
-            for port in ports:
-                made[port] = [VirtualChannel(router_id, port, index, vnet)
-                              for index, vnet in slots]
-                scan.extend(made[port])
-            return made
-
-        local_ports = range(plan.local_counts[router_id])
+        # Every input VC in scan order.
+        ports = plan.in_ports[router_id]
+        scan = [VirtualChannel(router_id, port, index, vnet, bit)
+                for port, slots in zip(ports, plan.port_slots)
+                for index, vnet, bit in slots]
+        # One list per port: ``width`` consecutive VCs of the scan.
+        width = plan.num_vnets * plan.vcs_per_vnet
+        rows = list(map(list, zip(*[iter(scan)] * width)))
+        net_ports = plan.net_ports[router_id]
+        count = len(net_ports)
         #: Network input ports: port index -> VCs (vnet-major order).
-        self.inports: Dict[int, List[VirtualChannel]] = make_ports(
-            plan.net_ports[router_id])
+        self.inports: Dict[int, List[VirtualChannel]] = dict(
+            zip(net_ports, rows))
         #: Injection ports from attached NICs.
-        self.local_inports: Dict[int, List[VirtualChannel]] = make_ports(
-            [INJECT_PORT_BASE + local for local in local_ports])
+        self.local_inports: Dict[int, List[VirtualChannel]] = dict(
+            zip(ports[count:], rows[count:]))
         #: Outbound links by network output port.
         self.out_links: Dict[int, Link] = {}
         #: Downstream (router, inport) by network output port.
         self.out_neighbors: Dict[int, Tuple["Router", int]] = {}
         #: Ejection port busy-until times (one per attached NIC).
-        self.eject_busy: Dict[int, int] = {
-            EJECT_PORT_BASE + local: -1 for local in local_ports}
+        self.eject_busy: Dict[int, int] = dict.fromkeys(
+            range(EJECT_PORT_BASE,
+                  EJECT_PORT_BASE + plan.local_counts[router_id]), -1)
         #: Input-port busy-until times (switch input occupancy).
-        self.port_busy: Dict[int, int] = dict.fromkeys(
-            (*self.inports, *self.local_inports), -1)
+        self.port_busy: Dict[int, int] = dict.fromkeys(ports, -1)
         #: Round-robin arbiter pointers per output port.
         self._rr: Dict[int, int] = {}
-        #: Number of occupied VCs: lets ``Network.phase_allocate`` skip quiet
-        #: routers and bounds the ``allocate`` scan on busy ones.
-        self.active_vcs = 0
+        #: Occupancy mask: bit ``i`` is set while ``_scan[i]`` holds a
+        #: packet (``VirtualChannel.bit``).  ``allocate`` walks its set bits
+        #: in scan order; ``Network.note_vc_reserved`` / ``note_vc_released``
+        #: keep it.
+        self.occupied = 0
+        #: First cycle ``Network.phase_allocate`` calls this router again:
+        #: set by an ``allocate`` that found no ready, unfrozen VC (and by
+        #: the first packet to reach an empty router) to the earliest
+        #: ``ready_at`` of its unfrozen VCs; lowered by every reserve.
+        self.wake = NEVER
         #: Every input VC in ``all_inports()`` order (the plan's VC id
         #: order within this router).
         self._scan: Tuple[VirtualChannel, ...] = tuple(scan)
@@ -129,6 +136,11 @@ class Router:
         """Network output-port indices, ascending."""
         return sorted(self.out_links)
 
+    @property
+    def active_vcs(self) -> int:
+        """Number of occupied VCs (the set bits of :attr:`occupied`)."""
+        return bin(self.occupied).count("1")
+
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
@@ -138,27 +150,40 @@ class Router:
         Returns:
             Number of packets granted this cycle.
         """
-        remaining = self.active_vcs
-        if remaining == 0:
+        mask = self.occupied
+        if not mask:
+            self.wake = NEVER
             return 0
         routing = self.network.routing
         decide = routing.decide
         port_busy = self.port_busy
+        scan = self._scan
         requests: Dict[int, List[VirtualChannel]] = {}
-        # ``active_vcs`` counts the occupied VCs, so the walk ends at the
-        # last packet instead of at the last (empty) slot.
-        for vc in self._scan:
+        # The occupied VCs in scan order, lowest set bit first.
+        ready = False
+        wake = NEVER
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            vc = scan[low.bit_length() - 1]
             packet = vc.packet
-            if packet is None:
+            if packet is None or vc.frozen:
                 continue
-            if not vc.frozen and now >= vc.ready_at:
-                inport = vc.inport
-                outport = decide(self, inport, packet, now)
-                if outport is not None and now > port_busy[inport]:
-                    requests.setdefault(outport, []).append(vc)
-            remaining -= 1
-            if remaining == 0:
-                break
+            ready_at = vc.ready_at
+            if now < ready_at:
+                if ready_at < wake:
+                    wake = ready_at
+                continue
+            ready = True
+            inport = vc.inport
+            outport = decide(self, inport, packet, now)
+            if outport is not None and now > port_busy[inport]:
+                requests.setdefault(outport, []).append(vc)
+        if not ready:
+            # Nothing can compete before ``wake`` (a thaw or a new packet
+            # wakes the router earlier): this call decided and wrote nothing.
+            self.wake = wake
+            return 0
         if not requests:
             return 0
 

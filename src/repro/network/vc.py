@@ -26,7 +26,7 @@ class VirtualChannel:
     """One virtual channel at a router input port."""
 
     __slots__ = (
-        "router", "inport", "index", "vnet",
+        "router", "inport", "index", "vnet", "bit",
         "packet", "head_arrival", "ready_at", "tail_arrival",
         "free_at", "active_since",
         "frozen", "freeze_outport", "freeze_source", "freeze_spin_cycle",
@@ -34,17 +34,22 @@ class VirtualChannel:
     )
 
     #: Process-wide freeze-state epoch, bumped by every ``freeze()`` /
-    #: ``clear_freeze()``.  Engines compare it around control callbacks to
-    #: detect "did that call touch any freeze state?" without scanning VCs
-    #: (freezing is the only datapath-visible mutation controllers perform
-    #: outside the reserve/release event funnel).
+    #: ``clear_freeze()`` (``release()`` clears only a frozen VC).  Engines
+    #: and ``Network.phase_allocate`` compare it to detect "did anything
+    #: touch freeze state?" without scanning VCs (freezing is the only
+    #: datapath-visible mutation controllers perform outside the
+    #: reserve/release event funnel).
     freeze_epoch = 0
 
-    def __init__(self, router: int, inport: int, index: int, vnet: int) -> None:
+    def __init__(self, router: int, inport: int, index: int, vnet: int,
+                 bit: int = 0) -> None:
         self.router = router
         self.inport = inport
         self.index = index
         self.vnet = vnet
+        #: This VC's bit in its router's occupancy mask (``1 << slot`` of
+        #: its place in the router's scan; 0 outside a router).
+        self.bit = bit
         self.packet: Optional[Packet] = None
         self.head_arrival = 0
         self.ready_at = 0
@@ -110,7 +115,8 @@ class VirtualChannel:
         packet = self.packet
         self.packet = None
         self.free_at = now + packet.length
-        self.clear_freeze()
+        if self.frozen:
+            self.clear_freeze()
         return packet
 
     def freeze(self, outport: int, source: int, spin_cycle: int,

@@ -120,8 +120,15 @@ class UgalRouting(RoutingAlgorithm):
         if not ports:
             return 0
         rows = [router.downstream_vcs(port, packet.vnet) for port in ports]
-        best = min(
-            sum([not vc.is_idle(now) for vc in vcs]) for vcs in rows)
+        best = len(self._all_vcs) + 1
+        for vcs in rows:
+            busy = 0
+            for vc in vcs:
+                # ``not vc.is_idle(now)``, inlined.
+                if vc.packet is not None or now < vc.free_at:
+                    busy += 1
+            if busy < best:
+                best = busy
         if best == len(self._all_vcs):
             # Every VC busy: refine by how long the youngest has been busy.
             best += min(min_active_time(vcs, now) for vcs in rows)

@@ -41,11 +41,17 @@ proven against: stock minimal-adaptive or dimension-order routing
 (base-class decision, selection, VC-choice, downstream-VC *and* ``on_hop``/
 ``on_inject`` hook implementations), the known control planes, and no
 runtime fault injector.  Anything else — Static Bubble / escape-VC routing,
-custom planes, faults — compiles to the *reference schedule*: the datapath
-performs exactly the reference work.  A runtime link failure while the fast
-path is active likewise drops allocation back to the reference rotation
-(the SoA mirrors stay synchronized through the event funnel) for as long as
-dead links exist.
+custom planes, faults — compiles to the *reference schedule*: the object
+datapath's own ``Network.phase_inject`` / ``phase_allocate``, which sleep
+exactly for every design (a router with no ready, unfrozen VC and a NIC
+that cannot inject are skipped until their wake times; their run/skip
+counts go to ``PhaseProfiler.control_counters``).  A runtime link failure
+while the fast path is active likewise drops allocation back to the
+reference rotation (the SoA mirrors stay synchronized through the event
+funnel) for as long as dead links exist.  The SoA core keeps
+``Router.occupied`` but not the object path's wake times; handing the
+schedule back to the object phases wakes every router and NIC
+(``Network.wake_all``).
 """
 
 from __future__ import annotations
@@ -157,6 +163,9 @@ class FastSimulator(Simulator):
         net = nets[0]
         self._net = net
         self.fallback_reason = fallback_reason(net)
+        # The object datapath's run/skip counts are control-loop counts:
+        # ``PhaseProfiler.counters`` stays empty on that path.
+        net.profiler = self._profiler
         fw = net.spin
         if fw is not None:
             # Tick scheduling is legal on either datapath; only where its
@@ -193,6 +202,9 @@ class FastSimulator(Simulator):
     def _detach_sink(self) -> None:
         if self._net is not None and getattr(self._net, "engine_sink", None) is self:
             self._net.engine_sink = None
+            # The SoA core kept no object-path wake times: the phases
+            # re-derive them from the objects.
+            self._net.wake_all()
 
     def _build_schedule(self):
         started = perf_counter()

@@ -368,7 +368,7 @@ class SoaCore:
                     port_busy[iport] = cycle + length - 1
                     packet.inject_cycle = cycle
                     # note_vc_reserved(router, vc), inlined.
-                    router.active_vcs += 1
+                    router.occupied |= vc.bit
                     self.occupied += 1
                     r_dirty[rid] = 1
                     ctrl_dirty[rid] = 1
@@ -669,7 +669,7 @@ class SoaCore:
             router.port_busy[vc.inport] = free - 1
             packet.current_request = None
             # note_vc_released(router, vc), inlined with the known vid.
-            router.active_vcs -= 1
+            router.occupied ^= vc.bit
             self.occupied -= 1
             vc_pkt[vid] = 0
             vc_free[vid] = free
@@ -717,7 +717,7 @@ class SoaCore:
                 # routing.on_hop: base no-op under the whitelist.
                 flit_hops += length
                 # note_vc_reserved(neighbor, dvc), inlined.
-                self.routers[nrid].active_vcs += 1
+                self.routers[nrid].occupied |= dvc.bit
                 self.occupied += 1
                 vc_pkt[dvid] = 1
                 vc_ready[dvid] = ready

@@ -286,7 +286,7 @@ def _wedge_snapshot(network, cycle: int, abort_after: int) -> Dict[str, object]:
     the failure message alone localizes the wedge.
     """
     stuck_routers = sorted(
-        router.id for router in network.routers if router.active_vcs)
+        router.id for router in network.routers if router.occupied)
     context: Dict[str, object] = {
         "cycle": cycle,
         "idle_cycles": abort_after,

@@ -25,11 +25,15 @@ from repro.core.fsm import (
     SpinState,
 )
 from repro.errors import InvariantViolation
+from repro.network.router import NEVER
+from repro.network.vc import VirtualChannel
 
 #: name -> one-line description of every invariant family the oracle checks.
 INVARIANTS: Dict[str, str] = {
     "credit_conservation":
-        "router.active_vcs equals the number of occupied VCs at the router",
+        "router.occupied has a bit for exactly the occupied VCs at the "
+        "router; on the object datapath no router sleeps past a ready, "
+        "unfrozen VC and no NIC past a possible injection",
     "vc_occupancy":
         "an occupied VC holds exactly one packet with consistent timing "
         "fields, matching vnet, and a length within the buffer bound",
@@ -76,8 +80,8 @@ def iter_resident(network) -> Iterator[Tuple[int, object, Location]]:
     """Every resident packet as ``(uid, packet, location)``.
 
     Walks all router input VCs (network and injection ports) plus all NIC
-    injection queues.  Deliberately does *not* trust ``active_vcs`` — that
-    counter is itself under audit (credit conservation).
+    injection queues.  Deliberately does *not* trust ``Router.occupied`` —
+    that mask is itself under audit (credit conservation).
     """
     for router in network.routers:
         for inport, vcs in router.all_inports():
@@ -94,16 +98,67 @@ def iter_resident(network) -> Iterator[Tuple[int, object, Location]]:
 
 def check_credit_conservation(network, cycle: int
                               ) -> Iterator[InvariantViolation]:
-    """``active_vcs`` (the credit fast path) vs. a direct occupancy count."""
+    """``Router.occupied`` (the credit fast path) vs. a direct occupancy
+    count, and the sleep it drives.
+
+    Where the object datapath schedules (no engine sink is attached), a
+    router's ``wake`` is never later than the ``ready_at`` of one of its
+    unfrozen VCs — unless a freeze or thaw since the last allocation will
+    wake every router anyway — and a backlogged NIC's ``wake`` is never
+    later than the first cycle its port and a permitted VC could take its
+    head packet.
+    """
+    check_sleep = network.engine_sink is None
+    check_routers = (check_sleep and
+                     network.freeze_epoch == VirtualChannel.freeze_epoch)
     for router in network.routers:
-        counted = sum(
-            1 for _, vcs in router.all_inports()
-            for vc in vcs if vc.packet is not None)
-        if counted != router.active_vcs:
+        mask = 0
+        earliest = NEVER
+        for _, vcs in router.all_inports():
+            for vc in vcs:
+                if vc.packet is not None:
+                    mask |= vc.bit
+                    if not vc.frozen and vc.ready_at < earliest:
+                        earliest = vc.ready_at
+        cached = router.occupied
+        if mask != cached:
             yield InvariantViolation(
-                "credit counter disagrees with VC occupancy",
+                "occupancy mask disagrees with VC occupancy",
                 invariant="credit_conservation", router=router.id,
-                cycle=cycle, counted=counted, cached=router.active_vcs)
+                cycle=cycle, counted=bin(mask).count("1"),
+                cached=router.active_vcs, missing=mask & ~cached,
+                phantom=cached & ~mask)
+        elif check_routers and earliest < router.wake:
+            yield InvariantViolation(
+                "a sleeping router holds a VC ready before its wake time",
+                invariant="credit_conservation", router=router.id,
+                cycle=cycle, ready_at=earliest, wake=router.wake)
+    if not check_sleep:
+        return
+    routing = network.routing
+    for nic in network.nics:
+        heads = [queue[0] for queue in nic.queues if queue]
+        if not heads:
+            continue
+        if nic.node not in network.backlogged:
+            yield InvariantViolation(
+                "a NIC with queued packets is not backlogged",
+                invariant="credit_conservation", node=nic.node, cycle=cycle)
+            continue
+        router = network.routers[nic.router_id]
+        free = NEVER
+        for packet in heads:
+            row = router.vnet_slice(nic.inject_port, packet.vnet)
+            for index in routing.injection_vc_choices(packet):
+                vc = row[index]
+                if vc.packet is None and vc.free_at < free:
+                    free = vc.free_at
+        earliest = max(router.port_busy[nic.inject_port] + 1, free)
+        if earliest < nic.wake:
+            yield InvariantViolation(
+                "a sleeping NIC could inject before its wake time",
+                invariant="credit_conservation", node=nic.node, cycle=cycle,
+                could_inject=earliest, wake=nic.wake)
 
 
 def check_vc_occupancy(network, cycle: int) -> Iterator[InvariantViolation]:

@@ -1,18 +1,29 @@
-"""The occupancy-bounded allocation walk equals an exhaustive scan.
+"""The mask-driven allocation walk and the object path's sleep equal an
+exhaustive scan.
 
-``Router.allocate`` walks a router's input VCs in ``all_inports()`` order
-and stops once it has seen ``active_vcs`` packets, and
-``Network.phase_allocate`` does not call a router that holds none.  The
-reference kept *here* — and nowhere in the product — visits every router
-and every VC slot, the way the datapath did before the walk was bounded.
+``Router.allocate`` walks the set bits of its occupancy mask
+(``Router.occupied``) in ``all_inports()`` order.  ``Network.phase_allocate``
+skips a router until its ``wake``: the earliest ``ready_at`` of its
+unfrozen VCs once a walk found none of them ready, lowered by every packet
+that arrives and dropped by any freeze or thaw.  ``Network.phase_inject``
+visits only backlogged NICs and skips one until its ``wake``: when its
+inject port or a VC it may use frees, or a packet is queued.  The reference
+kept *here* — and nowhere in the product — calls every router and every
+backlogged NIC every cycle and visits every VC slot, the way the datapath
+did before the walk was bounded and the object path slept.
 
 Two identically built networks, one on each, get the same traffic and the
 same perturbations (frozen VCs, heads that are not ready yet, busy input
 ports, packets planted through ``Network.plant_packet``, a SPIN recovery
-that moves packets through ``SpinExecutor``).  After every cycle they must
-agree on the ``decide`` call sequence (the request set), the per-router
-grant counts, every ``_rr`` pointer, the whole datapath state, the SPIN
-controllers and the routing RNG state.
+that moves packets through ``SpinExecutor``), and perturbations aimed at
+what sleeps: a freeze and a later thaw at a sleeping router, a plant whose
+``ready_at`` is before a sleeping router's wake time, and a packet of
+another vnet queued at a sleeping NIC.  After every cycle they must agree
+on the ``decide`` call sequence (the request set), the per-router grant
+counts, every ``_rr`` pointer, the whole datapath state, the SPIN
+controllers and the routing RNG state; and the bounded side must pass the
+oracle's ``credit_conservation`` check, which audits the mask and the
+wake times.
 
 The same harness holds the ``fast`` engine to the ``reference`` one while
 packets are planted mid-run, and while the centralized and proactive planes
@@ -22,6 +33,7 @@ per-VC events.
 """
 
 import functools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +44,7 @@ from repro.core.centralized import CentralizedSpinPlane
 from repro.core.proactive import ProactiveSpinPlane
 from repro.harness.configs import build_network
 from repro.network.network import Network
+from repro.network.packet import Packet
 from repro.network.router import is_ejection_port
 from repro.routing.adaptive import MinimalAdaptiveRouting
 from repro.sim import create_engine
@@ -39,6 +52,7 @@ from repro.sim.engine import Simulator
 from repro.topology.mesh import MeshTopology
 from repro.traffic.generator import SyntheticTraffic
 from repro.traffic.patterns import make_pattern
+from repro.verify.invariants import check_credit_conservation
 
 from tests.conftest import craft_square_deadlock, make_mesh_network
 
@@ -46,6 +60,7 @@ DESIGNS = (
     "mesh:westfirst-2vc", "mesh:escapevc-2vc", "mesh:staticbubble-2vc",
     "mesh:favors-nmin-spin-1vc", "mesh:minadaptive-spin-2vc",
     "dfly:ugal-spin-3vc", "dfly:ugal-dally-3vc", "dfly:minimal-spin-1vc",
+    "dfly:favors-nmin-spin-1vc",
 )
 
 
@@ -116,6 +131,13 @@ def exhaustive_phase_allocate(network, grants_log, cycle):
     network._allocation_offset = (offset + 1) % count
 
 
+def exhaustive_phase_inject(network, cycle):
+    """Try every NIC that holds a queued packet, in node order."""
+    for nic in network.nics:
+        if any(nic.queues):
+            nic.try_inject(cycle)
+
+
 # ----------------------------------------------------------------------
 # Side-by-side harness
 # ----------------------------------------------------------------------
@@ -134,9 +156,11 @@ class Side:
 
     def __init__(self, network, traffics, exhaustive, engine=None):
         self.network = network
+        self.exhaustive = exhaustive
         self.decides = []
         self.grants = {}
         self.thaw = []  # (cycle, vc) frozen by a perturbation
+        self.landed = Counter()  # perturbation kind -> times it found a target
         if engine is None:
             self._log_calls(exhaustive)
         self.simulator = create_engine(engine) if engine else Simulator()
@@ -159,6 +183,8 @@ class Side:
         if exhaustive:
             network.phase_allocate = functools.partial(
                 exhaustive_phase_allocate, network, self.grants)
+            network.phase_inject = functools.partial(
+                exhaustive_phase_inject, network)
         else:
             for router in network.routers:
                 router.allocate = self._logged_allocate(router)
@@ -199,6 +225,9 @@ class Side:
                             packet.misroutes, packet.phase)
             # The premise of the bounded walk.
             assert router.active_vcs == held
+        if not self.exhaustive:
+            assert list(check_credit_conservation(
+                network, self.simulator.cycle)) == []
         core = getattr(self.simulator, "_core", None)
         if core is not None:
             assert core.verify_against_objects() == []
@@ -240,18 +269,26 @@ def build_side(exhaustive, design, seed, rate, num_vnets, stop_at,
     return Side(network, traffics, exhaustive, engine)
 
 
-def perturb(side, kind, a, b):
+def perturb(side, guide, kind, a, b):
     """Apply one perturbation; the target is picked from the state, which
-    is the same on both sides as long as they agree."""
+    is the same on both sides as long as they agree — or, for what
+    sleeps, from the ``guide`` side's routers and NICs."""
     network = side.network
     now = side.simulator.cycle
     routers = network.routers
     router = routers[a % len(routers)]
+    if kind in ("freeze_sleeping", "plant_early"):
+        asleep = [r for r in guide.network.routers
+                  if r.occupied and r.wake > now + (kind == "plant_early")]
+        if not asleep:
+            return
+        sleeper = asleep[a % len(asleep)]
+        router = routers[sleeper.id]
     if kind == "busy_port":
         ports = sorted(router.port_busy)
         port = ports[b % len(ports)]
         router.port_busy[port] = max(router.port_busy[port], now + 1 + b % 4)
-    elif kind == "freeze":
+    elif kind in ("freeze", "freeze_sleeping"):
         if network.spin is not None:
             return  # leave freezing to the SPIN control plane there
         held = [vc for _, row in router.all_inports() for vc in row
@@ -260,19 +297,47 @@ def perturb(side, kind, a, b):
             vc = held[b % len(held)]
             vc.freeze(outport=0, source=router.id, spin_cycle=now + 5,
                       path_index=0)
-            side.thaw.append((now + 1 + b % 6, vc))
-    else:  # "plant" / "plant_late"
+            # A sleeping router's VC thaws once its head is ready.
+            due = (min(vc.ready_at, now + 8) if kind == "freeze_sleeping"
+                   else now + 1)
+            side.thaw.append((max(due, now + 1) + b % 6, vc))
+            side.landed[kind] += 1
+    elif kind == "enqueue_sleeping":
+        asleep = [nic.node for nic in guide.network.nics
+                  if nic.wake > now and nic.backlog()]
+        if not asleep:
+            return
+        nic = network.nics[asleep[a % len(asleep)]]
+        head = next(queue[0] for queue in nic.queues if queue)
+        topology = network.topology
+        dst = (nic.node + 1 + b % (topology.num_nodes - 1)) % topology.num_nodes
+        packet = Packet(src_node=nic.node, dst_node=dst,
+                        src_router=nic.router_id,
+                        dst_router=topology.router_of_node(dst),
+                        length=1 + b % 5,
+                        vnet=(head.vnet + 1) % len(nic.queues),
+                        create_cycle=now)
+        network.stats.record_creation(packet, now)
+        nic.enqueue(packet)
+        side.landed[kind] += 1
+    else:  # "plant" / "plant_late" / "plant_early"
         idle = [vc for port in sorted(router.inports)
                 for vc in router.inports[port] if vc.is_idle(now)]
         if not idle:
             return
         vc = idle[b % len(idle)]
         dst_router = (router.id + 1 + b % (len(routers) - 1)) % len(routers)
+        if kind == "plant_early":
+            # Ready before the router's wake time: the plant must wake it.
+            # (A router whose VCs are all frozen sleeps until a thaw.)
+            ready_at = now + b % min(sleeper.wake - now, 8)
+        else:
+            ready_at = now + 3 if kind == "plant_late" else now
         network.plant_packet(
             router.id, vc.inport, dst_router, vnet=vc.vnet,
             vc_index=vc.index % network.config.vcs_per_vnet,
-            length=1 + b % 5, now=now,
-            ready_at=now + 3 if kind == "plant_late" else now)
+            length=1 + b % 5, now=now, ready_at=ready_at)
+        side.landed[kind] += 1
 
 
 def run_side_by_side(side, reference, cycles, perturbations=()):
@@ -281,8 +346,10 @@ def run_side_by_side(side, reference, cycles, perturbations=()):
         by_cycle.setdefault(cycle, []).append((kind, a, b))
     for cycle in range(cycles):
         for kind, a, b in by_cycle.get(cycle, ()):
-            perturb(side, kind, a, b)
-            perturb(reference, kind, a, b)
+            # The reference first: the guide's sleep state is the one
+            # before the perturbation on both sides.
+            perturb(reference, side, kind, a, b)
+            perturb(side, side, kind, a, b)
         side.step()
         reference.step()
         got, want = side.snapshot(), reference.snapshot()
@@ -293,7 +360,9 @@ def run_side_by_side(side, reference, cycles, perturbations=()):
 
 PERTURBATIONS = st.lists(
     st.tuples(st.integers(0, 59),
-              st.sampled_from(["busy_port", "freeze", "plant", "plant_late"]),
+              st.sampled_from(["busy_port", "freeze", "plant", "plant_late",
+                               "freeze_sleeping", "plant_early",
+                               "enqueue_sleeping"]),
               st.integers(0, 1000), st.integers(0, 1000)),
     max_size=12)
 
@@ -355,6 +424,26 @@ def test_every_perturbation_kind_lands():
     planted = stats.packets_created - sum(
         nic.packets_created for nic in bounded.network.nics)
     assert planted >= 10
+
+
+def test_every_sleep_perturbation_lands():
+    """The perturbations aimed at what sleeps find sleeping routers and
+    NICs (a moderate load leaves routers whose packets are all still
+    arriving), and the two sides still agree."""
+    kinds = ["freeze_sleeping", "plant_early", "enqueue_sleeping"]
+    perturbations = [
+        (cycle, kind, 3 * cycle + offset, 7 * cycle)
+        for cycle in range(10, 40, 3)
+        for offset, kind in enumerate(kinds)
+    ]
+    sides = [build_side(exhaustive, "mesh:westfirst-2vc", seed=3, rate=0.2,
+                        num_vnets=2, stop_at=45)
+             for exhaustive in (False, True)]
+    run_side_by_side(*sides, cycles=60, perturbations=perturbations)
+    bounded = sides[0]
+    for kind in kinds:
+        assert bounded.landed[kind] >= 3, bounded.landed
+    assert not any(vc.frozen for _, vc in bounded.thaw)
 
 
 #: Long enough for the rotating priority to let one initiator's move round

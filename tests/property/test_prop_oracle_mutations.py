@@ -89,13 +89,16 @@ def _plant(vc, packet, now: int) -> None:
 
 class TestDatapathMutations:
     @given(seed=st.integers(0, 500), cycles=st.integers(40, 120),
-           drift=st.sampled_from([-1, 1]), which=st.integers(0, 15))
+           slot=st.integers(0, 63), which=st.integers(0, 15))
     @settings(**SETTINGS)
     def test_credit_drift_trips_credit_conservation(self, seed, cycles,
-                                                    drift, which):
+                                                    slot, which):
         network = _loaded_network(seed, cycles)
         oracle = _baselined_oracle(network)
-        network.routers[which % 16].active_vcs += drift
+        # Flip one VC's occupancy bit: a phantom credit on an empty VC, a
+        # dropped one on an occupied VC.
+        router = network.routers[which % 16]
+        router.occupied ^= 1 << (slot % len(router._scan))
         found = oracle.check_now(network.now + 1)
         assert _families(found) == {"credit_conservation"}
 
@@ -127,7 +130,8 @@ class TestDatapathMutations:
         dst_router, dst_vc = spot
         oracle = _baselined_oracle(network)
         _plant(dst_vc, src_vc.packet, network.now)
-        dst_router.active_vcs += 1  # keep credits honest: only the dup
+        # Keep credits honest: only the dup.
+        network.note_vc_reserved(dst_router, dst_vc)
         # +2, not +1: a consecutive census would key both copies by the
         # same uid and could *also* read as a teleport.
         found = oracle.check_now(network.now + 2)
@@ -147,9 +151,9 @@ class TestDatapathMutations:
         oracle = _baselined_oracle(network)
         packet = src_vc.packet
         src_vc.packet = None
-        src_router.active_vcs -= 1
+        network.note_vc_released(src_router, src_vc)
         _plant(dst_vc, packet, network.now)
-        dst_router.active_vcs += 1
+        network.note_vc_reserved(dst_router, dst_vc)
         # Consecutive census (+1) so the movement history check runs.
         found = oracle.check_now(network.now + 1)
         assert _families(found) == {"teleport"}
@@ -165,7 +169,7 @@ class TestDatapathMutations:
         src_router, src_vc = residents[index % len(residents)]
         oracle = _baselined_oracle(network)
         src_vc.packet = None          # no delivery, no counted loss
-        src_router.active_vcs -= 1
+        network.note_vc_released(src_router, src_vc)
         found = oracle.check_now(network.now + 2)
         assert _families(found) == {"packet_conservation"}
 
@@ -186,7 +190,7 @@ class TestDatapathMutations:
         assert oracle.check_now(network.now) == []
         packet = src_vc.packet
         src_vc.packet = None
-        src_router.active_vcs -= 1
+        network.note_vc_released(src_router, src_vc)
         network.stats.record_loss(packet, network.now)
         found = oracle.check_now(network.now + 2)
         assert found == []

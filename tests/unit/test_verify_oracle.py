@@ -44,6 +44,16 @@ def families(violations):
     return {violation.invariant for violation in violations}
 
 
+def phantom_credit(router):
+    """Corrupt a router's occupancy mask: set the bit of an empty VC."""
+    for _, vcs in router.all_inports():
+        for vc in vcs:
+            if vc.packet is None:
+                router.occupied |= vc.bit
+                return
+    raise AssertionError("router has no empty VC")
+
+
 # ----------------------------------------------------------------------
 # Engine observer mechanics
 # ----------------------------------------------------------------------
@@ -134,7 +144,7 @@ def test_double_attach_rejected(mesh4):
 
 def test_raise_mode_raises_on_corruption(mesh4):
     craft_square_deadlock(mesh4)
-    mesh4.routers[5].active_vcs += 1  # drop a credit
+    phantom_credit(mesh4.routers[5])
     oracle = InvariantOracle(mesh4, OracleConfig(mode="raise"))
     simulator = Simulator()
     simulator.register(mesh4)
@@ -147,7 +157,7 @@ def test_raise_mode_raises_on_corruption(mesh4):
 
 def test_record_mode_counts_and_dedups(mesh4):
     craft_square_deadlock(mesh4)
-    mesh4.routers[5].active_vcs += 1
+    phantom_credit(mesh4.routers[5])
     oracle = InvariantOracle(mesh4, OracleConfig(mode="record"))
     simulator = Simulator()
     simulator.register(mesh4)
@@ -163,7 +173,7 @@ def test_record_mode_counts_and_dedups(mesh4):
 def test_max_violations_saturates_checking(mesh4):
     craft_square_deadlock(mesh4)
     for router in mesh4.routers:
-        router.active_vcs += 1
+        phantom_credit(router)
     oracle = InvariantOracle(
         mesh4, OracleConfig(mode="record", max_violations=3))
     simulator = Simulator()
@@ -179,7 +189,7 @@ def test_max_violations_saturates_checking(mesh4):
 
 def test_checks_subset_restricts_families(mesh4):
     craft_square_deadlock(mesh4)
-    mesh4.routers[5].active_vcs += 1          # credit_conservation bait
+    phantom_credit(mesh4.routers[5])          # credit_conservation bait
     oracle = InvariantOracle(
         mesh4, OracleConfig(mode="record", checks={"vc_occupancy"}))
     found = oracle.check_now()
@@ -193,7 +203,8 @@ def test_check_now_detects_credit_drift(mesh4):
     craft_square_deadlock(mesh4)
     oracle = InvariantOracle(mesh4, OracleConfig(mode="record"))
     assert oracle.check_now() == []
-    mesh4.routers[5].active_vcs -= 1
+    router = mesh4.routers[5]
+    router.occupied &= router.occupied - 1   # drop one occupied VC's bit
     assert families(oracle.check_now()) == {"credit_conservation"}
 
 
@@ -331,7 +342,7 @@ def test_simulate_point_env_gate_counts_violations(monkeypatch):
     monkeypatch.setenv("REPRO_VERIFY", "record")
     network = make_mesh_network()
     # corrupt before the run so the env-attached oracle must notice
-    network.routers[3].active_vcs += 1
+    phantom_credit(network.routers[3])
     sim = SimulationConfig(warmup_cycles=10, measure_cycles=20,
                            drain_cycles=10)
     point = simulate_point(network, _traffic(network, stop_at=30), sim)
@@ -341,7 +352,7 @@ def test_simulate_point_env_gate_counts_violations(monkeypatch):
 
 def test_simulate_point_verify_flag_raises_on_corruption():
     network = make_mesh_network()
-    network.routers[3].active_vcs += 1
+    phantom_credit(network.routers[3])
     sim = SimulationConfig(warmup_cycles=10, measure_cycles=20,
                            drain_cycles=10)
     with pytest.raises(InvariantViolation):
