@@ -19,14 +19,24 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Tuple
 
-from repro.core.fsm import FREEZABLE_STATES, SpinState
+from repro.core.fsm import (
+    DD,
+    FORWARD_PROGRESS,
+    FREEZABLE_STATES,
+    FROZEN,
+    KILL_MOVE,
+    MOVE,
+    OFF,
+    PROBE_MOVE,
+    SpinState,
+)
 from repro.core.messages import (
     KillMoveMessage,
     MoveMessage,
     ProbeMessage,
     ProbeMoveMessage,
 )
-from repro.network.router import is_ejection_port
+from repro.network.router import EJECT_PORT_BASE
 from repro.network.vc import VirtualChannel
 
 #: SM-loss watchdog (docs/FAULTS.md): extra cycles on top of the loop-delay
@@ -57,8 +67,7 @@ class _MoveFamily(NamedTuple):
 MOVE_FAMILIES = {
     kind: _MoveFamily(state, *(f"{kind}s_{outcome}"
                                for outcome in _MoveFamily._fields[1:]))
-    for kind, state in (("move", SpinState.MOVE),
-                        ("probe_move", SpinState.PROBE_MOVE))
+    for kind, state in (("move", MOVE), ("probe_move", PROBE_MOVE))
 }
 
 
@@ -67,14 +76,16 @@ class SpinController:
 
     def __init__(self, router, framework) -> None:
         self.router = router
+        self.router_id = router.id
         self.framework = framework
         self.params = framework.params
-        self.state = SpinState.OFF
+        self.state = OFF
         #: Absolute cycle of the next counter event in the current state.
         self.deadline: Optional[int] = None
 
-        # Detection counter pointer.
-        self.pointer: Optional[Tuple[int, int]] = None  # (inport, vc index)
+        # Detection counter pointer: the pointed VC (see :attr:`pointer`)
+        # and the uid of the packet it held when pointed at.
+        self._pointed: Optional[VirtualChannel] = None
         self.pointed_uid: Optional[int] = None
 
         # Initiator-side latched context.
@@ -111,31 +122,45 @@ class SpinController:
     # ------------------------------------------------------------------
     # Counter tick (called once per cycle)
     # ------------------------------------------------------------------
-    def tick(self, now: int) -> None:
+    def tick(self, now: int) -> bool:
+        """One counter cycle.
+
+        Returns False when the tick left the FSM where it was (state,
+        deadline, probe watchdog, deferred probe_move), so its due time
+        (``repro.core.framework._ctrl_due``) stands.
+        """
         state = self.state
-        if state is SpinState.OFF:
+        if state is OFF:
             if self.router.occupied:
                 self._point_at_next_active_vc(now)
-            return
-        if state is SpinState.DD:
-            self._check_probe_watchdog(now)
-            self._tick_detection(now)
-        elif state is SpinState.MOVE:
+                return True
+            return False
+        if state is DD:
+            pending = self.probe_pending
+            fired = pending is not None and now >= pending[3]
+            if fired:
+                self._check_probe_watchdog(now)
+            return self._tick_detection(now) or fired
+        if state is MOVE:
             if now >= self.deadline:
                 # The move round trip timed out: some hop dropped it (link
                 # contention, dead link, or an injected SM fault).
                 self.framework.stats.count("watchdog_fires")
                 self._start_kill(now)
-        elif state is SpinState.PROBE_MOVE:
+                return True
+        elif state is PROBE_MOVE:
             if self.probe_move_send_at is not None and now >= self.probe_move_send_at:
                 self._emit_probe_move(now)
-            elif self.probe_move_send_at is None and now >= self.deadline:
+                return True
+            if self.probe_move_send_at is None and now >= self.deadline:
                 self.framework.stats.count("watchdog_fires")
                 self._start_kill(now)
-        elif state is SpinState.KILL_MOVE:
+                return True
+        elif state is KILL_MOVE:
             if now >= self.deadline:
                 self._kill_watchdog(now)
-        elif state in (SpinState.FROZEN, SpinState.FORWARD_PROGRESS):
+                return True
+        elif state in (FROZEN, FORWARD_PROGRESS):
             # The executor normally drives these states at the spin cycle.
             # If that cycle passed without a callback (lost kill_move race),
             # escape back to detection rather than hang forever.
@@ -147,21 +172,24 @@ class SpinController:
                 self.framework.stats.count("freeze_timeouts")
                 self.framework.stats.count("watchdog_fires")
                 self._reset_to_detection(now)
+                return True
+        return False
 
-    def _tick_detection(self, now: int) -> None:
-        vc = self._pointed_vc()
+    def _tick_detection(self, now: int) -> bool:
+        """The detection counter's cycle; False when it only counted."""
+        vc = self._pointed
         if vc is None or vc.packet is None or vc.packet.uid != self.pointed_uid:
             self._point_at_next_active_vc(now)
-            return
+            return True
         if now < self.deadline:
-            return
+            return False
         packet = vc.packet
         request = packet.current_request
         if (
             not vc.frozen
-            and vc.fully_arrived(now)
+            and now >= vc.tail_arrival
             and request is not None
-            and not is_ejection_port(request)
+            and request < EJECT_PORT_BASE
         ):
             self._send_probe(now, vc.inport, request, packet.vnet)
         # Counter resets with the same threshold and the pointer advances
@@ -171,18 +199,22 @@ class SpinController:
         # walks into a loop it is not part of and orbits without ever
         # returning, while the VC that *is* on the loop never gets probed.)
         self._point_at_next_active_vc(now)
+        return True
 
     # ------------------------------------------------------------------
     # Pointer management
     # ------------------------------------------------------------------
-    def _pointed_vc(self) -> Optional[VirtualChannel]:
-        if self.pointer is None:
-            return None
-        inport, index = self.pointer
-        vcs = self.router.inports.get(inport)
-        if vcs is None or index >= len(vcs):
-            return None
-        return vcs[index]
+    @property
+    def pointer(self) -> Optional[Tuple[int, int]]:
+        """The pointed VC as ``(inport, vc index)``, None when unset.
+        Assigning None (or another VC's pair) re-points the counter."""
+        vc = self._pointed
+        return None if vc is None else (vc.inport, vc.index)
+
+    @pointer.setter
+    def pointer(self, value: Optional[Tuple[int, int]]) -> None:
+        self._pointed = (None if value is None
+                         else self.router.inports[value[0]][value[1]])
 
     def _vnet_vcs(self, inport: Optional[int], vnet: int) -> tuple:
         """The VCs of one vnet at a network input port — ``()`` for a port
@@ -200,7 +232,7 @@ class SpinController:
         ring's next slot set in the router's occupancy mask)."""
         ring = self._ring
         count = len(ring) >> 1
-        start = 0 if self.pointer is None else self._ring_at + 1
+        start = 0 if self._pointed is None else self._ring_at + 1
         occupied = self.router.occupied
         for at in range(start, start + count):
             if occupied >> ring[at] & 1:
@@ -209,15 +241,14 @@ class SpinController:
             self._go_off()
             return
         self._ring_at = at if at < count else at - count
-        vc = self.router._scan[ring[at]]
-        self.pointer = (vc.inport, vc.index)
+        vc = self._pointed = self.router._scan[ring[at]]
         self.pointed_uid = vc.packet.uid
-        self.state = SpinState.DD
+        self.state = DD
         self.deadline = now + self.params.tdd
 
     def _go_off(self) -> None:
-        self.state = SpinState.OFF
-        self.pointer = None
+        self.state = OFF
+        self._pointed = None
         self.pointed_uid = None
         self.deadline = None
         self.probe_pending = None
@@ -288,7 +319,7 @@ class SpinController:
     def _start_move(self, now: int, probe: ProbeMessage) -> None:
         self.loop_path = probe.path
         self.loop_delay = now - probe.send_cycle
-        self.state = SpinState.MOVE
+        self.state = MOVE
         self._send_move(now, MoveMessage)
 
     def _emit_probe_move(self, now: int) -> None:
@@ -308,7 +339,7 @@ class SpinController:
 
     def _start_kill(self, now: int) -> None:
         """The move/probe_move was dropped somewhere: cancel the spin."""
-        self.state = SpinState.KILL_MOVE
+        self.state = KILL_MOVE
         self.kill_retries = 0
         self.deadline = now + self.loop_delay + 1
         self._send_kill(now)
@@ -337,26 +368,28 @@ class SpinController:
     # ------------------------------------------------------------------
     # SM reception
     # ------------------------------------------------------------------
-    def on_sm(self, sm, inport: int, now: int) -> None:
+    def on_sm(self, sm, inport: int, now: int) -> bool:
+        """Handle one arriving SM.  Returns False for a probe that only
+        passed through (forwarded or dropped), which leaves the FSM as it
+        was."""
         kind = sm.kind
         if kind == "probe":
-            self._on_probe(sm, inport, now)
-        elif kind == "kill_move":
+            if (
+                sm.sender == self.router_id
+                and inport == sm.origin_inport
+                and self.state is DD
+            ):
+                self._accept_own_probe(sm, inport, now)
+                return True
+            self._forward_probe(sm, inport, now)
+            return False
+        if kind == "kill_move":
             self._on_kill_move(sm, inport, now)
         elif kind in MOVE_FAMILIES:
             self._on_move(sm, MOVE_FAMILIES[kind], inport, now)
+        return True
 
     # --- probe ---------------------------------------------------------
-    def _on_probe(self, probe: ProbeMessage, inport: int, now: int) -> None:
-        if (
-            probe.sender == self.router.id
-            and inport == probe.origin_inport
-            and self.state is SpinState.DD
-        ):
-            self._accept_own_probe(probe, inport, now)
-            return
-        self._forward_probe(probe, inport, now)
-
     def _accept_own_probe(self, probe: ProbeMessage, inport: int,
                           now: int) -> None:
         # The detection pointer may have rotated onward since this probe was
@@ -386,7 +419,7 @@ class SpinController:
                        now: int) -> None:
         framework = self.framework
         if self.params.strict_priority_drop:
-            mine = framework.priority.dynamic_priority(self.router.id, now)
+            mine = framework.priority.dynamic_priority(self.router_id, now)
             theirs = framework.priority.dynamic_priority(probe.sender, now)
             if mine > theirs:
                 framework.stats.count("probes_dropped_priority")
@@ -394,7 +427,9 @@ class SpinController:
         if len(probe.path) >= framework.max_probe_path:
             framework.stats.count("probes_dropped_length")
             return
-        vcs = self._vnet_vcs(inport, probe.vnet)
+        vcs = self._vnet_rows.get((inport, probe.vnet))
+        if vcs is None:
+            vcs = self._vnet_vcs(inport, probe.vnet)
         if not vcs:
             return
         requests = []
@@ -405,7 +440,7 @@ class SpinController:
                 framework.stats.count("probes_dropped_idle_vc")
                 return
             request = packet.current_request
-            if request is None or is_ejection_port(request):
+            if request is None or request >= EJECT_PORT_BASE:
                 continue
             if request not in requests:
                 requests.append(request)
@@ -413,9 +448,12 @@ class SpinController:
             # Every packet here is waiting for ejection (or undecided).
             framework.stats.count("probes_dropped_ejecting")
             return
+        # One fork per distinct request, straight into this cycle's outbox
+        # (what ``SpinFramework.send_sm`` does, without the call per fork).
+        outbox = framework._outbox
+        router_id = self.router_id
         for outport in requests:
-            framework.send_sm(self.router.id, outport,
-                              probe.forked(outport), now)
+            outbox.append((router_id, outport, probe.forked(outport)))
 
     # --- move and probe_move --------------------------------------------
     def _on_move(self, move, family: _MoveFamily, inport: int,
@@ -460,7 +498,7 @@ class SpinController:
         vc.freeze(self.probe_outport, self.router.id, self.spin_cycle,
                   path_index=0)
         self.framework.executor.register(vc)
-        self.state = SpinState.FORWARD_PROGRESS
+        self.state = FORWARD_PROGRESS
         self.deadline = self.spin_cycle
         self.framework.stats.count(family.returned)
 
@@ -476,8 +514,7 @@ class SpinController:
         so exactly one recovery (the highest-priority initiator's) survives
         each round.
         """
-        if self.state not in (SpinState.MOVE, SpinState.PROBE_MOVE,
-                              SpinState.KILL_MOVE):
+        if self.state not in (MOVE, PROBE_MOVE, KILL_MOVE):
             return False
         priority = self.framework.priority
         return (priority.dynamic_priority(sender, now)
@@ -503,7 +540,7 @@ class SpinController:
         self.is_deadlock = True
         self.latched_source = move.sender
         if self.state in FREEZABLE_STATES:
-            self.state = SpinState.FROZEN
+            self.state = FROZEN
             self.deadline = move.spin_cycle
         self.framework.executor.register(vc)
 
@@ -511,7 +548,7 @@ class SpinController:
     def _on_kill_move(self, kill: KillMoveMessage, inport: int,
                       now: int) -> None:
         if kill.sender == self.router.id and not kill.path:
-            if self.state is SpinState.KILL_MOVE:
+            if self.state is KILL_MOVE:
                 self._finish_recovery(now)
             return
         if self.is_deadlock and self.latched_source != kill.sender:
@@ -524,8 +561,8 @@ class SpinController:
         if self.latched_source == kill.sender:
             self.is_deadlock = False
             self.latched_source = None
-            if self.state is SpinState.FROZEN:
-                self.state = SpinState.DD
+            if self.state is FROZEN:
+                self.state = DD
                 self._point_at_next_active_vc(now)
         self.framework.send_sm(self.router.id, kill.first_port,
                                kill.advanced(), now)
@@ -538,7 +575,7 @@ class SpinController:
         self.is_deadlock = False
         self.latched_source = None
         if was_initiator and self.params.probe_move_enabled and self.loop_path:
-            self.state = SpinState.PROBE_MOVE
+            self.state = PROBE_MOVE
             # "After one spin is complete": wait for the rotated packets'
             # tails to land and their new requests to be computed.
             settle = (self.framework.network.config.max_packet_length
@@ -560,9 +597,9 @@ class SpinController:
         self.probe_move_send_at = None
         self.probe_inport = None
         self.probe_outport = None
-        self.pointer = None
+        self._pointed = None
         self.pointed_uid = None
         self.probe_pending = None
         self.kill_retries = 0
-        self.state = SpinState.DD
+        self.state = DD
         self._point_at_next_active_vc(now)

@@ -28,8 +28,11 @@ SM arrival or a VC event at its router, and both reschedule it.  A VC event
 (``Network.note_vc_reserved`` / ``note_vc_released`` set its bit in
 :attr:`SpinFramework.dirty`): it ticks in the next control phase.  An SM
 batch is handled by the controller itself, so the state it leaves is
-known: delivery re-derives the due time from it, and a probe that was only
-forwarded leaves the controller asleep.  Everything
+known: delivery re-derives the due time from it when the batch moved the
+FSM, and a probe that was only forwarded leaves the controller asleep.  A
+tick that left the FSM where it was keeps its due time as well;
+:meth:`SpinFramework.dirty_all` makes the next scheduled tick of every
+controller re-derive it.  Everything
 that writes controller-visible state *without* going through that funnel
 fails closed here, not in the engine:
 
@@ -51,14 +54,13 @@ batch or a tick wakes its router's allocation
 
 from __future__ import annotations
 
-from collections import defaultdict
 from time import perf_counter
 from typing import Dict, List, Tuple
 
 from repro.config import SpinParams
 from repro.core.controller import SpinController
 from repro.core.executor import SpinExecutor
-from repro.core.fsm import SpinState
+from repro.core.fsm import DD, KILL_MOVE, MOVE, OFF, PROBE_MOVE
 from repro.core.priority import RotatingPriority
 from repro.errors import ProtocolError
 from repro.network.vc import VirtualChannel
@@ -77,24 +79,24 @@ def _ctrl_due(controller: SpinController, cycle: int) -> int:
     can change earlier).
     """
     state = controller.state
-    if state is SpinState.OFF:
+    if state is OFF:
         # OFF ticks only re-point at occupied network VCs; occupancy changes
         # require a VC event (dirty).  With no occupied network VC the
         # re-point is a no-op.
         return _NEVER
     deadline = controller.deadline
-    if state is SpinState.DD:
+    if state is DD:
         due = deadline if deadline is not None else cycle + 1
         pending = controller.probe_pending
         if pending is not None and pending[3] < due:
             due = pending[3]
         return due
-    if state is SpinState.PROBE_MOVE:
+    if state is PROBE_MOVE:
         send_at = controller.probe_move_send_at
         if send_at is not None:
             return send_at
         return deadline if deadline is not None else cycle + 1
-    if state is SpinState.MOVE or state is SpinState.KILL_MOVE:
+    if state is MOVE or state is KILL_MOVE:
         return deadline if deadline is not None else cycle + 1
     # FROZEN / FORWARD_PROGRESS: the escape fires when now > deadline + 1.
     return deadline + 2 if deadline is not None else _NEVER
@@ -110,8 +112,9 @@ class SpinFramework:
         self.priority = None
         self.controllers: List[SpinController] = []
         self.executor = SpinExecutor(self)
-        #: arrival cycle -> [(router, inport, sm)]
-        self._arrivals: Dict[int, List[Tuple[int, int, object]]] = defaultdict(list)
+        #: arrival cycle -> router -> [(inport, sm)], each batch in the
+        #: order its SMs won their links.
+        self._arrivals: Dict[int, Dict[int, List[Tuple[int, object]]]] = {}
         #: SMs emitted this cycle, pending contention resolution.
         self._outbox: List[Tuple[int, int, object]] = []
         self.max_probe_path = 0
@@ -127,6 +130,9 @@ class SpinFramework:
         self.dirty = bytearray()
         self._due: List[int] = []
         self._min_due = 0
+        #: Set by :meth:`dirty_all`: the next scheduled tick re-derives
+        #: every due time, whether or not the tick moved its FSM.
+        self._resync = True
         #: A :class:`repro.sim.profile.PhaseProfiler` (set by the engine
         #: that switches scheduling on) and where this loop's counters go.
         self.profiler = None
@@ -165,6 +171,7 @@ class SpinFramework:
     def dirty_all(self) -> None:
         """Drop every cached due time: the next scheduled cycle ticks all."""
         self.dirty[:] = b"\x01" * len(self.controllers)
+        self._resync = True
 
     def _wake(self, router_id: int) -> None:
         """Control work froze or thawed a VC at this router."""
@@ -197,10 +204,9 @@ class SpinFramework:
                 and not network.dead_link_count):
             # Every controller, every cycle.  (An OFF controller at an empty
             # router has nothing to point at: its tick would return at once.)
-            off = SpinState.OFF
             ticked = 0
             for controller in controllers:
-                if controller.state is off and not controller.router.occupied:
+                if controller.state is OFF and not controller.router.occupied:
                     continue
                 controller.tick(cycle)
                 ticked += 1
@@ -216,6 +222,7 @@ class SpinFramework:
                 network.wake_router(i)
             ticked = len(controllers)
             self._min_due = min(due)
+            self._resync = False
         elif cycle >= self._min_due or 1 in self.dirty:
             dirty = self.dirty
             due = self._due
@@ -229,6 +236,8 @@ class SpinFramework:
                 while i >= 0:
                     candidates.append(i)
                     i = dirty.find(1, i + 1)
+            resync = self._resync
+            self._resync = False
             for i in candidates:
                 if not dirty[i] and cycle < due[i]:
                     continue
@@ -236,9 +245,10 @@ class SpinFramework:
                 controller = controllers[i]
                 # Detection-pointer ticks — the vast majority — leave the
                 # datapath alone; watchdog resets and FROZEN escapes thaw.
+                # A tick that left the FSM where it was keeps its due time.
                 epoch = VirtualChannel.freeze_epoch
-                controller.tick(cycle)
-                due[i] = _ctrl_due(controller, cycle)
+                if controller.tick(cycle) or resync:
+                    due[i] = _ctrl_due(controller, cycle)
                 if VirtualChannel.freeze_epoch != epoch:
                     self._wake(i)
                 ticked += 1
@@ -255,35 +265,44 @@ class SpinFramework:
         if profiler is not None:
             profiler.lap("control", "outbox", mark)
 
-    def _deliver(self, arrivals, cycle: int) -> None:
-        by_router: Dict[int, list] = defaultdict(list)
-        for router_id, inport, sm in arrivals:
-            by_router[router_id].append((inport, sm))
+    def _deliver(self, buckets, cycle: int) -> None:
+        """Hand one cycle's arrivals (router -> ``[(inport, sm)]``) to the
+        controllers, router by router in id order.  Within a router the
+        batch is handled highest class first, then by the sender's rotating
+        priority, then by inport."""
+        # RotatingPriority.dynamic_priority, its rotation taken once.
+        rotation = cycle // self.priority.epoch_length
+        routers = self.priority.num_routers
+        controllers = self.controllers
         due = self._due
         min_due = self._min_due
-        for router_id in sorted(by_router):
-            batch = by_router[router_id]
+        arrived = 0
+        for router_id in sorted(buckets):
+            batch = buckets[router_id]
             if len(batch) > 1:
                 batch.sort(key=lambda item: (
                     -item[1].class_priority,
-                    -self.priority.dynamic_priority(item[1].sender, cycle),
+                    -((item[1].sender + rotation) % routers),
                     item[0],
                 ))
-            controller = self.controllers[router_id]
+            arrived += len(batch)
+            controller = controllers[router_id]
             epoch = VirtualChannel.freeze_epoch
+            moved = False
             for inport, sm in batch:
-                controller.on_sm(sm, inport, cycle)
-            # The batch may have moved the FSM: re-derive the due time from
-            # the state it left (a forwarded probe leaves it where it was,
-            # so the controller keeps sleeping).
-            when = due[router_id] = _ctrl_due(controller, cycle)
-            if when < min_due:
-                min_due = when
+                if controller.on_sm(sm, inport, cycle):
+                    moved = True
+            # Only a batch that moved the FSM moves its due time (a
+            # forwarded probe leaves the controller asleep).
+            if moved:
+                when = due[router_id] = _ctrl_due(controller, cycle)
+                if when < min_due:
+                    min_due = when
             if VirtualChannel.freeze_epoch != epoch:
                 self._wake(router_id)
         self._min_due = min_due
         if self.profiler is not None:
-            self.count("sm_arrivals", len(arrivals))
+            self.count("sm_arrivals", arrived)
 
     # ------------------------------------------------------------------
     # SM transport
@@ -293,50 +312,78 @@ class SpinFramework:
         self._outbox.append((router_id, outport, sm))
 
     def _resolve_outbox(self, now: int) -> None:
-        if not self._outbox:
+        outbox = self._outbox
+        if not outbox:
             return
-        by_link: Dict[Tuple[int, int], list] = defaultdict(list)
-        for router_id, outport, sm in self._outbox:
-            by_link[(router_id, outport)].append(sm)
         self._outbox = []
+        # Group by link, in first-emission order: ``first`` holds each
+        # link's first SM, ``contested`` every SM of a link that got more.
+        first = {}
+        contested = None
+        for router_id, outport, sm in outbox:
+            key = (router_id, outport)
+            held = first.get(key)
+            if held is None:
+                first[key] = sm
+            elif contested is None:
+                contested = {key: [held, sm]}
+            elif key in contested:
+                contested[key].append(sm)
+            else:
+                contested[key] = [held, sm]
+        # RotatingPriority.dynamic_priority, its rotation taken once.
+        rotation = now // self.priority.epoch_length
+        routers = self.priority.num_routers
+        stats = self.stats
+        links = self.network.links
+        arrivals = self._arrivals
         injector = self.network.fault_injector
-        for (router_id, outport), sms in by_link.items():
-            router = self.network.routers[router_id]
-            link = router.out_links.get(outport)
+        lost = 0
+        for key, winner in first.items():
+            link = links.get(key)
             if link is None:
+                router_id, outport = key
                 raise ProtocolError(
                     f"SM emitted on missing port {outport} of router "
                     f"{router_id}", router=router_id, port=outport, cycle=now)
-            if len(sms) == 1:
-                # Uncontended port (the overwhelmingly common case): the
-                # priority comparison has a single competitor.
-                winner = sms[0]
-            else:
+            if contested is not None and key in contested:
+                sms = contested[key]
                 winner = max(sms, key=lambda sm: (
                     sm.class_priority,
-                    self.priority.dynamic_priority(sm.sender, now),
+                    (sm.sender + rotation) % routers,
                     -sm.sender,
                 ))
                 for sm in sms:
                     if sm is not winner:
-                        self.stats.count(f"{sm.kind}s_dropped_contention")
+                        stats.count(f"{sm.kind}s_dropped_contention")
+                lost += len(sms) - 1
             if not link.up:
                 # Fail-stop link: the SM is lost; initiator watchdogs and
                 # the kill/abort machinery recover (docs/FAULTS.md).
-                self.stats.count("sm_dropped")
-                self.stats.count(f"sm_dropped_{winner.kind}")
-                self.stats.count(f"{winner.kind}s_dropped_dead_link")
+                stats.count("sm_dropped")
+                stats.count(f"sm_dropped_{winner.kind}")
+                stats.count(f"{winner.kind}s_dropped_dead_link")
                 continue
-            extra_delay = 0
+            when = now + link.latency
             if injector is not None:
                 verdict = injector.filter_sm(winner, link, now)
                 if verdict is None:
                     continue  # dropped (the injector counted it)
                 winner, extra_delay = verdict
-            link.record_sm()
-            neighbor, dst_inport = router.out_neighbors[outport]
-            self._arrivals[now + link.latency + extra_delay].append(
-                (neighbor.id, dst_inport, winner))
+                when += extra_delay
+            link.sm_cycles += 1
+            bucket = arrivals.get(when)
+            if bucket is None:
+                arrivals[when] = {link.dst: [(link.dst_port, winner)]}
+                continue
+            batch = bucket.get(link.dst)
+            if batch is None:
+                bucket[link.dst] = [(link.dst_port, winner)]
+            else:
+                batch.append((link.dst_port, winner))
+        if self.profiler is not None:
+            self.count("sm_sends", len(outbox))
+            self.count("sm_dropped_contention", lost)
 
     # ------------------------------------------------------------------
     # Event hooks

@@ -30,6 +30,18 @@ class SpinState(Enum):
     KILL_MOVE = "kill_move"
 
 
+#: The members as module constants, for the per-cycle code (controller
+#: ticks, SM handlers, due times): before CPython 3.12 every
+#: ``SpinState.X`` read goes through the enum metaclass's ``__getattr__``
+#: hook, ~0.15 µs against ~0.02 µs for a global.
+OFF = SpinState.OFF
+DD = SpinState.DD
+MOVE = SpinState.MOVE
+FROZEN = SpinState.FROZEN
+FORWARD_PROGRESS = SpinState.FORWARD_PROGRESS
+PROBE_MOVE = SpinState.PROBE_MOVE
+KILL_MOVE = SpinState.KILL_MOVE
+
 #: States in which this router is the active recovery initiator.
 INITIATOR_STATES = frozenset({
     SpinState.MOVE,

@@ -9,11 +9,19 @@ A *probe* accumulates the outport taken at every router it traverses; the
 loop-shaped path it returns with is the deadlocked dependency chain.  The
 *move*, *probe_move* and *kill_move* messages replay that path, stripping
 the leading port id at each hop, so every router sees its own outport first.
+
+SMs are plain ``__slots__`` records.  Nothing writes to one after it is
+sent: every hop that changes an SM (a probe fork, a move advancing, an
+injected corruption) builds a new one through :meth:`ProbeMessage.forked`,
+:meth:`PathFollowingMessage.advanced` or :meth:`SpecialMessage.with_path`.
+Those copies sit on the probe/move hot path (one per loop hop per probed
+dependency), so the first two store each field by hand; a field added to a
+class must be added to its copy helpers too (tests/unit/
+test_spin_messages_priority.py checks them against the ``__slots__`` chain).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 #: Class priorities (higher wins output-link contention).
@@ -22,24 +30,15 @@ MOVE_PRIORITY = 2
 KILL_MOVE_PRIORITY = 2
 PROBE_MOVE_PRIORITY = 3
 
-
-def _clone(sm: "SpecialMessage", **changes) -> "SpecialMessage":
-    """Copy a frozen SM with field overrides.
-
-    SM copies sit on the probe/move hot path (one per loop hop per probed
-    dependency), so this skips ``dataclasses.replace``'s per-call field
-    introspection: every field of these frozen dataclasses is ``init=True``
-    and lives in ``__dict__``, making a dict merge an exact substitute.
-    """
-    clone = object.__new__(type(sm))
-    # In-place dict update: frozen dataclasses also veto ``__dict__``
-    # rebinding through their generated ``__setattr__``.
-    clone.__dict__.update(sm.__dict__)
-    clone.__dict__.update(changes)
-    return clone
+_new = object.__new__
 
 
-@dataclass(frozen=True)
+def _fields(cls) -> Tuple[str, ...]:
+    """Every field of an SM class, base class first."""
+    return tuple(name for klass in reversed(cls.__mro__)
+                 for name in klass.__dict__.get("__slots__", ()))
+
+
 class SpecialMessage:
     """Common SM fields.
 
@@ -56,20 +55,31 @@ class SpecialMessage:
             probed chain.
     """
 
-    sender: int
-    send_cycle: int
-    path: Tuple[int, ...] = ()
-    vnet: int = 0
+    __slots__ = ("sender", "send_cycle", "path", "vnet")
 
     kind = "sm"
     class_priority = 0
 
+    def __init__(self, sender: int, send_cycle: int,
+                 path: Tuple[int, ...] = (), vnet: int = 0) -> None:
+        self.sender = sender
+        self.send_cycle = send_cycle
+        self.path = path
+        self.vnet = vnet
+
     def with_path(self, path: Tuple[int, ...]) -> "SpecialMessage":
         """Copy of this SM with a different path."""
-        return _clone(self, path=path)
+        clone = _new(type(self))
+        for name in _fields(type(self)):
+            setattr(clone, name, getattr(self, name))
+        clone.path = path
+        return clone
+
+    def __repr__(self) -> str:
+        return "{}({})".format(type(self).__name__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in _fields(type(self))))
 
 
-@dataclass(frozen=True)
 class ProbeMessage(SpecialMessage):
     """Traces (and confirms) a deadlocked dependency chain.
 
@@ -82,18 +92,33 @@ class ProbeMessage(SpecialMessage):
             re-probed a different dependency (tDD shorter than the loop).
     """
 
+    __slots__ = ("origin_inport", "origin_outport")
+
     kind = "probe"
     class_priority = PROBE_PRIORITY
 
-    origin_inport: int = -1
-    origin_outport: int = -1
+    def __init__(self, sender: int, send_cycle: int,
+                 path: Tuple[int, ...] = (), vnet: int = 0,
+                 origin_inport: int = -1, origin_outport: int = -1) -> None:
+        self.sender = sender
+        self.send_cycle = send_cycle
+        self.path = path
+        self.vnet = vnet
+        self.origin_inport = origin_inport
+        self.origin_outport = origin_outport
 
     def forked(self, outport: int) -> "ProbeMessage":
         """Copy forked out of ``outport``, with the port appended."""
-        return _clone(self, path=self.path + (outport,))
+        clone = _new(ProbeMessage)
+        clone.sender = self.sender
+        clone.send_cycle = self.send_cycle
+        clone.path = self.path + (outport,)
+        clone.vnet = self.vnet
+        clone.origin_inport = self.origin_inport
+        clone.origin_outport = self.origin_outport
+        return clone
 
 
-@dataclass(frozen=True)
 class PathFollowingMessage(SpecialMessage):
     """Base for SMs that replay a latched loop path (move family).
 
@@ -103,12 +128,28 @@ class PathFollowingMessage(SpecialMessage):
         hop_index: Position along the loop, 0 at the initiator.
     """
 
-    spin_cycle: int = -1
-    hop_index: int = 1
+    __slots__ = ("spin_cycle", "hop_index")
+
+    def __init__(self, sender: int, send_cycle: int,
+                 path: Tuple[int, ...] = (), vnet: int = 0,
+                 spin_cycle: int = -1, hop_index: int = 1) -> None:
+        self.sender = sender
+        self.send_cycle = send_cycle
+        self.path = path
+        self.vnet = vnet
+        self.spin_cycle = spin_cycle
+        self.hop_index = hop_index
 
     def advanced(self) -> "PathFollowingMessage":
         """Copy with the leading port stripped and the hop index bumped."""
-        return _clone(self, path=self.path[1:], hop_index=self.hop_index + 1)
+        clone = _new(type(self))
+        clone.sender = self.sender
+        clone.send_cycle = self.send_cycle
+        clone.path = self.path[1:]
+        clone.vnet = self.vnet
+        clone.spin_cycle = self.spin_cycle
+        clone.hop_index = self.hop_index + 1
+        return clone
 
     @property
     def first_port(self) -> int:
@@ -116,25 +157,28 @@ class PathFollowingMessage(SpecialMessage):
         return self.path[0]
 
 
-@dataclass(frozen=True)
 class MoveMessage(PathFollowingMessage):
     """Conveys the spin cycle; freezes one VC per loop router."""
+
+    __slots__ = ()
 
     kind = "move"
     class_priority = MOVE_PRIORITY
 
 
-@dataclass(frozen=True)
 class ProbeMoveMessage(PathFollowingMessage):
     """Joint probe+move for repeat spins (the Sec. IV-B4 optimization)."""
+
+    __slots__ = ()
 
     kind = "probe_move"
     class_priority = PROBE_MOVE_PRIORITY
 
 
-@dataclass(frozen=True)
 class KillMoveMessage(PathFollowingMessage):
     """Cancels a pending spin; unfreezes VCs along the loop."""
+
+    __slots__ = ()
 
     kind = "kill_move"
     class_priority = KILL_MOVE_PRIORITY

@@ -59,7 +59,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Optional
 
-from repro.core.fsm import SpinState
+from repro.core.fsm import OFF
 from repro.sim.engine import Simulator
 from repro.sim.fastcore.soa import SoaCore
 
@@ -307,7 +307,7 @@ class FastSimulator(Simulator):
             if fw._arrivals or fw._outbox or fw.executor._pending:
                 return False
             for controller in fw.controllers:
-                if controller.state is not SpinState.OFF:
+                if controller.state is not OFF:
                     return False
         return True
 

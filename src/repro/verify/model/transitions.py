@@ -6,7 +6,8 @@ deadlocked loop with abstracted time:
 
 * ``detect@i``       — ``_tick_detection`` firing and ``_send_probe``;
 * ``deliver <sm>@i`` — one SM hop: ``phase_control`` delivery plus the
-  receiving handler (``_on_probe`` / ``_on_move`` / ``_on_kill_move``);
+  receiving handler (``on_sm``'s probe branch / ``_on_move`` /
+  ``_on_kill_move``);
 * ``drop <sm>@i``    — adversarial bufferless loss (link contention, a
   fault, or a strict-priority drop), budgeted by ``drops_left``;
 * ``watchdog@i``     — a counter timeout (``tick``); enabled only once the

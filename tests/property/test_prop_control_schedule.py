@@ -37,6 +37,13 @@ DESIGNS = (
 )
 
 
+def sm_key(sm):
+    """An SM as a comparable value: its class and every field."""
+    return (type(sm).__name__,) + tuple(
+        getattr(sm, name) for klass in reversed(type(sm).__mro__)
+        for name in klass.__dict__.get("__slots__", ()))
+
+
 class Side:
     """One network under the reference loop, with its SM emission log."""
 
@@ -46,13 +53,16 @@ class Side:
         framework.scheduled = scheduled
         self.sent = []
         self.ticks = 0
-        send_sm = framework.send_sm
+        resolve_outbox = framework._resolve_outbox
 
-        def logged_send(router_id, outport, sm, now):
-            self.sent.append((router_id, outport, sm))
-            send_sm(router_id, outport, sm, now)
+        def logged_resolve(now):
+            # Everything emitted this cycle, in emission order (probe
+            # forks go straight into the outbox, not through send_sm).
+            self.sent.extend((router_id, outport, sm_key(sm))
+                             for router_id, outport, sm in framework._outbox)
+            resolve_outbox(now)
 
-        framework.send_sm = logged_send
+        framework._resolve_outbox = logged_resolve
         for controller in framework.controllers:
             controller.tick = self._counted(controller.tick)
         self.simulator = Simulator()
@@ -63,7 +73,7 @@ class Side:
     def _counted(self, tick):
         def counted(now):
             self.ticks += 1
-            tick(now)
+            return tick(now)
 
         return counted
 
@@ -72,7 +82,7 @@ class Side:
         self.simulator.step()
 
     def _controller(self, controller):
-        vc = controller._pointed_vc()
+        vc = controller._pointed
         pointed = None
         if vc is not None and vc.packet is not None \
                 and vc.packet.uid == controller.pointed_uid:
@@ -97,8 +107,11 @@ class Side:
             "controllers": [self._controller(controller)
                             for controller in framework.controllers],
             "outbox": list(self.sent),
-            "arrivals": {cycle: list(batch) for cycle, batch
-                         in framework._arrivals.items() if batch},
+            "arrivals": {
+                cycle: {router_id: [(inport, sm_key(sm))
+                                    for inport, sm in batch]
+                        for router_id, batch in buckets.items()}
+                for cycle, buckets in framework._arrivals.items()},
             "pending_spins": framework.executor.pending_spins(),
             "frozen": frozen,
             "events": dict(self.network.stats.events),

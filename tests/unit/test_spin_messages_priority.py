@@ -52,14 +52,68 @@ class TestMovePath:
         assert move.first_port == 2
         assert nxt.first_port == 3
 
-    def test_messages_are_immutable(self):
-        move = MoveMessage(sender=1, send_cycle=5, path=(2,))
-        try:
-            move.path = (9,)
-            raised = False
-        except AttributeError:
-            raised = True
-        assert raised
+    def test_advance_does_not_mutate_original(self):
+        move = MoveMessage(sender=1, send_cycle=5, path=(2, 3),
+                           spin_cycle=40, hop_index=1)
+        move.advanced()
+        assert (move.path, move.hop_index) == ((2, 3), 1)
+
+
+def slot_fields(cls):
+    """Every field of an SM class, read off its ``__slots__`` chain."""
+    return [name for klass in reversed(cls.__mro__)
+            for name in klass.__dict__.get("__slots__", ())]
+
+
+def filled(cls):
+    """An instance whose every field holds a value no default has."""
+    sm = cls(sender=0, send_cycle=0)
+    for number, name in enumerate(slot_fields(cls)):
+        setattr(sm, name, (7, 8, 9) if name == "path" else 101 + number)
+    return sm
+
+
+SM_CLASSES = (ProbeMessage, MoveMessage, ProbeMoveMessage, KillMoveMessage)
+
+
+class TestCopyHelpers:
+    """The copy helpers store each field by hand: a field added to a class
+    and forgotten in a helper would be dropped silently."""
+
+    def test_every_class_has_the_common_fields(self):
+        for cls in SM_CLASSES:
+            fields = slot_fields(cls)
+            assert fields[:4] == ["sender", "send_cycle", "path", "vnet"]
+            assert len(fields) == len(set(fields))
+
+    def _assert_copied(self, original, copy, changed):
+        assert type(copy) is type(original)
+        assert copy is not original
+        for name in slot_fields(type(original)):
+            if name not in changed:
+                assert getattr(copy, name) == getattr(original, name), name
+
+    def test_forked_copies_every_other_field(self):
+        probe = filled(ProbeMessage)
+        forked = probe.forked(4)
+        self._assert_copied(probe, forked, {"path"})
+        assert forked.path == (7, 8, 9, 4)
+
+    def test_advanced_copies_every_other_field(self):
+        for cls in SM_CLASSES[1:]:
+            sm = filled(cls)
+            advanced = sm.advanced()
+            self._assert_copied(sm, advanced, {"path", "hop_index"})
+            assert advanced.path == (8, 9)
+            assert advanced.hop_index == sm.hop_index + 1
+
+    def test_with_path_copies_every_other_field(self):
+        for cls in SM_CLASSES:
+            sm = filled(cls)
+            copy = sm.with_path((5,))
+            self._assert_copied(sm, copy, {"path"})
+            assert copy.path == (5,)
+            assert sm.path == (7, 8, 9)
 
 
 class TestRotatingPriority:
