@@ -46,6 +46,16 @@ def _sim_config(args) -> SimulationConfig:
     )
 
 
+def _parse_list(text: str, flag: str, convert) -> list:
+    """Parse a comma-separated ``flag`` value, converting every item."""
+    try:
+        return [convert(part) for part in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"{flag} expects a comma-separated list of {convert.__name__} "
+            f"values", value=text) from None
+
+
 def _parse_dragonfly(text: str) -> tuple:
     """Parse and validate ``p,a,h`` dragonfly dimensions."""
     parts = text.split(",")
@@ -65,10 +75,13 @@ def _parse_dragonfly(text: str) -> tuple:
     return dims
 
 
-def _validate_run_args(args) -> None:
-    """Friendly rejection of out-of-range CLI inputs (fail before cycles)."""
+def _validate_run_args(args) -> list:
+    """Friendly rejection of out-of-range CLI inputs (fail before cycles).
+
+    Returns the parsed ``--rates`` list (empty without the flag).
+    """
     rate = getattr(args, "rate", None)
-    rates = ([float(x) for x in args.rates.split(",")]
+    rates = (_parse_list(args.rates, "--rates", float)
              if getattr(args, "rates", None) else [])
     for value in ([rate] if rate is not None else rates):
         if not 0.0 < value <= 1.0:
@@ -100,6 +113,22 @@ def _validate_run_args(args) -> None:
                                  hang_timeout=hang_timeout)
     if args.faults:
         parse_fault_spec(args.faults)  # raises FaultInjectionError on typos
+    return rates
+
+
+def _spec_from_args(args, *, rate=None, engine=None,
+                    telemetry=None) -> ExperimentSpec:
+    """The run flags' :class:`ExperimentSpec`; ``rate``, ``engine`` and
+    ``telemetry`` replace ``--rate``, ``--engine`` and ``--telemetry``."""
+    return ExperimentSpec(
+        design=args.design, pattern=args.pattern,
+        injection_rate=args.rate if rate is None else rate,
+        seed=args.seed, mesh_side=args.mesh_side,
+        dragonfly=_parse_dragonfly(args.dragonfly), tdd=args.tdd,
+        faults=args.faults, fault_seed=args.fault_seed,
+        sim=_sim_config(args), verify=args.verify,
+        telemetry=args.telemetry if telemetry is None else telemetry,
+        engine=(args.engine or "") if engine is None else engine)
 
 
 def _add_run_args(parser: argparse.ArgumentParser,
@@ -177,19 +206,13 @@ def cmd_designs(args) -> int:
 def cmd_run(args) -> int:
     get_design(args.design)  # fail fast with the full list on a typo
     _validate_run_args(args)
-    dragonfly = _parse_dragonfly(args.dragonfly)
+    spec = _spec_from_args(args)
     profiler = None
     if getattr(args, "profile", False):
         from repro.sim import PhaseProfiler
 
         profiler = PhaseProfiler()
-    network, point = ExperimentSpec(
-        design=args.design, pattern=args.pattern, injection_rate=args.rate,
-        sim=_sim_config(args), seed=args.seed, mesh_side=args.mesh_side,
-        dragonfly=dragonfly, tdd=args.tdd, faults=args.faults,
-        fault_seed=args.fault_seed, verify=args.verify,
-        telemetry=args.telemetry, engine=args.engine or "",
-    ).run(profiler=profiler)
+    network, point = spec.run(profiler=profiler)
     engine_path, reason = _engine_path(args.engine, network)
     rows = [
         ["offered load (flits/node/cycle)", args.rate],
@@ -265,15 +288,8 @@ def _sweep_campaign_inputs(args):
         raise ConfigurationError(
             "sweep needs --design and --rates (or --resume DIR)")
     get_design(args.design)  # fail fast with the full list on a typo
-    _validate_run_args(args)
-    rates = [float(x) for x in args.rates.split(",")]
-    base = ExperimentSpec(
-        design=args.design, pattern=args.pattern, injection_rate=rates[0],
-        seed=args.seed, mesh_side=args.mesh_side,
-        dragonfly=_parse_dragonfly(args.dragonfly), tdd=args.tdd,
-        faults=args.faults, fault_seed=args.fault_seed,
-        sim=_sim_config(args), verify=args.verify,
-        telemetry=args.telemetry, engine=args.engine or "")
+    rates = _validate_run_args(args)
+    base = _spec_from_args(args, rate=rates[0])
     specs = base.curve(rates)
     # The meta block is deliberately deterministic (no timestamps, no
     # worker count), so the same sweep writes byte-identical files
@@ -400,7 +416,7 @@ def cmd_verify(args) -> int:
     designs = ([resolve_design_name(name)
                 for name in args.designs.split(",")]
                if args.designs else list(DEFAULT_TRIAD))
-    seeds = [int(part) for part in args.seeds.split(",")]
+    seeds = _parse_list(args.seeds, "--seeds", int)
     if len(designs) < 2:
         raise ConfigurationError(
             "--designs needs at least two comma-separated names",
@@ -638,14 +654,7 @@ def cmd_trace(args) -> int:
         _validate_run_args(args)
         from repro.stats.sweep import simulate_point
 
-        spec = ExperimentSpec(
-            design=args.design, pattern=args.pattern,
-            injection_rate=args.rate, seed=args.seed,
-            mesh_side=args.mesh_side,
-            dragonfly=_parse_dragonfly(args.dragonfly), tdd=args.tdd,
-            faults=args.faults, fault_seed=args.fault_seed,
-            sim=_sim_config(args), verify=args.verify,
-            engine=args.engine or "")
+        spec = _spec_from_args(args, telemetry=False)
         network, traffic, injector = spec.build()
         observer = TelemetryObserver(network, config)
         point = simulate_point(network, traffic, spec.sim,
@@ -791,14 +800,7 @@ def cmd_profile(args) -> int:
     reports = {}
     fingerprints = {}
     for name in engines:
-        spec = ExperimentSpec(
-            design=args.design, pattern=args.pattern,
-            injection_rate=args.rate, seed=args.seed,
-            mesh_side=args.mesh_side,
-            dragonfly=_parse_dragonfly(args.dragonfly), tdd=args.tdd,
-            faults=args.faults, fault_seed=args.fault_seed,
-            sim=_sim_config(args), verify=args.verify,
-            telemetry=args.telemetry, engine=name)
+        spec = _spec_from_args(args, engine=name)
         profiler = PhaseProfiler()
         start = time.perf_counter()
         network, point = spec.run(profiler=profiler)

@@ -87,8 +87,7 @@ class Network:
         self.last_movement = 0
         self._allocation_offset = 0
         #: Nodes whose NIC may hold a queued packet (a superset: a NIC
-        #: leaves it when ``phase_inject`` finds its queues empty), kept
-        #: while no engine sink is attached.
+        #: leaves it when ``phase_inject`` finds its queues empty).
         self.backlogged = set()
         #: ``VirtualChannel.freeze_epoch`` at the last ``phase_allocate``:
         #: a freeze or thaw since then wakes every router.
@@ -100,8 +99,8 @@ class Network:
         #: Attached runtime fault injector (see :mod:`repro.faults`), if any.
         self.fault_injector = None
         #: Engine event sink (see :mod:`repro.sim.fastcore`): when set, VC
-        #: reserve/release, NIC-backlog and router-wake events are forwarded
-        #: so an event-driven engine can track activity without polling.
+        #: reserve/release and router-wake events are forwarded so an
+        #: event-driven engine can track activity without polling.
         self.engine_sink = None
         #: Number of directed links currently failed (fast path for the
         #: routing layer's dead-link filtering).
@@ -229,15 +228,11 @@ class Network:
             self.engine_sink.vc_released(router, vc)
 
     def wake_all(self) -> None:
-        """Drop every router's and NIC's sleep and collect the backlogged
-        NICs: each runs at its next phase and re-derives its wake time (an
-        engine hands the schedule back to these phases)."""
+        """Drop every router's sleep: each runs at the next
+        ``phase_allocate`` and re-derives its wake time (an engine hands
+        allocation back to this phase)."""
         for router in self.routers:
             router.wake = 0
-        for nic in self.nics:
-            nic.wake = 0
-            if nic.backlog():
-                self.backlogged.add(nic.node)
 
     def plant_packet(self, router_id: int, inport: int, dst_router: int, *,
                      vnet: int = 0, vc_index: int = 0, length: int = 1,

@@ -39,6 +39,9 @@ class NetworkInterface:
         #: by ``try_inject`` to when its inject port or a VC it may use
         #: frees; reset by ``enqueue`` and lowered by a release at the port.
         self.wake = 0
+        #: ``(router, the VCs of its injection port, VCs per vnet)``,
+        #: looked up by the first ``try_inject``.
+        self._port = None
 
     def enqueue(self, packet: Packet) -> None:
         """Queue a freshly created packet for injection."""
@@ -46,13 +49,9 @@ class NetworkInterface:
         self.packets_created += 1
         network = self.network
         if network is not None:
-            sink = network.engine_sink
-            if sink is None:
-                # Try to inject at the next ``Network.phase_inject``.
-                network.backlogged.add(self.node)
-                self.wake = 0
-            else:
-                sink.nic_backlogged(self.node)
+            # Try to inject at the next ``Network.phase_inject``.
+            network.backlogged.add(self.node)
+            self.wake = 0
         backlog = sum(len(q) for q in self.queues)
         if backlog > self.peak_backlog:
             self.peak_backlog = backlog
@@ -74,7 +73,12 @@ class NetworkInterface:
             The injected packet, or None.
         """
         network = self.network
-        router = network.routers[self.router_id]
+        port = self._port
+        if port is None:
+            router = network.routers[self.router_id]
+            port = self._port = (router, router.vcs_at(self.inject_port),
+                                 router.config.vcs_per_vnet)
+        router, port_vcs, width = port
         port_busy = router.port_busy
         busy = port_busy[self.inject_port]
         if now <= busy:
@@ -90,10 +94,10 @@ class NetworkInterface:
                 continue
             packet = queue[0]
             choices = network.routing.injection_vc_choices(packet)
-            vcs = router.vnet_slice(self.inject_port, packet.vnet)
+            base = packet.vnet * width
             vc = None
             for idx in choices:
-                candidate = vcs[idx]
+                candidate = port_vcs[base + idx]
                 if candidate.packet is None:
                     if now >= candidate.free_at:
                         vc = candidate

@@ -68,9 +68,6 @@ class FabricPlan:
         down: Per router, ``outport -> (next router, its input port, that
             port's VC ids per vnet)``.
         eject_of: Ejection port of each terminal node at its router.
-        inj_port: Injection port of each terminal node at its router.
-        inj_rid: Router of each terminal node.
-        inj_vids: Per terminal node, its injection port's VC ids per vnet.
         rings: Per router, the scan slots of its network input VCs in
             (port, index) order, listed twice so that a walk from any
             position is one range: the SPIN detection pointer's
@@ -92,9 +89,6 @@ class FabricPlan:
     nic_of: Tuple[int, ...]
     down: Tuple[Mapping[int, Tuple[int, int, VidRows]], ...]
     eject_of: Tuple[int, ...]
-    inj_port: Tuple[int, ...]
-    inj_rid: Tuple[int, ...]
-    inj_vids: Tuple[VidRows, ...]
     rings: Tuple[Tuple[int, ...], ...]
 
     @classmethod
@@ -204,10 +198,5 @@ class FabricPlan:
             down=down,
             eject_of=tuple(EJECT_PORT_BASE + local
                            for _, local in nic_places),
-            inj_port=tuple(INJECT_PORT_BASE + local
-                           for _, local in nic_places),
-            inj_rid=tuple(rid for rid, _ in nic_places),
-            inj_vids=tuple(vid_rows(rid, INJECT_PORT_BASE + local)
-                           for rid, local in nic_places),
             rings=tuple(rings),
         )

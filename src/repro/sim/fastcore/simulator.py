@@ -6,51 +6,59 @@ Design contract
 :class:`FastSimulator` is **not** a second implementation of the datapath.
 All authoritative state stays in the reference objects (``Router``,
 ``VirtualChannel``, ``Link``, ``NetworkInterface``, the SPIN controllers).
-The engine layers two mechanisms on top of them:
+Every engine injects through the object datapath
+(``NetworkInterface.try_inject``), whose NICs sleep until their wake times.  The engine layers three
+mechanisms on top of the objects:
 
-* **Event-driven idle skipping** — per-router dirty bits + wake times (set
-  by every VC reserve/release event) and per-NIC injection wake times let
-  quiescent regions cost zero cycles, with a whole-run fast-forward once
-  traffic stops and the network drains.
-* **A struct-of-arrays core for the regions that *are* active** —
+* **Quiescence fast-forward, for every design** — once traffic stops, no
+  NIC is backlogged, no router holds a packet and the SPIN state is idle,
+  every remaining cycle is a no-op and the run lands on its last cycle.
+  It needs a schedule of nothing but the network (with control planes that
+  do nothing on a drained network) and synthetic traffic, no observer and
+  no fault injector.
+* **Event-driven router skipping** — per-router dirty bits + wake times
+  (set by every VC reserve/release event) let quiescent routers cost zero
+  cycles.
+* **A struct-of-arrays core for the routers that *are* active** —
   :class:`repro.sim.fastcore.soa.SoaCore` lays the network out as
   integer-indexed tables (the shared :class:`~repro.network.plan.FabricPlan`
   for everything static: global VC id space, arbitration keys, upstream and
   downstream id rows; its own occupancy / ready / credit mirrors, per-router
   active rows, candidate entries and lazy hop rows for the rest)
-  and advances the ``allocate`` and ``inject`` phases over those tables
-  with the reference datapath inlined, writing the authoritative objects
-  directly so the oracle, golden traces and SPIN controllers see identical
-  state at every phase boundary.  See the :mod:`soa` module docstring for
-  the mirror-synchronization invariants.
+  and advances the ``allocate`` phase over those tables with the reference
+  datapath inlined, writing the authoritative objects directly so the
+  oracle, golden traces and SPIN controllers see identical state at every
+  phase boundary.  See the :mod:`soa` module docstring for the
+  mirror-synchronization invariants.
 
-The per-cycle work that does run is semantically a line-for-line replica of
-``Router.allocate`` / ``NetworkInterface.try_inject`` (same request scan
-order, same RNG draws, same arbitration pointers, same field writes), so
-granted cycles are bit-identical to the reference engine; the analysis for
-*skipped* cycles proves them to be reference no-ops.
+The per-cycle allocation work that does run is semantically a line-for-line
+replica of ``Router.allocate`` (same request scan order, same RNG draws,
+same arbitration pointers, same field writes), so granted cycles are
+bit-identical to the reference engine; the analysis for *skipped* cycles
+proves them to be reference no-ops.
 
 SPIN controller ticks are scheduled by the control plane itself: for every
 network with a :class:`~repro.core.framework.SpinFramework`, inside the
 routing whitelist or not, the engine switches ``SpinFramework.scheduled``
-on (contract and fail-closed cases: that module's docstring) and receives
-``Network.wake_router`` for routers where control work froze or thawed a VC.
+on (contract and fail-closed cases: that module's docstring); the SoA core,
+which is the network's engine sink, receives ``Network.wake_router`` for
+routers where control work froze or thawed a VC.
 
 The datapath skip/inline analysis is only valid for configurations it was
 proven against: stock minimal-adaptive or dimension-order routing
-(base-class decision, selection, VC-choice, downstream-VC *and* ``on_hop``/
-``on_inject`` hook implementations), the known control planes, and no
-runtime fault injector.  Anything else — Static Bubble / escape-VC routing,
+(base-class decision, selection, VC-choice, downstream-VC *and* ``on_hop``
+hook implementations), the known control planes, and no runtime fault
+injector.  Anything else — Static Bubble / escape-VC routing,
 custom planes, faults — compiles to the *reference schedule*: the object
-datapath's own ``Network.phase_inject`` / ``phase_allocate``, which sleep
-exactly for every design (a router with no ready, unfrozen VC and a NIC
-that cannot inject are skipped until their wake times; their run/skip
-counts go to ``PhaseProfiler.control_counters``).  A runtime link failure
+datapath's own ``Network.phase_allocate``, which sleeps exactly for every
+design (a router with no ready, unfrozen VC is skipped until its wake time;
+the run/skip counts go to ``PhaseProfiler.control_counters``, as does a
+fast-forward there).  A runtime link failure
 while the fast path is active likewise drops allocation back to the
 reference rotation (the SoA mirrors stay synchronized through the event
 funnel) for as long as dead links exist.  The SoA core keeps
-``Router.occupied`` but not the object path's wake times; handing the
-schedule back to the object phases wakes every router and NIC
+``Router.occupied`` and the NICs' wake times but not the routers'; handing
+the schedule back to the object phases wakes every router
 (``Network.wake_all``).
 """
 
@@ -69,10 +77,10 @@ def _stock_routing(routing) -> bool:
 
     Exact-type plus method-identity checks: subclasses (Static Bubble,
     escape-VC, west-first...) override selection, VC disciplines or the
-    per-hop/inject hooks in ways the skip/inline analysis does not
-    model, and a future override on the whitelisted classes themselves
-    must fail closed.  ``on_hop``/``on_inject`` must be the base no-ops
-    because the SoA grant/inject paths elide those calls entirely.
+    per-hop hook in ways the skip/inline analysis does not model, and a
+    future override on the whitelisted classes themselves must fail
+    closed.  ``on_hop`` must be the base no-op because the SoA grant path
+    elides that call.
     """
     from repro.routing.adaptive import MinimalAdaptiveRouting
     from repro.routing.base import RoutingAlgorithm
@@ -83,8 +91,7 @@ def _stock_routing(routing) -> bool:
         return False
     base = RoutingAlgorithm
     shared = ("decide", "select", "wait_choice", "vc_choices",
-              "permitted_vcs", "pick_downstream_vc", "injection_vc_choices",
-              "on_hop", "on_inject")
+              "permitted_vcs", "pick_downstream_vc", "on_hop")
     for method in shared:
         if getattr(cls, method) is not getattr(base, method):
             return False
@@ -176,6 +183,7 @@ class FastSimulator(Simulator):
             if profiler is not None:
                 fw.count = (profiler.count if self.fallback_reason is None
                             else profiler.count_control)
+        self._ff_ok = self._fast_forward_ok(net)
         if self.fallback_reason is not None:
             self._detach_sink()
             return
@@ -183,27 +191,33 @@ class FastSimulator(Simulator):
         self._fast_ok = True
         self.engine_path = "soa"
         self._core = SoaCore(net)
-        net.engine_sink = self
+        net.engine_sink = self._core
 
-        # Fast-forward additionally requires that no component or observer
-        # could do per-cycle work on a drained network.
+    def _fast_forward_ok(self, net) -> bool:
+        """Whether a drained network makes every later cycle a no-op: no
+        observer, no fault injector, no component but the network and
+        synthetic traffic, and only control planes that do nothing on a
+        drained network (SPIN's own state is checked per cycle)."""
+        from repro.core.centralized import CentralizedSpinPlane
+        from repro.core.framework import SpinFramework
+        from repro.core.proactive import ProactiveSpinPlane
         from repro.traffic.generator import SyntheticTraffic
 
         others = [c for c in self._components if c is not net]
-        self._traffic = None
-        if not others:
-            self._ff_ok = not self._observers
-        elif len(others) == 1 and type(others[0]) is SyntheticTraffic:
-            self._traffic = others[0]
-            self._ff_ok = not self._observers
-        else:
-            self._ff_ok = False
+        self._traffic = others[0] if len(others) == 1 else None
+        if self._observers or net.fault_injector is not None:
+            return False
+        if others and type(self._traffic) is not SyntheticTraffic:
+            return False
+        idle = (SpinFramework, ProactiveSpinPlane, CentralizedSpinPlane)
+        return all(type(plane) in idle for plane in net.control_planes)
 
     def _detach_sink(self) -> None:
-        if self._net is not None and getattr(self._net, "engine_sink", None) is self:
+        core, self._core = self._core, None
+        if core is not None and self._net.engine_sink is core:
             self._net.engine_sink = None
-            # The SoA core kept no object-path wake times: the phases
-            # re-derive them from the objects.
+            # The SoA core kept no object-path router wake times: the
+            # allocate phase re-derives them from the objects.
             self._net.wake_all()
 
     def _build_schedule(self):
@@ -217,29 +231,11 @@ class FastSimulator(Simulator):
         self._compile()
         schedule = self._bound_schedule()
         if self._fast_ok:
-            net = self._net
-            swap = {net.phase_inject: self._core.phase_inject,
-                    net.phase_allocate: self._fast_phase_allocate}
-            schedule = [[swap.get(hook, hook) for hook in bound]
+            allocate = self._net.phase_allocate
+            schedule = [[self._fast_phase_allocate if hook == allocate
+                         else hook for hook in bound]
                         for bound in schedule]
         return self._wrap_schedule(schedule)
-
-    # ------------------------------------------------------------------
-    # Event sink (called from Network.note_vc_*, wake_router, NIC.enqueue)
-    # ------------------------------------------------------------------
-    def vc_reserved(self, router, vc) -> None:
-        self._core.on_reserved(router, vc)
-
-    def vc_released(self, router, vc) -> None:
-        self._core.on_released(router, vc)
-
-    def nic_backlogged(self, node: int) -> None:
-        self._core.nic_backlogged(node)
-
-    def router_woken(self, router_id: int) -> None:
-        core = self._core
-        core.r_dirty[router_id] = 1
-        core.r_any_dirty = True
 
     # ------------------------------------------------------------------
     # Phase: allocate
@@ -294,15 +290,17 @@ class FastSimulator(Simulator):
     # Quiescence fast-forward
     # ------------------------------------------------------------------
     def _quiescent(self, cycle: int) -> bool:
-        core = self._core
-        if core.occupied or core.active_nics:
-            return False
         traffic = self._traffic
-        if traffic is not None:
-            if traffic.packet_probability > 0 and (
-                    traffic.stop_at is None or cycle < traffic.stop_at):
+        if traffic is not None and traffic.packet_probability > 0 and (
+                traffic.stop_at is None or cycle < traffic.stop_at):
+            return False
+        net = self._net
+        if net.backlogged:
+            return False
+        for router in net.routers:
+            if router.occupied:
                 return False
-        fw = self._net.spin
+        fw = net.spin
         if fw is not None:
             if fw._arrivals or fw._outbox or fw.executor._pending:
                 return False
@@ -314,7 +312,7 @@ class FastSimulator(Simulator):
     def run(self, cycles: int) -> None:
         if self._schedule is None:
             self._schedule = self._build_schedule()
-        if not (self._fast_ok and self._ff_ok):
+        if not self._ff_ok:
             super().run(cycles)
             return
         end = self.cycle + cycles
@@ -322,10 +320,17 @@ class FastSimulator(Simulator):
             if self._quiescent(self.cycle):
                 # Every remaining cycle is a no-op for every component:
                 # land exactly where the reference loop would.
-                if self._profiler is not None:
-                    self._profiler.count("cycles_fast_forwarded",
-                                         end - self.cycle)
+                skipped = end - self.cycle
+                profiler = self._profiler
+                if profiler is not None:
+                    count = (profiler.count if self._fast_ok
+                             else profiler.count_control)
+                    count("cycles_fast_forwarded", skipped)
+                # The allocation rotation advances over no-op cycles too.
+                net = self._net
+                net._allocation_offset = (
+                    (net._allocation_offset + skipped) % len(net.routers))
                 self.cycle = end
-                self._net.now = end
+                net.now = end
                 return
             self.step()

@@ -5,12 +5,14 @@ routers free; this module makes *active* routers cheap.  :class:`SoaCore`
 runs the network over integer-indexed tables — a global VC id space with
 occupancy/ready/credit mirrors, per-router active-VC rows, precombined
 candidate entries with downstream-VC id slices, arbitration keys and lazy
-hop-distance rows — and advances the hot phases (``allocate``, ``inject``)
-over those tables with the reference datapath inlined.  Everything static
-among them (the id space, arbitration keys, upstream/NIC/downstream id rows)
-is the network's :class:`~repro.network.plan.FabricPlan`, compiled once per
-fabric and shared between points; a core builds only what refers to its own
-network's objects and state.
+hop-distance rows — and advances the ``allocate`` phase over those tables
+with the reference datapath inlined.  Injection stays the object
+datapath's own (``NetworkInterface.try_inject``), whose VC events keep these
+tables in sync.  Everything static among them (the id space, arbitration
+keys, upstream/NIC/downstream id rows) is the network's
+:class:`~repro.network.plan.FabricPlan`, compiled once per fabric and shared
+between points; a core builds only what refers to its own network's objects
+and state.
 
 Authority and synchronization contract
 --------------------------------------
@@ -41,8 +43,8 @@ objects (at compile time, or to repair a mismatch);
 the round-trip property tests.
 
 Decision inlining (valid only under the simulator's routing whitelist —
-base-class ``decide``/``select``/``wait_choice``/VC policies and no-op
-``on_hop``/``on_inject`` hooks):
+base-class ``decide``/``select``/``wait_choice``/VC policies and a no-op
+``on_hop`` hook):
 
 * ejection short-path for packets at their destination;
 * single-candidate requests skip ``select`` entirely;
@@ -94,17 +96,14 @@ class _OutInfo(dict):
 
 
 class SoaCore:
-    """Compiled flat-table state + inlined hot phases for one network."""
-
-    #: Stands in for the network's hooks, so it profiles under its part.
-    profile_part = "network"
+    """Compiled flat-table state + the inlined allocate phase for one
+    network."""
 
     def __init__(self, net) -> None:
         self.net = net
         self.routing = net.routing
         self.routers = net.routers
         self.nics = net.nics
-        self.stats = net.stats
         self.router_latency = net.config.router_latency
         #: Bound ``random.Random.choice`` of the routing RNG — the exact
         #: method ``RoutingAlgorithm.select`` draws from.
@@ -121,21 +120,18 @@ class SoaCore:
         self.router_count = count
         self.vc_arbkey = plan.vc_arbkey
         #: Upstream router per vid (release events re-arm the upstream
-        #: router's wake time) and owning NIC per injection-port vid.
+        #: router's wake time) and owning NIC per injection-port vid (the
+        #: inlined release lowers that NIC's ``wake``).
         self.up_rid = plan.up_rid
         self.nic_of = plan.nic_of
         #: Ejection port per terminal node.
         self.eject_of = plan.eject_of
-        self.inj_port = plan.inj_port
-        self.inj_rid = plan.inj_rid
-        self.inj_vids = plan.inj_vids
 
         # This network's objects behind the plan's ids.
         vc_obj = [vc for router in self.routers for vc in router._scan]
         self.vc_obj = vc_obj
         self.vid_of: Dict[int, int] = {
             id(vc): vid for vid, vc in enumerate(vc_obj)}
-        self.inj_vcs = [_vc_rows(vc_obj, rows) for rows in plan.inj_vids]
         #: ``(router, outport) -> (outport, link, neighbor router id,
         #: per-vnet downstream VC rows, per-vnet downstream vid rows)``,
         #: each built the first time something looks through the port.
@@ -170,9 +166,6 @@ class SoaCore:
         #: ``Network.note_vc_reserved`` / ``note_vc_released`` would.
         self.ctrl_dirty = (net.spin.dirty if net.spin is not None
                            else bytearray(count))
-        self.nic_wake = [0] * len(net.nics)
-        self.active_nics = set()
-        self.occupied = 0
         self.resync()
 
     def _hop_row(self, target: int) -> Sequence[int]:
@@ -182,12 +175,12 @@ class SoaCore:
         return row
 
     # ------------------------------------------------------------------
-    # Mirror synchronization (event funnel + full resync)
+    # Mirror synchronization: the network's engine sink (its VC events and
+    # ``wake_router``) plus a full resync
     # ------------------------------------------------------------------
-    def on_reserved(self, router, vc) -> None:
+    def vc_reserved(self, router, vc) -> None:
         """A VC was reserved (fields already settled on the object)."""
         rid = router.id
-        self.occupied += 1
         self.r_dirty[rid] = 1
         self.r_any_dirty = True
         vid = self.vid_of[id(vc)]
@@ -195,10 +188,10 @@ class SoaCore:
         self.vc_ready[vid] = vc.ready_at
         insort(self.active[rid], vid)
 
-    def on_released(self, router, vc) -> None:
-        """A VC was released (``free_at`` already settled on the object)."""
+    def vc_released(self, router, vc) -> None:
+        """A VC was released (``free_at`` already settled on the object;
+        ``Network.note_vc_released`` has lowered its NIC's ``wake``)."""
         rid = router.id
-        self.occupied -= 1
         self.r_dirty[rid] = 1
         self.r_any_dirty = True
         vid = self.vid_of[id(vc)]
@@ -207,33 +200,26 @@ class SoaCore:
         self.vc_free[vid] = free
         self.active[rid].remove(vid)
         uid = self.up_rid[vid]
-        if uid >= 0:
-            if self.r_wake[uid] > free:
-                self.r_wake[uid] = free
-                if self.r_min_wake > free:
-                    self.r_min_wake = free
-        else:
-            node = self.nic_of[vid]
-            if node >= 0 and self.nic_wake[node] > free:
-                self.nic_wake[node] = free
+        if uid >= 0 and self.r_wake[uid] > free:
+            self.r_wake[uid] = free
+            if self.r_min_wake > free:
+                self.r_min_wake = free
 
-    def nic_backlogged(self, node: int) -> None:
-        self.active_nics.add(node)
-        # A new head-of-queue packet may target a different vnet whose VCs
-        # are idle: re-attempt immediately.
-        self.nic_wake[node] = 0
+    def router_woken(self, router_id: int) -> None:
+        """Control work froze or thawed a VC at this router."""
+        self.r_dirty[router_id] = 1
+        self.r_any_dirty = True
 
     def resync(self) -> None:
         """Rebuild every dynamic table from the authoritative objects.
 
         Used at compile time and to repair the mirrors after
         :meth:`verify_against_objects` found a mismatch; also wakes every
-        router and NIC, dropping all cached skip analysis.
+        router, dropping all cached skip analysis.
         """
         vc_pkt = self.vc_pkt
         vc_ready = self.vc_ready
         vc_free = self.vc_free
-        occupied = 0
         vid = 0
         for rid, router in enumerate(self.routers):
             act = self.active[rid]
@@ -244,31 +230,25 @@ class SoaCore:
                         vc_pkt[vid] = 1
                         vc_ready[vid] = vc.ready_at
                         act.append(vid)
-                        occupied += 1
                     else:
                         vc_pkt[vid] = 0
                         vc_free[vid] = vc.free_at
                     vid += 1
-        self.occupied = occupied
         count = self.router_count
         self.r_dirty = bytearray(b"\x01" * count)
         self.r_wake = [0] * count
         self.r_any_dirty = True
         self.r_min_wake = 0
-        self.nic_wake = [0] * len(self.nic_wake)
-        self.active_nics = {nic.node for nic in self.nics if nic.backlog()}
 
     def verify_against_objects(self) -> List[str]:
         """Check the mirror invariant; returns human-readable mismatches.
 
         The invariant covers exactly what the hot loops consult: the
         occupancy bitmap everywhere, ``vc_ready`` for occupied VCs,
-        ``vc_free`` for empty VCs, the sorted per-router active rows, and
-        the global occupancy count.
+        ``vc_free`` for empty VCs and the sorted per-router active rows.
         """
         problems = []
         vid = 0
-        occupied = 0
         for rid, router in enumerate(self.routers):
             expect_active = []
             for inport, vcs in router.all_inports():
@@ -282,7 +262,6 @@ class SoaCore:
                             f"vc_pkt={self.vc_pkt[vid]} but "
                             f"packet={'set' if held else 'None'}")
                     if held:
-                        occupied += 1
                         expect_active.append(vid)
                         if self.vc_ready[vid] != vc.ready_at:
                             problems.append(
@@ -297,114 +276,7 @@ class SoaCore:
                 problems.append(
                     f"router {rid}: active row {self.active[rid]} "
                     f"!= occupancy scan {expect_active}")
-        if self.occupied != occupied:
-            problems.append(
-                f"occupied={self.occupied} != scanned {occupied}")
         return problems
-
-    # ------------------------------------------------------------------
-    # Phase: inject (inlined NetworkInterface.try_inject)
-    # ------------------------------------------------------------------
-    def phase_inject(self, cycle: int) -> None:
-        active = self.active_nics
-        if not active:
-            return
-        nics = self.nics
-        routers = self.routers
-        nic_wake = self.nic_wake
-        vc_pkt = self.vc_pkt
-        vc_free = self.vc_free
-        vc_ready = self.vc_ready
-        stats = self.stats
-        router_latency = self.router_latency
-        r_dirty = self.r_dirty
-        ctrl_dirty = self.ctrl_dirty
-        inj_port = self.inj_port
-        inj_rid = self.inj_rid
-        for node in sorted(active):
-            if cycle < nic_wake[node]:
-                continue
-            nic = nics[node]
-            rid = inj_rid[node]
-            router = routers[rid]
-            iport = inj_port[node]
-            port_busy = router.port_busy
-            queues = nic.queues
-            injected = False
-            if cycle > port_busy[iport]:
-                num_vnets = len(queues)
-                nxt = nic._next_vnet
-                vid_rows = self.inj_vids[node]
-                vc_rows = self.inj_vcs[node]
-                for offset in range(num_vnets):
-                    vnet = (nxt + offset) % num_vnets
-                    queue = queues[vnet]
-                    if not queue:
-                        continue
-                    packet = queue[0]
-                    # Base-class injection_vc_choices is the full slice in
-                    # index order (routing whitelist).
-                    vids = vid_rows[packet.vnet]
-                    vc = None
-                    for j, dvid in enumerate(vids):
-                        if not vc_pkt[dvid] and vc_free[dvid] <= cycle:
-                            vc = vc_rows[packet.vnet][j]
-                            vid = dvid
-                            break
-                    if vc is None:
-                        continue
-                    queue.popleft()
-                    nic._next_vnet = (vnet + 1) % num_vnets
-                    # routing.on_inject: base no-op under the whitelist.
-                    length = packet.length
-                    # vc.reserve(packet, cycle, 1, router_latency), idleness
-                    # pre-verified through the mirrors.
-                    vc.packet = packet
-                    vc.head_arrival = cycle + 1
-                    ready = cycle + 1 + router_latency
-                    vc.ready_at = ready
-                    vc.tail_arrival = cycle + length
-                    vc.active_since = cycle
-                    port_busy[iport] = cycle + length - 1
-                    packet.inject_cycle = cycle
-                    # note_vc_reserved(router, vc), inlined.
-                    router.occupied |= vc.bit
-                    self.occupied += 1
-                    r_dirty[rid] = 1
-                    ctrl_dirty[rid] = 1
-                    vc_pkt[vid] = 1
-                    vc_ready[vid] = ready
-                    insort(self.active[rid], vid)
-                    stats.record_injection(packet, cycle)
-                    injected = True
-                    break
-                if injected:
-                    self.r_any_dirty = True
-            # Wake analysis (identical to the idle-skip layer): failed
-            # try_inject calls are pure, so sleeping over them is exact.
-            for queue in queues:
-                if queue:
-                    break
-            else:
-                active.discard(node)
-                nic_wake[node] = 0
-                continue
-            busy = port_busy[iport]
-            if injected or cycle <= busy:
-                nic_wake[node] = busy + 1
-                continue
-            wake = _NEVER
-            vid_rows = self.inj_vids[node]
-            for queue in queues:
-                if not queue:
-                    continue
-                head = queue[0]
-                for dvid in vid_rows[head.vnet]:
-                    if not vc_pkt[dvid]:
-                        free = vc_free[dvid]
-                        if free < wake:
-                            wake = free
-            nic_wake[node] = wake
 
     # ------------------------------------------------------------------
     # Phase: allocate (inlined Router.allocate + grants + wake analysis)
@@ -600,7 +472,7 @@ class SoaCore:
         r_dirty = self.r_dirty
         ctrl_dirty = self.ctrl_dirty
         r_wake = self.r_wake
-        nic_wake = self.nic_wake
+        nics = self.nics
         up_rid = self.up_rid
         nic_of = self.nic_of
         active = self.active
@@ -670,7 +542,6 @@ class SoaCore:
             packet.current_request = None
             # note_vc_released(router, vc), inlined with the known vid.
             router.occupied ^= vc.bit
-            self.occupied -= 1
             vc_pkt[vid] = 0
             vc_free[vid] = free
             active[rid].remove(vid)
@@ -684,8 +555,8 @@ class SoaCore:
                         self.r_min_wake = free
             else:
                 node = nic_of[vid]
-                if node >= 0 and nic_wake[node] > free:
-                    nic_wake[node] = free
+                if node >= 0 and nics[node].wake > free:
+                    nics[node].wake = free
 
             if ejection:
                 # --- Router._grant_ejection ---
@@ -718,7 +589,6 @@ class SoaCore:
                 flit_hops += length
                 # note_vc_reserved(neighbor, dvc), inlined.
                 self.routers[nrid].occupied |= dvc.bit
-                self.occupied += 1
                 vc_pkt[dvid] = 1
                 vc_ready[dvid] = ready
                 insort(active[nrid], dvid)

@@ -101,15 +101,15 @@ def check_credit_conservation(network, cycle: int
     """``Router.occupied`` (the credit fast path) vs. a direct occupancy
     count, and the sleep it drives.
 
-    Where the object datapath schedules (no engine sink is attached), a
+    Where the object datapath allocates (no engine sink is attached), a
     router's ``wake`` is never later than the ``ready_at`` of one of its
     unfrozen VCs — unless a freeze or thaw since the last allocation will
-    wake every router anyway — and a backlogged NIC's ``wake`` is never
-    later than the first cycle its port and a permitted VC could take its
-    head packet.
+    wake every router anyway.  Every engine injects through the object
+    datapath, so under any of them a NIC with queued packets is
+    backlogged, and its ``wake`` is never later than the first cycle its
+    port and a permitted VC could take its head packet.
     """
-    check_sleep = network.engine_sink is None
-    check_routers = (check_sleep and
+    check_routers = (network.engine_sink is None and
                      network.freeze_epoch == VirtualChannel.freeze_epoch)
     for router in network.routers:
         mask = 0
@@ -133,8 +133,6 @@ def check_credit_conservation(network, cycle: int
                 "a sleeping router holds a VC ready before its wake time",
                 invariant="credit_conservation", router=router.id,
                 cycle=cycle, ready_at=earliest, wake=router.wake)
-    if not check_sleep:
-        return
     routing = network.routing
     for nic in network.nics:
         heads = [queue[0] for queue in nic.queues if queue]

@@ -70,5 +70,8 @@ def test_fast_schedules_controllers_outside_the_whitelist(design):
     assert profiler.counters == {}
     counters = profiler.report("fast", point.cycles)["counters"]
     assert counters["controller_ticks_skipped"] > 0
+    # Every cycle the loop ran ticked or skipped every controller; the
+    # drained tail is fast-forwarded on this path too.
+    ran = point.cycles - counters.get("cycles_fast_forwarded", 0)
     assert (counters["controller_ticks"] + counters["controller_ticks_skipped"]
-            == point.cycles * len(network.routers))
+            == ran * len(network.routers))

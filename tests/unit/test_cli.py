@@ -110,6 +110,16 @@ class TestRunValidation:
         with pytest.raises(ConfigurationError, match="offered load"):
             main(["sweep", "--design", "spin_mesh", "--rates", "0.05,1.2"])
 
+    @pytest.mark.parametrize("rates", ["0.1,abc", "0.1,,0.2", "x"])
+    def test_malformed_sweep_rates_rejected(self, rates):
+        with pytest.raises(ConfigurationError, match="--rates"):
+            main(["sweep", "--design", "spin_mesh", "--rates", rates])
+
+    @pytest.mark.parametrize("seeds", ["1,x", "1.5", "1,"])
+    def test_malformed_verify_seeds_rejected(self, seeds):
+        with pytest.raises(ConfigurationError, match="--seeds"):
+            main(["verify", "--seeds", seeds])
+
 
 class TestSweepCommand:
     SMALL = ["sweep", "--design", "spin_mesh", "--pattern", "uniform",

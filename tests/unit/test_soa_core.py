@@ -1,13 +1,12 @@
 """The struct-of-arrays allocation core: compilation, mirrors, fallback.
 
 :class:`repro.sim.fastcore.soa.SoaCore` compiles the network into flat
-integer-indexed tables and advances the hot phases over them, writing the
-authoritative objects directly.  These tests pin the three load-bearing
+integer-indexed tables and advances the allocate phase over them, writing
+the authoritative objects directly.  These tests pin the three load-bearing
 properties of that design:
 
 * **compilation** — the static tables (global VC id space, arbitration
-  keys, downstream/injection rows) are a faithful index of the object
-  graph;
+  keys, downstream rows) are a faithful index of the object graph;
 * **mirror round-trip** — after arbitrary simulated prefixes (including
   mid-flight, deadlocked and recovering states) every dynamic mirror still
   agrees with the objects, ``resync()`` rebuilds from the objects alone,
@@ -92,16 +91,23 @@ class TestCompilation:
                         == list(dvids)
 
     def test_injection_tables_mirror_the_nics(self):
-        simulator, network = _fast_sim()
-        simulator.run(1)
+        """The core keeps no injection tables: NICs inject through the
+        object datapath, over the port row each NIC looks up once."""
+        simulator, network = _fast_sim(rate=0.30)
+        simulator.run(50)
         core = simulator._core
-        for nic in network.nics:
-            assert core.inj_port[nic.node] == nic.inject_port
-            assert core.inj_rid[nic.node] == nic.router_id
-            router = network.routers[nic.router_id]
-            for vnet, row in enumerate(core.inj_vcs[nic.node]):
-                assert list(row) \
-                    == list(router.vnet_slice(nic.inject_port, vnet))
+        for gone in ("inj_port", "inj_rid", "inj_vids", "inj_vcs",
+                     "nic_wake", "active_nics", "phase_inject"):
+            assert not hasattr(core, gone)
+        built = [nic for nic in network.nics if nic._port is not None]
+        assert built
+        for nic in built:
+            router, port_vcs, width = nic._port
+            assert router is network.routers[nic.router_id]
+            assert port_vcs is router.vcs_at(nic.inject_port)
+            for vnet in range(network.config.num_vnets):
+                assert port_vcs[vnet * width:(vnet + 1) * width] \
+                    == router.vnet_slice(nic.inject_port, vnet)
 
     def test_controller_dirty_bits_are_the_frameworks_own(self):
         """The core keeps no copy of the controller schedule: its inlined
@@ -220,6 +226,40 @@ class TestFailClosedFallback:
         _, reference = replace(base, engine="reference").run()
         _, fast = replace(base, engine="fast").run()
         assert fast.to_dict() == reference.to_dict()
+
+    def test_fallback_fast_forwards_like_the_reference_loop(self):
+        """A drained network is fast-forwarded off the SoA path too (as a
+        control-loop count), and lands where the reference loop does: the
+        allocation rotation included, and a packet queued afterwards runs
+        the same."""
+        from repro.harness.configs import build_network
+        from repro.network.packet import Packet
+        from repro.sim.profile import PhaseProfiler
+
+        ends = []
+        for engine in ("reference", "fast"):
+            network = build_network("mesh:westfirst-2vc", mesh_side=4)
+            pattern = make_pattern("uniform", network.topology.num_nodes, 3)
+            simulator = create_engine(engine)
+            simulator.register(SyntheticTraffic(network, pattern, 0.10,
+                                                seed=3, stop_at=100))
+            simulator.register(network)
+            profiler = simulator.attach_profiler(PhaseProfiler())
+            simulator.run(301)
+            offset = network._allocation_offset
+            network.nics[0].enqueue(Packet(
+                src_node=0, dst_node=15, src_router=0, dst_router=15,
+                length=5, vnet=0, create_cycle=simulator.cycle))
+            simulator.run(100)
+            ends.append((offset, network._allocation_offset,
+                         network.nics[15].packets_received,
+                         network.stats.packets_delivered,
+                         dict(network.stats.events)))
+            if engine == "fast":
+                assert simulator.engine_path == "reference-schedule"
+                assert profiler.counters == {}
+                assert profiler.control_counters["cycles_fast_forwarded"] > 0
+        assert ends[0] == ends[1]
 
 
 @pytest.mark.parametrize("routing_factory", [

@@ -8,7 +8,9 @@ from repro.config import NetworkConfig, SimulationConfig, SpinParams
 from repro.core.fsm import SpinState
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.network.network import Network
+from repro.network.packet import Packet
 from repro.routing.dor import DimensionOrderRouting
+from repro.sim import create_engine
 from repro.sim.engine import Simulator
 from repro.stats.sweep import SweepPoint, simulate_point
 from repro.topology.mesh import MeshTopology
@@ -206,6 +208,34 @@ def test_check_now_detects_credit_drift(mesh4):
     router = mesh4.routers[5]
     router.occupied &= router.occupied - 1   # drop one occupied VC's bit
     assert families(oracle.check_now()) == {"credit_conservation"}
+
+
+def test_nic_sleep_is_checked_under_the_soa_core(mesh4):
+    """Every engine injects through the object datapath, so the NIC half of
+    the sleep check holds with the fast engine's SoA core attached too."""
+    simulator = create_engine("fast")
+    simulator.register(mesh4)
+    oracle = InvariantOracle(mesh4, OracleConfig(mode="record"))
+    oracle.attach(simulator)
+    simulator.run(1)
+    assert simulator.engine_path == "soa"
+    assert mesh4.engine_sink is simulator._core
+    nic = mesh4.nics[5]
+    nic.enqueue(Packet(src_node=5, dst_node=10, src_router=nic.router_id,
+                       dst_router=mesh4.topology.router_of_node(10),
+                       length=1, vnet=0, create_cycle=1))
+    assert oracle.check_now() == []
+    # Planted: the port and its VC are idle now, but the NIC sleeps on.
+    nic.wake = 1 << 40
+    simulator.run(1)
+    assert nic.backlog() == 1
+    assert [str(v).split(" [")[0] for v in oracle.violations] == [
+        "a sleeping NIC could inject before its wake time"]
+    mesh4.backlogged.discard(nic.node)
+    found = oracle.check_now()
+    assert families(found) == {"credit_conservation"}
+    assert [str(v).split(" [")[0] for v in found] == [
+        "a NIC with queued packets is not backlogged"]
 
 
 def test_check_now_detects_length_out_of_bounds(mesh4):
