@@ -3,11 +3,18 @@
 #
 #   benchmarks/ab.sh BASE [HEAD [run.py options...]]
 #
-# 1. `pytest benchmarks/perf` on HEAD: the benchmark's self-test.
-# 2. BASE and HEAD are checked out into their own worktrees under
-#    .bench_ab/, and `benchmarks/perf/run.py --seed 1 --output` runs in
-#    each, base first, then head.  HEAD's compare.py judges the pair.
-# 3. A `worse` row that is not a host timing fails at once: a different
+# 1. BASE and HEAD are checked out into their own worktrees under
+#    .bench_ab/, and `pytest benchmarks/perf` runs on HEAD: the
+#    benchmark's self-test.
+# 2. Counted work: HEAD's benchmarks/workdiff.py profiles three fixed
+#    points (`repro profile --output`) in each worktree and prints every
+#    counter that differs.  It fails when a side's engines disagree, an
+#    `engine_path` changes, or router_cycles_run, alloc_cycles_run,
+#    controller_ticks or sm_sends rises.  Counts do not drift with the
+#    host, so one run decides; base against base prints no row.
+# 3. `benchmarks/perf/run.py --seed 1 --output` runs in each worktree,
+#    base first, then head.  HEAD's compare.py judges the pair.  A `worse`
+#    row that is not a host timing fails at once: a different
 #    sim_fingerprint or simulated metric, a larger fail share, more memory,
 #    a missing workload.
 # 4. Otherwise, if a host-timed row (gate.json's `host_timed`) reads
@@ -16,7 +23,7 @@
 #    both pairs: one pair cannot tell a slower change from a host that
 #    changed speed between the two runs.
 #
-# The records and compare tables stay in .bench_ab/.  Extra arguments go to
+# The records, compare tables and profile reports stay in .bench_ab/.  Extra arguments go to
 # run.py, e.g. `--tiny --seconds 2` for a quick trial of the script itself.
 set -euo pipefail
 
@@ -40,6 +47,8 @@ git -C "$root" worktree add --detach --quiet "$work/base" "$base"
 git -C "$root" worktree add --detach --quiet "$work/head" "$head"
 
 (cd "$work/head" && PYTHONPATH=src python3 -m pytest benchmarks/perf -q)
+python3 "$work/head/benchmarks/workdiff.py" "$work/base" "$work/head" \
+    "$work/workdiff"
 
 run_side() {  # SIDE ROUND
     echo "ab.sh: round $2, $1" >&2

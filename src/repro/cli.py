@@ -695,6 +695,10 @@ def cmd_report(args) -> int:
         raise ConfigurationError("--top-links must be >= 1",
                                  top_links=args.top_links)
     path = Path(args.trace)
+    if not path.exists():
+        raise ConfigurationError(
+            f"{path} does not exist — pass a TRACE.jsonl file or a "
+            "campaign directory", trace=args.trace)
     if path.is_dir():
         if not (path / "manifest.json").exists():
             raise ConfigurationError(

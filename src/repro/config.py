@@ -197,6 +197,10 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if min(self.warmup_cycles, self.measure_cycles, self.drain_cycles) < 0:
             raise ConfigurationError("cycle counts must be non-negative")
+        if self.deadlock_abort_cycles < 0:
+            raise ConfigurationError(
+                "deadlock_abort_cycles must be >= 0 (0 disables the check)",
+                deadlock_abort_cycles=self.deadlock_abort_cycles)
         if self.wedge_poll_interval < 1:
             raise ConfigurationError("wedge_poll_interval must be >= 1")
 

@@ -5,18 +5,18 @@ NICs, controllers, statistics, RNGs — but everything about its *shape* is a
 pure function of the topology and of how many virtual channels sit behind a
 port.  :class:`FabricPlan` is that shape: the validated topology, each
 router's input ports in scan order, where every terminal attaches, and the
-struct-of-arrays core's global VC id space with its upstream, NIC and
-downstream id rows.  One plan exists per ``(topology instance, num_vnets,
-vcs_per_vnet)`` for the life of the topology; :class:`~repro.network.
-network.Network` instantiates its objects by walking it and
-:class:`~repro.sim.fastcore.soa.SoaCore` indexes it directly.
+struct-of-arrays core's global VC id space with its arbitration keys and
+upstream and NIC id rows.  One plan exists per ``(topology instance,
+num_vnets, vcs_per_vnet)`` for the life of the topology;
+:class:`~repro.network.network.Network` instantiates its objects by walking
+it and :class:`~repro.sim.fastcore.soa.SoaCore` indexes it directly.
 
-The plan is immutable: a frozen dataclass of tuples (and read-only
-mappings), shared by every point of a process that runs the same fabric, so
-nothing a point does may depend on — or leave a trace in — it.  The
-topology's own lazily filled rows (``hops_to``, ``productive_ports``) are
-shared the same way and are pure functions of the topology, so the order in
-which points fill them cannot matter.
+The plan is immutable: a frozen dataclass of tuples, shared by every point
+of a process that runs the same fabric, so nothing a point does may depend
+on — or leave a trace in — it.  The topology's own lazily filled rows
+(``hops_to``, ``productive_ports``) are shared the same way and are pure
+functions of the topology, so the order in which points fill them cannot
+matter.
 
 VC id space: router-major; within a router the network input ports in
 first-link order, then the injection ports in local-index order (the order
@@ -27,16 +27,12 @@ the RNG draw order); within a port, VC index order (vnet-major).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 from repro.config import NetworkConfig
 from repro.errors import ConfigurationError
 from repro.network.router import EJECT_PORT_BASE, INJECT_PORT_BASE
 from repro.topology.base import Topology
-
-#: Per-vnet rows of VC ids behind one port.
-VidRows = Tuple[Tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,15 +54,12 @@ class FabricPlan:
         nic_places: Per terminal node, its ``(router, local index)``.
         r_lo: First VC id of each router; ``r_lo[num_routers]`` is the
             total.
-        vc_inport: Input port of each VC id.
         vc_arbkey: Round-robin arbitration key of each VC id
             (``inport * 64 + index``).
         up_rid: Per VC id, the router upstream of its port (-1 behind an
             injection port).
         nic_of: Per VC id, the node injecting into its port (-1 behind a
             network port).
-        down: Per router, ``outport -> (next router, its input port, that
-            port's VC ids per vnet)``.
         eject_of: Ejection port of each terminal node at its router.
         rings: Per router, the scan slots of its network input VCs in
             (port, index) order, listed twice so that a walk from any
@@ -83,11 +76,9 @@ class FabricPlan:
     local_counts: Tuple[int, ...]
     nic_places: Tuple[Tuple[int, int], ...]
     r_lo: Tuple[int, ...]
-    vc_inport: Tuple[int, ...]
     vc_arbkey: Tuple[int, ...]
     up_rid: Tuple[int, ...]
     nic_of: Tuple[int, ...]
-    down: Tuple[Mapping[int, Tuple[int, int, VidRows]], ...]
     eject_of: Tuple[int, ...]
     rings: Tuple[Tuple[int, ...], ...]
 
@@ -136,28 +127,17 @@ class FabricPlan:
         vc_inport: List[int] = []
         up_rid: List[int] = []
         nic_of: List[int] = []
-        port_lo: Dict[Tuple[int, int], int] = {}
         for rid in range(count):
             r_lo[rid] = len(vc_inport)
             for port in net_ports[rid]:
-                port_lo[(rid, port)] = len(vc_inport)
                 vc_inport += [port] * port_vcs
                 up_rid += [upstream[(rid, port)]] * port_vcs
                 nic_of += [-1] * port_vcs
             for local, node in enumerate(topology.nodes_of_router(rid)):
-                port = INJECT_PORT_BASE + local
-                port_lo[(rid, port)] = len(vc_inport)
-                vc_inport += [port] * port_vcs
+                vc_inport += [INJECT_PORT_BASE + local] * port_vcs
                 up_rid += [-1] * port_vcs
                 nic_of += [node] * port_vcs
         r_lo[count] = len(vc_inport)
-
-        def vid_rows(rid: int, port: int) -> VidRows:
-            lo = port_lo[(rid, port)]
-            return tuple(
-                tuple(range(lo + vnet * vcs_per_vnet,
-                            lo + (vnet + 1) * vcs_per_vnet))
-                for vnet in range(num_vnets))
 
         # The detection ring of a router visits its network ports in port
         # order; a port's VCs sit in scan order behind its first slot.
@@ -169,12 +149,6 @@ class FabricPlan:
                                        for position, port in enumerate(ports))
                 for index in range(port_vcs))
             rings.append(ring + ring)
-        down = tuple(
-            MappingProxyType({
-                outport: (neighbor, inport, vid_rows(neighbor, inport))
-                for outport, (neighbor, inport, _) in
-                topology.neighbors(rid).items()})
-            for rid in range(count))
         return cls(
             topology=topology, num_vnets=num_vnets, vcs_per_vnet=vcs_per_vnet,
             port_slots=tuple(
@@ -188,14 +162,12 @@ class FabricPlan:
                                for rid in range(count)),
             nic_places=tuple(nic_places),
             r_lo=tuple(r_lo),
-            vc_inport=tuple(vc_inport),
             # Every port holds ``port_vcs`` ids, so ``vid % port_vcs`` is the
             # VC's index behind its port.
             vc_arbkey=tuple(port * 64 + vid % port_vcs
                             for vid, port in enumerate(vc_inport)),
             up_rid=tuple(up_rid),
             nic_of=tuple(nic_of),
-            down=down,
             eject_of=tuple(EJECT_PORT_BASE + local
                            for _, local in nic_places),
             rings=tuple(rings),

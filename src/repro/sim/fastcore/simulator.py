@@ -19,17 +19,16 @@ mechanisms on top of the objects:
 * **Event-driven router skipping** — per-router dirty bits + wake times
   (set by every VC reserve/release event) let quiescent routers cost zero
   cycles.
-* **A struct-of-arrays core for the routers that *are* active** —
-  :class:`repro.sim.fastcore.soa.SoaCore` lays the network out as
-  integer-indexed tables (the shared :class:`~repro.network.plan.FabricPlan`
-  for everything static: global VC id space, arbitration keys, upstream and
-  downstream id rows; its own occupancy / ready / credit mirrors, per-router
-  active rows, candidate entries and lazy hop rows for the rest)
-  and advances the ``allocate`` phase over those tables with the reference
-  datapath inlined, writing the authoritative objects directly so the
-  oracle, golden traces and SPIN controllers see identical state at every
-  phase boundary.  See the :mod:`soa` module docstring for the
-  mirror-synchronization invariants.
+* **An inlined allocate phase for the routers that *are* active** —
+  :class:`repro.sim.fastcore.soa.SoaCore` walks each router's occupancy
+  mask over the objects themselves (indexing the shared
+  :class:`~repro.network.plan.FabricPlan` for arbitration keys and
+  upstream/NIC rows; candidate entries and hop rows are its own lazy
+  caches) and advances the ``allocate`` phase with the reference datapath
+  inlined, writing the authoritative objects directly so the oracle,
+  golden traces and SPIN controllers see identical state at every phase
+  boundary.  It keeps no copy of datapath state: see the :mod:`soa` module
+  docstring.
 
 The per-cycle allocation work that does run is semantically a line-for-line
 replica of ``Router.allocate`` (same request scan order, same RNG draws,
@@ -55,10 +54,10 @@ design (a router with no ready, unfrozen VC is skipped until its wake time;
 the run/skip counts go to ``PhaseProfiler.control_counters``, as does a
 fast-forward there).  A runtime link failure
 while the fast path is active likewise drops allocation back to the
-reference rotation (the SoA mirrors stay synchronized through the event
-funnel) for as long as dead links exist.  The SoA core keeps
-``Router.occupied`` and the NICs' wake times but not the routers'; handing
-the schedule back to the object phases wakes every router
+reference rotation for as long as dead links exist (the SoA core reads the
+same objects, so nothing needs re-synchronizing when it takes over again).
+The SoA core keeps ``Router.occupied`` and the NICs' wake times but not the
+routers'; handing the schedule back to the object phases wakes every router
 (``Network.wake_all``).
 """
 
@@ -248,9 +247,9 @@ class FastSimulator(Simulator):
         if net.dead_link_count:
             # Runtime link failure: the dead-link candidate filter mutates
             # packet route state inside decide(), which the inline analysis
-            # does not model.  Run the reference rotation until links heal
-            # (the SoA mirrors stay synchronized via the event funnel),
-            # keeping every router dirty so the fast path restarts cleanly.
+            # does not model.  Run the reference rotation until links heal,
+            # keeping every router dirty so the fast path restarts cleanly
+            # (it reads the objects the rotation wrote).
             routers = net.routers
             for i in range(count):
                 routers[(i + offset) % count].allocate(cycle)

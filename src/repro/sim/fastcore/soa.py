@@ -2,45 +2,35 @@
 
 The idle-skip layer (:mod:`repro.sim.fastcore.simulator`) makes *quiescent*
 routers free; this module makes *active* routers cheap.  :class:`SoaCore`
-runs the network over integer-indexed tables — a global VC id space with
-occupancy/ready/credit mirrors, per-router active-VC rows, precombined
-candidate entries with downstream-VC id slices, arbitration keys and lazy
-hop-distance rows — and advances the ``allocate`` phase over those tables
-with the reference datapath inlined.  Injection stays the object
-datapath's own (``NetworkInterface.try_inject``), whose VC events keep these
-tables in sync.  Everything static among them (the id space, arbitration
-keys, upstream/NIC/downstream id rows) is the network's
+advances the ``allocate`` phase with the reference datapath inlined: it
+walks each router's occupancy mask (``Router.occupied``) over the router's
+VCs in scan order, looks downstream through precombined candidate entries
+(per-vnet downstream VC rows from ``Router.downstream_vcs``), and keeps
+per-router dirty bits and wake times so that a router with nothing to do
+costs nothing.  Injection stays the object datapath's own
+(``NetworkInterface.try_inject``).  Everything static it indexes (the VC id
+space, arbitration keys, upstream and NIC id rows) is the network's
 :class:`~repro.network.plan.FabricPlan`, compiled once per fabric and shared
-between points; a core builds only what refers to its own network's objects
-and state.
+between points.
 
-Authority and synchronization contract
---------------------------------------
+One copy of state
+-----------------
 
-The reference objects (``Router``, ``VirtualChannel``, ``Link``, ``Packet``)
-stay **authoritative**: every grant writes them exactly as
-``Router._grant_network`` / ``_grant_ejection`` / ``VirtualChannel.reserve``
-would, so observers, the invariant oracle, golden traces and the SPIN
-controllers see identical state at every phase boundary.  The compiled
-tables are *mirrors*, kept in sync through the same ``note_vc_reserved`` /
-``note_vc_released`` event funnel the idle-skip layer already relies on:
+The core keeps no copy of datapath state.  It reads the authoritative
+objects (``Router``, ``VirtualChannel``, ``Link``, ``Packet``) and every
+grant writes them exactly as ``Router._grant_network`` /
+``_grant_ejection`` / ``VirtualChannel.reserve`` would, so observers, the
+invariant oracle, golden traces and the SPIN controllers see identical
+state at every phase boundary.  What the core does keep is its own
+schedule — ``r_dirty`` / ``r_wake`` per router — and the network's
+``note_vc_reserved`` / ``note_vc_released`` event funnel (every grant,
+spin, plant and fault goes through it) marks a router dirty or re-arms the
+upstream router's wake time.  Controllers freeze and thaw without a VC
+event and say so through ``Network.wake_router``.
 
-* ``vc_pkt[vid]``   — occupancy bitmap; authoritative whenever consulted.
-* ``vc_ready[vid]`` — ``ready_at`` mirror; only consulted while occupied
-  (synced by the reserve event, after the object's fields settle).
-* ``vc_free[vid]``  — ``free_at`` mirror; only consulted while *empty*
-  (synced by the release event).  Control planes that *lower* ``free_at``
-  immediately before re-reserving a VC (the spin executor, the proactive
-  and centralized planes) leave a stale-high mirror behind an occupied
-  bitmap bit, which is never read.
-* ``frozen`` and ``packet`` contents are always read from the objects —
-  controllers freeze/unfreeze without datapath events.
-
-Planted packets (``Network.plant_packet``) arrive through the same per-VC
-reserve event.  :meth:`resync` rebuilds every dynamic table from the
-objects (at compile time, or to repair a mismatch);
-:meth:`verify_against_objects` checks the whole mirror invariant and backs
-the round-trip property tests.
+A VC's id (``vid``) is its router's ``plan.r_lo`` plus its slot in the
+router's scan (the bit position of ``VirtualChannel.bit``); the core uses
+it only to index the plan's arbitration keys and upstream/NIC rows.
 
 Decision inlining (valid only under the simulator's routing whitelist —
 base-class ``decide``/``select``/``wait_choice``/VC policies and a no-op
@@ -48,21 +38,20 @@ base-class ``decide``/``select``/``wait_choice``/VC policies and a no-op
 
 * ejection short-path for packets at their destination;
 * single-candidate requests skip ``select`` entirely;
-* multi-candidate requests scan downstream idle state via the mirrors and
-  draw from ``routing.rng`` *exactly* when the reference free-list is
-  non-empty (same list, same order, same bound RNG method);
+* multi-candidate requests scan downstream idle state and draw from
+  ``routing.rng`` *exactly* when the reference free-list is non-empty
+  (same list, same order, same bound RNG method);
 * fully-blocked packets keep their sticky previous request without any
   call; the rare remaining shapes (phase-0 packets, invalidated sticky
   requests) fall through to the real ``routing.decide``.
 
-Wake analysis mirrors the idle-skip layer: a router that issued no request
-and consumed no randomness sleeps until the earliest mirror-derived time
-anything could change; release events from downstream re-arm it earlier.
+Wake analysis follows the idle-skip layer: a router that issued no request
+and consumed no randomness sleeps until the earliest time anything it
+waits on could change; release events from downstream re-arm it earlier.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.network.router import EJECT_PORT_BASE
@@ -71,15 +60,10 @@ from repro.network.router import EJECT_PORT_BASE
 _NEVER = 1 << 60
 
 
-def _vc_rows(vc_obj: list, vid_rows) -> tuple:
-    """The VC objects behind per-vnet rows of (contiguous) VC ids."""
-    return tuple(tuple(vc_obj[row[0]:row[-1] + 1]) for row in vid_rows)
-
-
 class _OutInfo(dict):
-    """``SoaCore.outinfo``: entries are built on first lookup from the
-    plan's downstream rows and this network's links and VC objects
-    (``KeyError`` for anything but a network output port)."""
+    """``SoaCore.outinfo``: entries are built on first lookup from this
+    network's links and ``Router.downstream_vcs`` rows (``KeyError`` for
+    anything but a network output port)."""
 
     def __init__(self, core: "SoaCore") -> None:
         super().__init__()
@@ -87,17 +71,17 @@ class _OutInfo(dict):
 
     def __missing__(self, key: Tuple[int, int]) -> tuple:
         rid, outport = key
-        core = self._core
-        neighbor, _, dvids_v = core.plan.down[rid][outport]
-        entry = self[key] = (
-            outport, core.routers[rid].out_links[outport], neighbor,
-            _vc_rows(core.vc_obj, dvids_v), dvids_v)
+        router = self._core.routers[rid]
+        link = router.out_links[outport]
+        entry = self[key] = (outport, link, tuple(
+            router.downstream_vcs(outport, vnet)
+            for vnet in range(self._core.plan.num_vnets)))
         return entry
 
 
 class SoaCore:
-    """Compiled flat-table state + the inlined allocate phase for one
-    network."""
+    """The inlined allocate phase for one network, with its per-router
+    dirty/wake schedule."""
 
     def __init__(self, net) -> None:
         self.net = net
@@ -118,6 +102,8 @@ class SoaCore:
         self.plan = plan
         count = len(self.routers)
         self.router_count = count
+        #: First VC id of each router: a VC's id is this plus its slot.
+        self.r_lo = plan.r_lo
         self.vc_arbkey = plan.vc_arbkey
         #: Upstream router per vid (release events re-arm the upstream
         #: router's wake time) and owning NIC per injection-port vid (the
@@ -127,14 +113,9 @@ class SoaCore:
         #: Ejection port per terminal node.
         self.eject_of = plan.eject_of
 
-        # This network's objects behind the plan's ids.
-        vc_obj = [vc for router in self.routers for vc in router._scan]
-        self.vc_obj = vc_obj
-        self.vid_of: Dict[int, int] = {
-            id(vc): vid for vid, vc in enumerate(vc_obj)}
-        #: ``(router, outport) -> (outport, link, neighbor router id,
-        #: per-vnet downstream VC rows, per-vnet downstream vid rows)``,
-        #: each built the first time something looks through the port.
+        #: ``(router, outport) -> (outport, link, per-vnet downstream VC
+        #: rows)``, each built the first time something looks through the
+        #: port.
         self.outinfo = _OutInfo(self)
 
         # Candidate info per (router, routing target): an ``(entries,
@@ -151,22 +132,16 @@ class SoaCore:
         # fetched lazily.
         self._hops: Dict[int, Sequence[int]] = {}
 
-        # Dynamic rows (contents rebuilt by resync()).
-        nvcs = len(vc_obj)
-        self.vc_pkt = bytearray(nvcs)
-        self.vc_ready = [0] * nvcs
-        self.vc_free = [0] * nvcs
-        self.active: List[List[int]] = [[] for _ in range(count)]
-        self.r_dirty = bytearray(count)
+        # The schedule: every router runs at the first allocate phase.
+        self.r_dirty = bytearray(b"\x01" * count)
         self.r_wake = [0] * count
         self.r_any_dirty = True
         self.r_min_wake = 0
         #: The SPIN framework's per-controller dirty bits (its own object,
-        #: not a mirror): the inlined VC events below set them the way
+        #: not a copy): the inlined VC events below set them the way
         #: ``Network.note_vc_reserved`` / ``note_vc_released`` would.
         self.ctrl_dirty = (net.spin.dirty if net.spin is not None
                            else bytearray(count))
-        self.resync()
 
     def _hop_row(self, target: int) -> Sequence[int]:
         row = self._hops.get(target)
@@ -175,18 +150,12 @@ class SoaCore:
         return row
 
     # ------------------------------------------------------------------
-    # Mirror synchronization: the network's engine sink (its VC events and
-    # ``wake_router``) plus a full resync
+    # The network's engine sink: its VC events and ``wake_router``
     # ------------------------------------------------------------------
     def vc_reserved(self, router, vc) -> None:
         """A VC was reserved (fields already settled on the object)."""
-        rid = router.id
-        self.r_dirty[rid] = 1
+        self.r_dirty[router.id] = 1
         self.r_any_dirty = True
-        vid = self.vid_of[id(vc)]
-        self.vc_pkt[vid] = 1
-        self.vc_ready[vid] = vc.ready_at
-        insort(self.active[rid], vid)
 
     def vc_released(self, router, vc) -> None:
         """A VC was released (``free_at`` already settled on the object;
@@ -194,12 +163,8 @@ class SoaCore:
         rid = router.id
         self.r_dirty[rid] = 1
         self.r_any_dirty = True
-        vid = self.vid_of[id(vc)]
-        self.vc_pkt[vid] = 0
+        uid = self.up_rid[self.r_lo[rid] + vc.bit.bit_length() - 1]
         free = vc.free_at
-        self.vc_free[vid] = free
-        self.active[rid].remove(vid)
-        uid = self.up_rid[vid]
         if uid >= 0 and self.r_wake[uid] > free:
             self.r_wake[uid] = free
             if self.r_min_wake > free:
@@ -210,79 +175,11 @@ class SoaCore:
         self.r_dirty[router_id] = 1
         self.r_any_dirty = True
 
-    def resync(self) -> None:
-        """Rebuild every dynamic table from the authoritative objects.
-
-        Used at compile time and to repair the mirrors after
-        :meth:`verify_against_objects` found a mismatch; also wakes every
-        router, dropping all cached skip analysis.
-        """
-        vc_pkt = self.vc_pkt
-        vc_ready = self.vc_ready
-        vc_free = self.vc_free
-        vid = 0
-        for rid, router in enumerate(self.routers):
-            act = self.active[rid]
-            del act[:]
-            for inport, vcs in router.all_inports():
-                for vc in vcs:
-                    if vc.packet is not None:
-                        vc_pkt[vid] = 1
-                        vc_ready[vid] = vc.ready_at
-                        act.append(vid)
-                    else:
-                        vc_pkt[vid] = 0
-                        vc_free[vid] = vc.free_at
-                    vid += 1
-        count = self.router_count
-        self.r_dirty = bytearray(b"\x01" * count)
-        self.r_wake = [0] * count
-        self.r_any_dirty = True
-        self.r_min_wake = 0
-
-    def verify_against_objects(self) -> List[str]:
-        """Check the mirror invariant; returns human-readable mismatches.
-
-        The invariant covers exactly what the hot loops consult: the
-        occupancy bitmap everywhere, ``vc_ready`` for occupied VCs,
-        ``vc_free`` for empty VCs and the sorted per-router active rows.
-        """
-        problems = []
-        vid = 0
-        for rid, router in enumerate(self.routers):
-            expect_active = []
-            for inport, vcs in router.all_inports():
-                for vc in vcs:
-                    if self.vc_obj[vid] is not vc:
-                        problems.append(f"vid {vid}: object identity drifted")
-                    held = vc.packet is not None
-                    if bool(self.vc_pkt[vid]) != held:
-                        problems.append(
-                            f"vid {vid} (r{rid} p{inport}.{vc.index}): "
-                            f"vc_pkt={self.vc_pkt[vid]} but "
-                            f"packet={'set' if held else 'None'}")
-                    if held:
-                        expect_active.append(vid)
-                        if self.vc_ready[vid] != vc.ready_at:
-                            problems.append(
-                                f"vid {vid}: vc_ready={self.vc_ready[vid]} "
-                                f"!= ready_at={vc.ready_at}")
-                    elif self.vc_free[vid] != vc.free_at:
-                        problems.append(
-                            f"vid {vid}: vc_free={self.vc_free[vid]} "
-                            f"!= free_at={vc.free_at}")
-                    vid += 1
-            if self.active[rid] != expect_active:
-                problems.append(
-                    f"router {rid}: active row {self.active[rid]} "
-                    f"!= occupancy scan {expect_active}")
-        return problems
-
     # ------------------------------------------------------------------
     # Phase: allocate (inlined Router.allocate + grants + wake analysis)
     # ------------------------------------------------------------------
     def router_cycle(self, rid: int, cycle: int) -> None:
-        """One allocation cycle over the compiled rows.
+        """One allocation cycle of one router.
 
         Semantically a line-for-line replica of ``Router.allocate`` (route
         compute over ready unfrozen VCs, separable switch allocation with
@@ -291,16 +188,14 @@ class SoaCore:
         """
         r_dirty = self.r_dirty
         r_dirty[rid] = 0
-        act = self.active[rid]
-        if not act:
+        router = self.routers[rid]
+        mask = router.occupied
+        if not mask:
             self.r_wake[rid] = _NEVER
             return
-        router = self.routers[rid]
         routing = self.routing
-        vc_obj = self.vc_obj
-        vc_ready = self.vc_ready
-        vc_pkt = self.vc_pkt
-        vc_free = self.vc_free
+        scan = router._scan
+        lo = self.r_lo[rid]
         vc_arbkey = self.vc_arbkey
         eject_of = self.eject_of
         port_busy = router.port_busy
@@ -311,16 +206,20 @@ class SoaCore:
         decide_called = False
         wake = _NEVER
         next_cycle = cycle + 1
-        for vid in act:
-            vc = vc_obj[vid]
-            if vc.frozen:
+        # The occupied VCs in scan order, lowest set bit first.
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            slot = low.bit_length() - 1
+            vc = scan[slot]
+            packet = vc.packet
+            if packet is None or vc.frozen:
                 continue
-            ready_at = vc_ready[vid]
+            ready_at = vc.ready_at
             if cycle < ready_at:
                 if ready_at < wake:
                     wake = ready_at
                 continue
-            packet = vc.packet
             request = packet.current_request
             if packet.phase == 1 and packet.dst_router == rid:
                 outport = eject_of[packet.dst_node]
@@ -352,9 +251,9 @@ class SoaCore:
                     # Wake: next grant opportunity through this port.
                     idle = False
                     earliest = _NEVER
-                    for dvid in entry[4][vnet]:
-                        if not vc_pkt[dvid]:
-                            free = vc_free[dvid]
+                    for dvc in entry[2][vnet]:
+                        if dvc.packet is None:
+                            free = dvc.free_at
                             if free <= cycle:
                                 idle = True
                                 break
@@ -371,9 +270,9 @@ class SoaCore:
                     free_ports = []
                     earliest = _NEVER
                     for entry in entries:
-                        for dvid in entry[4][vnet]:
-                            if not vc_pkt[dvid]:
-                                free = vc_free[dvid]
+                        for dvc in entry[2][vnet]:
+                            if dvc.packet is None:
+                                free = dvc.free_at
                                 if free <= cycle:
                                     free_ports.append(entry[0])
                                     break
@@ -401,11 +300,10 @@ class SoaCore:
                         best_age = _NEVER
                         outport = -1
                         for entry in entries:
-                            dvcs_row = entry[3][vnet]
                             age = _NEVER
-                            for j, dvid in enumerate(entry[4][vnet]):
-                                if vc_pkt[dvid]:
-                                    a = cycle - dvcs_row[j].active_since
+                            for dvc in entry[2][vnet]:
+                                if dvc.packet is not None:
+                                    a = cycle - dvc.active_since
                                 else:
                                     a = 0
                                 if a < age:
@@ -425,6 +323,7 @@ class SoaCore:
             if outport is None:
                 continue
             if cycle > port_busy[vc.inport]:
+                vid = lo + slot
                 item = (vc_arbkey[vid], vid, vc)
                 bucket = requests.get(outport)
                 if bucket is None:
@@ -466,16 +365,13 @@ class SoaCore:
         with identical field writes and event bookkeeping.
         """
         net = self.net
-        vc_pkt = self.vc_pkt
-        vc_free = self.vc_free
-        vc_ready = self.vc_ready
+        routers = self.routers
         r_dirty = self.r_dirty
         ctrl_dirty = self.ctrl_dirty
         r_wake = self.r_wake
         nics = self.nics
         up_rid = self.up_rid
         nic_of = self.nic_of
-        active = self.active
         rr = router._rr
         router_latency = self.router_latency
         hop_row_of = self._hops.get
@@ -501,22 +397,18 @@ class SoaCore:
                 if vc.inport in granted_inports:
                     continue
                 if ejection:
-                    viable.append((item[0], item[1], vc, None, -1))
+                    viable.append((item[0], item[1], vc, None))
                 else:
-                    vnet = vc.packet.vnet
-                    dvids = entry[4][vnet]
-                    dvcs = entry[3][vnet]
-                    for j, dvid in enumerate(dvids):
-                        if not vc_pkt[dvid] and vc_free[dvid] <= cycle:
-                            viable.append(
-                                (item[0], item[1], vc, dvcs[j], dvid))
+                    for dvc in entry[2][vc.packet.vnet]:
+                        if dvc.packet is None and dvc.free_at <= cycle:
+                            viable.append((item[0], item[1], vc, dvc))
                             break
             if not viable:
                 continue
             # Round-robin arbitration (Router._arbitrate): stable order by
             # (inport, index) == arbkey, first key at/after the pointer.
             if len(viable) == 1:
-                key, vid, vc, dvc, dvid = viable[0]
+                key, vid, vc, dvc = viable[0]
             else:
                 viable.sort()
                 pointer = rr.get(outport, 0)
@@ -525,7 +417,7 @@ class SoaCore:
                     if item[0] >= pointer:
                         chosen = item
                         break
-                key, vid, vc, dvc, dvid = chosen
+                key, vid, vc, dvc = chosen
             rr[outport] = key + 1
             granted_inports.add(vc.inport)
             moved = True
@@ -542,9 +434,6 @@ class SoaCore:
             packet.current_request = None
             # note_vc_released(router, vc), inlined with the known vid.
             router.occupied ^= vc.bit
-            vc_pkt[vid] = 0
-            vc_free[vid] = free
-            active[rid].remove(vid)
             r_dirty[rid] = 1
             ctrl_dirty[rid] = 1
             uid = up_rid[vid]
@@ -572,11 +461,10 @@ class SoaCore:
                 was_min = row[rid]
                 latency = link.latency
                 # dvc.reserve(packet, cycle, latency, router_latency);
-                # idleness pre-verified through the mirrors.
+                # idleness checked above.
                 dvc.packet = packet
                 dvc.head_arrival = cycle + latency
-                ready = cycle + latency + router_latency
-                dvc.ready_at = ready
+                dvc.ready_at = cycle + latency + router_latency
                 dvc.tail_arrival = cycle + latency + length - 1
                 dvc.active_since = cycle
                 link.busy_until = cycle + length - 1
@@ -588,10 +476,7 @@ class SoaCore:
                 # routing.on_hop: base no-op under the whitelist.
                 flit_hops += length
                 # note_vc_reserved(neighbor, dvc), inlined.
-                self.routers[nrid].occupied |= dvc.bit
-                vc_pkt[dvid] = 1
-                vc_ready[dvid] = ready
-                insort(active[nrid], dvid)
+                routers[nrid].occupied |= dvc.bit
                 r_dirty[nrid] = 1
                 ctrl_dirty[nrid] = 1
         if flit_hops:

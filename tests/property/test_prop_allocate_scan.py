@@ -17,8 +17,11 @@ same perturbations (frozen VCs, heads that are not ready yet, busy input
 ports, packets planted through ``Network.plant_packet``, a SPIN recovery
 that moves packets through ``SpinExecutor``), and perturbations aimed at
 what sleeps: a freeze and a later thaw at a sleeping router, a plant whose
-``ready_at`` is before a sleeping router's wake time, and a packet of
-another vnet queued at a sleeping NIC.  After every cycle they must agree
+``ready_at`` is before a sleeping router's wake time, a packet of another
+vnet queued at a sleeping NIC, and a blocked head — a ready packet whose
+permitted downstream VCs are all occupied — whose blocker is dropped the
+way ``FaultInjector`` drops a packet (no grant frees the VC, so only the
+release event can wake the blocked router).  After every cycle they must agree
 on the ``decide`` call sequence (the request set), the per-router grant
 counts, every ``_rr`` pointer, the whole datapath state, the SPIN
 controllers and the routing RNG state; and the bounded side must pass the
@@ -26,10 +29,10 @@ oracle's ``credit_conservation`` check, which audits the mask and the
 wake times.
 
 The same harness holds the ``fast`` engine to the ``reference`` one while
-packets are planted mid-run, and while the centralized and proactive planes
-spin a planted ring through ``Network.rotate``: a plant or a spin reaches
-the SoA mirrors, sleeping routers and the SPIN schedule only through its
-per-VC events.
+packets are planted mid-run or blockers dropped, and while the centralized
+and proactive planes spin a planted ring through ``Network.rotate``: a
+plant, a drop or a spin reaches the SoA core's schedule, sleeping routers
+and the SPIN schedule only through its per-VC events.
 """
 
 import functools
@@ -228,9 +231,6 @@ class Side:
         if not self.exhaustive:
             assert list(check_credit_conservation(
                 network, self.simulator.cycle)) == []
-        core = getattr(self.simulator, "_core", None)
-        if core is not None:
-            assert core.verify_against_objects() == []
         spin = network.spin
         stats = network.stats
         return {
@@ -267,6 +267,27 @@ def build_side(exhaustive, design, seed, rate, num_vnets, stop_at,
         for vnet in range(num_vnets)
     ]
     return Side(network, traffics, exhaustive, engine)
+
+
+def blocked_heads(network, now):
+    """Per ready, unfrozen head that requests a network port whose
+    permitted downstream VCs are all occupied, the unfrozen occupants of
+    those VCs (heads whose blockers are all frozen are left out)."""
+    routing = network.routing
+    found = []
+    for router in network.routers:
+        for vc in router._scan:
+            packet = vc.packet
+            if (packet is None or vc.frozen or now < vc.ready_at
+                    or packet.current_request not in router.out_links):
+                continue
+            permitted = routing.permitted_vcs(packet, router,
+                                              packet.current_request)
+            if all(dvc.packet is not None for dvc in permitted):
+                blockers = [dvc for dvc in permitted if not dvc.frozen]
+                if blockers:
+                    found.append(blockers)
+    return found
 
 
 def perturb(side, guide, kind, a, b):
@@ -320,6 +341,17 @@ def perturb(side, guide, kind, a, b):
         network.stats.record_creation(packet, now)
         nic.enqueue(packet)
         side.landed[kind] += 1
+    elif kind == "free_blocked":
+        blocked = blocked_heads(network, now)
+        if not blocked:
+            return
+        blockers = blocked[(a + b) % len(blocked)]
+        vc = blockers[b % len(blockers)]
+        # FaultInjector._drop_packet: the release fires the per-VC event.
+        packet = vc.release(now)
+        network.note_vc_released(routers[vc.router], vc)
+        network.stats.record_loss(packet, now)
+        side.landed[kind] += 1
     else:  # "plant" / "plant_late" / "plant_early"
         idle = [vc for port in sorted(router.inports)
                 for vc in router.inports[port] if vc.is_idle(now)]
@@ -362,7 +394,7 @@ PERTURBATIONS = st.lists(
     st.tuples(st.integers(0, 59),
               st.sampled_from(["busy_port", "freeze", "plant", "plant_late",
                                "freeze_sleeping", "plant_early",
-                               "enqueue_sleeping"]),
+                               "enqueue_sleeping", "free_blocked"]),
               st.integers(0, 1000), st.integers(0, 1000)),
     max_size=12)
 
@@ -387,7 +419,8 @@ SOA_DESIGNS = ("mesh:minadaptive-spin-1vc", "mesh:minadaptive-spin-2vc",
                "mesh:minadaptive-nospin-1vc")
 
 PLANTS = st.lists(
-    st.tuples(st.integers(0, 59), st.sampled_from(["plant", "plant_late"]),
+    st.tuples(st.integers(0, 59),
+              st.sampled_from(["plant", "plant_late", "free_blocked"]),
               st.integers(0, 1000), st.integers(0, 1000)),
     min_size=1, max_size=12)
 
@@ -429,7 +462,9 @@ def test_every_perturbation_kind_lands():
 def test_every_sleep_perturbation_lands():
     """The perturbations aimed at what sleeps find sleeping routers and
     NICs (a moderate load leaves routers whose packets are all still
-    arriving), and the two sides still agree."""
+    arriving), and the two sides still agree.  Blocked heads need a 1-VC
+    mesh past saturation; a dropped blocker lands on the object path and
+    on the SoA core, whose blocked routers sleep until that release."""
     kinds = ["freeze_sleeping", "plant_early", "enqueue_sleeping"]
     perturbations = [
         (cycle, kind, 3 * cycle + offset, 7 * cycle)
@@ -444,6 +479,17 @@ def test_every_sleep_perturbation_lands():
     for kind in kinds:
         assert bounded.landed[kind] >= 3, bounded.landed
     assert not any(vc.frozen for _, vc in bounded.thaw)
+
+    drops = [(cycle, "free_blocked", cycle, 5 * cycle)
+             for cycle in range(10, 40, 3)]
+    for pair in (((False, None), (True, None)),
+                 ((False, "fast"), (False, "reference"))):
+        sides = [build_side(exhaustive, "mesh:minadaptive-spin-1vc", seed=3,
+                            rate=0.5, num_vnets=1, stop_at=45, engine=engine)
+                 for exhaustive, engine in pair]
+        run_side_by_side(*sides, cycles=60, perturbations=drops)
+        assert sides[0].landed["free_blocked"] >= 3, sides[0].landed
+    assert sides[0].simulator.engine_path == "soa"
 
 
 #: Long enough for the rotating priority to let one initiator's move round

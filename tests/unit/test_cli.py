@@ -106,6 +106,33 @@ class TestRunValidation:
         with pytest.raises(ConfigurationError, match="--fault-seed"):
             main(self.BASE + ["--rate", "0.1", "--fault-seed", "-1"])
 
+    def test_negative_abort_cycles_rejected(self):
+        with pytest.raises(ConfigurationError, match="deadlock_abort_cycles"):
+            main(self.BASE + ["--rate", "0.1", "--mesh-side", "4",
+                              "--abort-cycles", "-1"])
+        with pytest.raises(ConfigurationError, match="deadlock_abort_cycles"):
+            main(["sweep", "--design", "spin_mesh", "--rates", "0.05",
+                  "--mesh-side", "4", "--abort-cycles", "-1"])
+
+    def test_negative_abort_cycles_exits_2_with_one_line(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli"] + self.BASE
+            + ["--rate", "0.1", "--mesh-side", "4", "--abort-cycles", "-1"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1
+        assert done.stderr.startswith("error: deadlock_abort_cycles")
+
     def test_sweep_rates_validated(self):
         with pytest.raises(ConfigurationError, match="offered load"):
             main(["sweep", "--design", "spin_mesh", "--rates", "0.05,1.2"])

@@ -83,6 +83,11 @@ class TestReportCommand:
         with pytest.raises(ConfigurationError):
             main(["report", f"{prefix}.jsonl", "--top-links", "0"])
 
+    def test_report_rejects_a_missing_path(self, tmp_path):
+        missing = tmp_path / "nowhere.jsonl"
+        with pytest.raises(ConfigurationError, match="nowhere.jsonl"):
+            main(["report", str(missing)])
+
     def test_report_rejects_non_telemetry_file(self, tmp_path):
         path = tmp_path / "junk.jsonl"
         path.write_text('{"type":"header","format":"wrong/v1"}\n')

@@ -86,3 +86,15 @@ class TestSimulationConfig:
     def test_rejects_negative_windows(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(warmup_cycles=-1)
+
+    def test_rejects_negative_abort_window(self):
+        # ``0`` disables the wedge check; a negative window would be
+        # exceeded by every idle cycle and mark healthy points wedged.
+        assert SimulationConfig(deadlock_abort_cycles=0).deadlock_abort_cycles \
+            == 0
+        with pytest.raises(ConfigurationError, match="deadlock_abort_cycles"):
+            SimulationConfig(deadlock_abort_cycles=-1)
+        data = SimulationConfig().to_dict()
+        data["deadlock_abort_cycles"] = -1
+        with pytest.raises(ConfigurationError, match="deadlock_abort_cycles"):
+            SimulationConfig.from_dict(data)

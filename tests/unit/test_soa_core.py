@@ -1,23 +1,22 @@
-"""The struct-of-arrays allocation core: compilation, mirrors, fallback.
+"""The struct-of-arrays allocation core: compilation, one copy of state,
+fallback.
 
-:class:`repro.sim.fastcore.soa.SoaCore` compiles the network into flat
-integer-indexed tables and advances the allocate phase over them, writing
-the authoritative objects directly.  These tests pin the three load-bearing
-properties of that design:
+:class:`repro.sim.fastcore.soa.SoaCore` advances the allocate phase over
+the authoritative objects, indexing the shared fabric plan.  These tests
+pin the load-bearing properties of that design:
 
-* **compilation** — the static tables (global VC id space, arbitration
-  keys, downstream rows) are a faithful index of the object graph;
-* **mirror round-trip** — after arbitrary simulated prefixes (including
-  mid-flight, deadlocked and recovering states) every dynamic mirror still
-  agrees with the objects, ``resync()`` rebuilds from the objects alone,
-  and ``verify_against_objects()`` actually detects planted skew;
+* **compilation** — a VC's id (its router's ``r_lo`` plus its scan slot)
+  indexes the plan's arbitration keys, and the core's downstream entries
+  are the routers' own ``downstream_vcs`` rows;
+* **one copy of state** — the core keeps no occupancy, ready or credit
+  table of its own (that it reaches the same state as the reference
+  engine after every cycle, through plants and spins, is the side-by-side
+  property in ``tests/property/test_prop_allocate_scan.py``);
 * **fail-closed fallback** — any configuration outside the routing/plane
   whitelist compiles to the pure reference schedule, bit for bit.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.config import NetworkConfig, SimulationConfig, SpinParams
 from repro.harness.runner import ExperimentSpec
@@ -44,35 +43,25 @@ def _fast_sim(side=4, vcs=2, rate=0.15, seed=3, tdd=16, routing=None):
 
 
 class TestCompilation:
-    def test_global_vid_space_covers_every_vc_in_scan_order(self):
+    def test_vid_is_the_router_base_plus_the_scan_slot(self):
         simulator, network = _fast_sim()
         simulator.run(1)
         core = simulator._core
         assert core is not None and simulator._fast_ok
 
-        expected = []
-        for router in network.routers:
-            for inport, vcs in router.all_inports():
-                expected.extend(vcs)
-        assert core.vc_obj == expected
-        assert len(core.vid_of) == len(expected)
-        for vid, vc in enumerate(core.vc_obj):
-            assert core.vid_of[id(vc)] == vid
-            assert core.plan.vc_inport[vid] == vc.inport
-            # Arbitration key orders (inport, index) lexicographically.
-            assert core.vc_arbkey[vid] == vc.inport * 64 + vc.index
-
-    def test_router_slices_partition_the_vid_space(self):
-        simulator, network = _fast_sim()
-        simulator.run(1)
-        core = simulator._core
-        assert core.plan.r_lo[0] == 0
-        assert core.plan.r_lo[-1] == len(core.vc_obj)
+        vid = 0
         for rid, router in enumerate(network.routers):
-            lo, hi = core.plan.r_lo[rid], core.plan.r_lo[rid + 1]
-            assert all(vc.router == rid for vc in core.vc_obj[lo:hi])
+            assert core.r_lo[rid] == vid
+            for inport, vcs in router.all_inports():
+                for vc in vcs:
+                    assert core.r_lo[rid] + vc.bit.bit_length() - 1 == vid
+                    # Arbitration key orders (inport, index)
+                    # lexicographically.
+                    assert core.vc_arbkey[vid] == vc.inport * 64 + vc.index
+                    vid += 1
+        assert core.r_lo[-1] == vid
 
-    def test_downstream_rows_mirror_the_link_graph(self):
+    def test_downstream_entries_are_the_routers_rows(self):
         simulator, network = _fast_sim()
         simulator.run(1)
         core = simulator._core
@@ -82,13 +71,24 @@ class TestCompilation:
                 entry = core.outinfo[(router.id, outport)]
                 assert entry[0] == outport
                 assert entry[1] is router.out_links[outport]
-                assert entry[2] == neighbor.id
-                for vnet, (dvcs, dvids) in enumerate(zip(entry[3],
-                                                         entry[4])):
+                for vnet, dvcs in enumerate(entry[2]):
+                    assert dvcs is router.downstream_vcs(outport, vnet)
                     assert list(dvcs) \
                         == list(neighbor.vnet_slice(dst_port, vnet))
-                    assert [core.vid_of[id(dvc)] for dvc in dvcs] \
-                        == list(dvids)
+        with pytest.raises(KeyError):
+            core.outinfo[(0, 2000)]
+
+    def test_the_core_keeps_no_copy_of_datapath_state(self):
+        """Occupancy, ready and credit state is read from the objects:
+        the core has no table that could drift from them."""
+        simulator, _ = _fast_sim(rate=0.30)
+        simulator.run(50)
+        core = simulator._core
+        for gone in ("vc_pkt", "vc_ready", "vc_free", "active", "vc_obj",
+                     "vid_of", "resync", "verify_against_objects"):
+            assert not hasattr(core, gone)
+        for gone in ("vc_inport", "down"):
+            assert not hasattr(core.plan, gone)
 
     def test_injection_tables_mirror_the_nics(self):
         """The core keeps no injection tables: NICs inject through the
@@ -120,53 +120,6 @@ class TestCompilation:
         for gone in ("c_dirty", "c_due", "c_min_due", "c_any_dirty"):
             assert not hasattr(core, gone)
         assert not hasattr(simulator, "_spin_control")
-
-
-class TestMirrorRoundTrip:
-    def test_mirrors_agree_after_a_busy_prefix(self):
-        simulator, _ = _fast_sim(rate=0.30)
-        for checkpoint in (7, 50, 143, 400):
-            simulator.run(checkpoint - simulator.cycle)
-            assert simulator._core.verify_against_objects() == []
-
-    def test_resync_rebuilds_from_objects_alone(self):
-        simulator, _ = _fast_sim(rate=0.30)
-        simulator.run(200)
-        core = simulator._core
-        core.resync()
-        assert core.verify_against_objects() == []
-
-    def test_verifier_detects_planted_occupancy_skew(self):
-        simulator, _ = _fast_sim(rate=0.30)
-        simulator.run(200)
-        core = simulator._core
-        occupied = next(vid for vid in range(len(core.vc_obj))
-                        if core.vc_pkt[vid])
-        core.vc_pkt[occupied] = 0
-        mismatches = core.verify_against_objects()
-        assert mismatches, "planted mirror skew went undetected"
-        core.resync()
-        assert core.verify_against_objects() == []
-
-    @settings(max_examples=10, deadline=None)
-    @given(
-        side=st.integers(min_value=3, max_value=5),
-        vcs=st.integers(min_value=1, max_value=2),
-        rate=st.sampled_from([0.05, 0.15, 0.30]),
-        seed=st.integers(min_value=0, max_value=2 ** 16),
-        cycles=st.integers(min_value=1, max_value=300),
-    )
-    def test_random_designs_round_trip(self, side, vcs, rate, seed,
-                                       cycles):
-        """After any prefix on a random design the compiled tables and the
-        object graph describe the same machine — the invariant every
-        inlined decision depends on."""
-        simulator, _ = _fast_sim(side=side, vcs=vcs, rate=rate, seed=seed)
-        simulator.run(cycles)
-        core = simulator._core
-        assert core.verify_against_objects() == []
-        core.resync()
-        assert core.verify_against_objects() == []
 
 
 class TestFailClosedFallback:
